@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .groups import MatrixGroup, build_group, tuple_count
-from .invariants import CheckEntry, InvariantKind, compute_invariant
+from .invariants import InvariantKind, compute_invariant
 
 
 @dataclass(frozen=True)
@@ -31,24 +31,6 @@ class BridgeReport:
     @property
     def passed(self) -> bool:
         return self.ratio == 1
-
-    def check_entry(self) -> CheckEntry:
-        if self.passed:
-            return CheckEntry(
-                True,
-                detail=(
-                    f"tuples({self.q},g={self.g}) = {self.tuples} = "
-                    f"|PGL|*(q-1)^{2 * self.g}*E_2({self.q}); "
-                    f"character formula tuples/|GL| = {self.point_formula_value}"
-                ),
-            )
-        return CheckEntry(
-            False,
-            witness=(
-                f"measured ratio tuples / (|PGL|*(q-1)^{2 * self.g}*E_2) = "
-                f"{self.ratio} (tuples={self.tuples}, expected={self.expected})"
-            ),
-        )
 
 
 def point_count_bridge(q: int, g: int, *, group: MatrixGroup | None = None, cache=None) -> BridgeReport:

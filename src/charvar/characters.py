@@ -24,7 +24,7 @@ from functools import lru_cache
 from math import isqrt, lcm
 
 from .errors import LiftFailure, NonIntegralCount
-from .groups import ConjugacyData, MatrixGroup
+from .groups import ConjugacyData, MatrixGroup, _is_prime
 
 TABLE_DOCUMENT_VERSION = 1
 
@@ -299,20 +299,9 @@ def dixon_prime(order: int, exponent: int) -> int:
     rem = (p - 1) % exponent
     if rem:
         p += exponent - rem
-    while not _is_prime_(p):
+    while not _is_prime(p):
         p += exponent
     return p
-
-
-def _is_prime_(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # -- the character table --------------------------------------------------------

@@ -212,6 +212,13 @@ def cmd_count(args) -> int:
     if args.g < 1:
         print("error: need --g >= 1", file=sys.stderr)
         return EXIT_USAGE
+    if args.zeta_order < 1:
+        print(
+            f"error: central element of order {args.zeta_order} unavailable "
+            "(need --zeta-order >= 1)",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     try:
         group = build_group(args.family.upper(), 2, args.q)
     except (GroupTooLarge, ValueError) as exc:

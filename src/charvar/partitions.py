@@ -6,18 +6,10 @@ z the arm a(z) counts cells strictly to its right, the leg l(z) cells strictly
 below, and the hook length is h(z) = a(z) + l(z) + 1.  The normative fixture:
 for (5,5,4,3,1) the cell z = (-1,1) has a(z) = 3 and l(z) = 2.
 
-``hook_term`` builds, for each of the four generating-function flavors, the
-exact FactoredFraction a partition contributes at genus g:
-
-  E     prod_z [ q^-l (1-q^h) ]^(2g-2)
-  qt    prod_z (qt^2)^((2-2g)l) (1+q^h t^(2l+1))^2g
-                 / [ (1-q^h t^(2l+2)) (1-q^h t^2l) ]
-  xy    prod_z (qxy)^((2-2g)l) (1+q^h y^l x^(l+1))^g (1+q^h x^l y^(l+1))^g
-                 / [ (1-q^h (xy)^(l+1)) (1-q^h (xy)^l) ]
-  pure  t^(4(1-g) sum-of-legs) prod_{z : a(z)=0} 1 / (1-t^2h)
-
-All four return FactoredFraction uniformly (for g = 0 the E terms are genuine
-fractions), and all functions here are pure.
+``hook_term`` builds the exact FactoredFraction a partition contributes at
+genus g to a generating function, reading the formula from the flavor's
+``Flavor`` spec (the table of all four is in its docstring).  For g = 0 the E
+terms are genuine fractions.  All functions here are pure.
 """
 
 from __future__ import annotations
@@ -25,15 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .polynomials import (
-    FLAVOR_E,
-    FLAVOR_PURE,
-    FLAVOR_QT,
-    FLAVOR_XY,
-    FactoredFraction,
-    Flavor,
-    SparsePoly,
-)
+from .polynomials import FactoredFraction, Flavor
 
 
 @dataclass(frozen=True)
@@ -133,76 +117,11 @@ def hook_term(flavor: Flavor, partition: Partition, g: int) -> FactoredFraction:
     """The generating-function term attached to one partition at genus g."""
     if g < 0:
         raise ValueError("genus must be non-negative")
-    if flavor is FLAVOR_E or flavor.name == "E":
-        return _hook_term_e(partition, g)
-    if flavor is FLAVOR_QT or flavor.name == "qt":
-        return _hook_term_qt(partition, g)
-    if flavor is FLAVOR_XY or flavor.name == "xy":
-        return _hook_term_xy(partition, g)
-    if flavor is FLAVOR_PURE or flavor.name == "pure":
-        return _hook_term_pure(partition, g)
-    raise ValueError(f"unknown flavor {flavor!r}")
-
-
-def _hook_term_e(partition, g):
-    variables = FLAVOR_E.variables
-    e = 2 * g - 2
-    out = FactoredFraction.one(variables)
-    q_shift = 0
-    for cell in cell_stats(partition).cells:
-        q_shift -= cell.leg * e
-        binom = SparsePoly(variables, {(0,): 1, (cell.hook,): -1})
-        if e >= 0:
-            out = out * binom**e
-        else:
-            out = out.divided_by_poly(binom, -e)
-    return out.shift((q_shift,))
-
-
-def _hook_term_qt(partition, g):
-    variables = FLAVOR_QT.variables
-    out = FactoredFraction.one(variables)
-    q_shift = t_shift = 0
-    for cell in cell_stats(partition).cells:
-        h, l = cell.hook, cell.leg
-        q_shift += (2 - 2 * g) * l
-        t_shift += 2 * (2 - 2 * g) * l
-        numer = SparsePoly(variables, {(0, 0): 1, (h, 2 * l + 1): 1})
-        out = out * numer ** (2 * g)
-        out = out.divided_by_poly(
-            SparsePoly(variables, {(0, 0): 1, (h, 2 * l + 2): -1})
-        )
-        out = out.divided_by_poly(SparsePoly(variables, {(0, 0): 1, (h, 2 * l): -1}))
-    return out.shift((q_shift, t_shift))
-
-
-def _hook_term_xy(partition, g):
-    variables = FLAVOR_XY.variables
-    out = FactoredFraction.one(variables)
-    q_shift = xy_shift = 0
-    for cell in cell_stats(partition).cells:
-        h, l = cell.hook, cell.leg
-        q_shift += (2 - 2 * g) * l
-        xy_shift += (2 - 2 * g) * l
-        numer_a = SparsePoly(variables, {(0, 0, 0): 1, (h, l + 1, l): 1})
-        numer_b = SparsePoly(variables, {(0, 0, 0): 1, (h, l, l + 1): 1})
-        out = out * numer_a**g * numer_b**g
-        out = out.divided_by_poly(
-            SparsePoly(variables, {(0, 0, 0): 1, (h, l + 1, l + 1): -1})
-        )
-        out = out.divided_by_poly(
-            SparsePoly(variables, {(0, 0, 0): 1, (h, l, l): -1})
-        )
-    return out.shift((q_shift, xy_shift, xy_shift))
-
-
-def _hook_term_pure(partition, g):
-    variables = FLAVOR_PURE.variables
     stats = cell_stats(partition)
-    out = FactoredFraction.one(variables)
+    out = FactoredFraction.one(flavor.variables)
     for cell in stats.cells:
-        if cell.arm == 0:
-            out = out.divided_by_poly(
-                SparsePoly(variables, {(0,): 1, (2 * cell.hook,): -1})
-            )
-    return out.shift((4 * (1 - g) * stats.leg_sum,))
+        if flavor.armless_only and cell.arm:
+            continue
+        for c, exps, power in flavor.cell_factors:
+            out = out._times_binomial(c, exps(cell.hook, cell.leg), power(g))
+    return out.shift(tuple(s * (1 - g) * stats.leg_sum for s in flavor.leg_shift))

@@ -53,23 +53,92 @@ def _gl_key(exps):
 
 @dataclass(frozen=True)
 class Flavor:
-    """Variable context plus the sign twist its Adams operations carry.
+    """One generating function as data: its variables, hook term and normalization.
 
-    ``twisted`` lists the variables v substituted as v -> -(-v)^r; the others
-    substitute plainly as v -> v^r.
+    ``twisted`` lists the variables v substituted as v -> -(-v)^r by the Adams
+    operations; the others substitute plainly as v -> v^r.
+
+    Every factor is a triple (c, exps, power) meaning (1 + c*x^exps)^power; a
+    negative power divides.  The term of a partition at genus g is
+
+        x^(leg_shift * (1-g) * sum-of-legs) * prod_z prod_cell_factors
+
+    where in ``cell_factors`` exps is a function of the cell's (hook, leg) and
+    power a function of g, and the product runs over all cells z, or only over
+    the cells with arm 0 when ``armless_only`` is set.  With h and l the hook
+    and leg of z, the four flavors are
+
+      E     prod_z [ q^-l (1-q^h) ]^(2g-2)
+      qt    prod_z (qt^2)^((2-2g)l) (1+q^h t^(2l+1))^2g
+                     / [ (1-q^h t^(2l+2)) (1-q^h t^2l) ]
+      xy    prod_z (qxy)^((2-2g)l) (1+q^h y^l x^(l+1))^g (1+q^h x^l y^(l+1))^g
+                     / [ (1-q^h (xy)^(l+1)) (1-q^h (xy)^l) ]
+      pure  t^(4(1-g) sum-of-legs) prod_{z : a(z)=0} 1 / (1-t^2h)
+
+    The rank-n layer V_n becomes the invariant after multiplying by
+    ``norm_factors`` (constant exps, power a function of g) and by
+    x^(norm_shift * n(n-1)(g-1)).
     """
 
     name: str
     variables: tuple[str, ...]
     twisted: tuple[str, ...]
+    cell_factors: tuple
+    leg_shift: tuple[int, ...]
+    norm_factors: tuple
+    norm_shift: tuple[int, ...]
+    armless_only: bool = False
 
 
-FLAVOR_E = Flavor("E", ("q",), ())
-FLAVOR_QT = Flavor("qt", ("q", "t"), ("t",))
-FLAVOR_XY = Flavor("xy", ("q", "x", "y"), ("x", "y"))
-FLAVOR_PURE = Flavor("pure", ("t",), ())
-
-FLAVORS = {f.name: f for f in (FLAVOR_E, FLAVOR_QT, FLAVOR_XY, FLAVOR_PURE)}
+FLAVOR_E = Flavor(
+    "E", ("q",), (),
+    cell_factors=((-1, lambda h, l: (h,), lambda g: 2 * g - 2),),
+    leg_shift=(2,),
+    norm_factors=((-1, (1,), lambda g: 2 - 2 * g),),
+    norm_shift=(1,),
+)
+FLAVOR_QT = Flavor(
+    "qt", ("q", "t"), ("t",),
+    cell_factors=(
+        (1, lambda h, l: (h, 2 * l + 1), lambda g: 2 * g),
+        (-1, lambda h, l: (h, 2 * l + 2), lambda g: -1),
+        (-1, lambda h, l: (h, 2 * l), lambda g: -1),
+    ),
+    leg_shift=(2, 4),
+    norm_factors=(
+        (-1, (1, 2), lambda g: 1),
+        (-1, (1, 0), lambda g: 1),
+        (1, (1, 1), lambda g: -2 * g),
+    ),
+    norm_shift=(1, 2),
+)
+FLAVOR_XY = Flavor(
+    "xy", ("q", "x", "y"), ("x", "y"),
+    cell_factors=(
+        (1, lambda h, l: (h, l + 1, l), lambda g: g),
+        (1, lambda h, l: (h, l, l + 1), lambda g: g),
+        (-1, lambda h, l: (h, l + 1, l + 1), lambda g: -1),
+        (-1, lambda h, l: (h, l, l), lambda g: -1),
+    ),
+    leg_shift=(2, 2, 2),
+    norm_factors=(
+        (-1, (1, 1, 1), lambda g: 1),
+        (-1, (1, 0, 0), lambda g: 1),
+        (1, (1, 1, 0), lambda g: -g),
+        (1, (1, 0, 1), lambda g: -g),
+    ),
+    norm_shift=(1, 1, 1),
+)
+FLAVOR_PURE = Flavor(
+    "pure", ("t",), (),
+    cell_factors=((-1, lambda h, l: (2 * h,), lambda g: -1),),
+    leg_shift=(4,),
+    # (1-t^2), not (t^2-1): fixed by the n=1 layer 1/(1-t^2) giving PP_1=1
+    # and by positivity/leading-coefficient of every cross-checked case.
+    norm_factors=((-1, (2,), lambda g: 1),),
+    norm_shift=(2,),
+    armless_only=True,
+)
 
 
 class SparsePoly:
@@ -139,9 +208,6 @@ class SparsePoly:
     def is_zero(self):
         return not self.terms
 
-    def is_one(self):
-        return self.terms == {(0,) * len(self.vars): 1}
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -163,23 +229,12 @@ class SparsePoly:
         """Terms in ascending graded-lexicographic order."""
         return sorted(self.terms.items(), key=lambda t: _gl_key(t[0]))
 
-    def leading(self):
-        """(exponents, coefficient) of the graded-lex largest monomial."""
-        exps = max(self.terms, key=_gl_key)
-        return exps, self.terms[exps]
-
     def degree_in(self, name):
         """Largest exponent of one variable (0 for the zero polynomial)."""
         if not self.terms:
             return 0
         i = self.vars.index(name)
         return max(e[i] for e in self.terms)
-
-    def min_exponent_in(self, name):
-        if not self.terms:
-            return 0
-        i = self.vars.index(name)
-        return min(e[i] for e in self.terms)
 
     def min_exponents(self):
         """Componentwise minimum exponent vector over the support."""
@@ -190,11 +245,6 @@ class SparsePoly:
                 if v < lo[i]:
                     lo[i] = v
         return tuple(lo)
-
-    def total_degree(self):
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -304,19 +354,7 @@ class SparsePoly:
             coef = coef * (n - k) // (k + 1)
         return SparsePoly(self.vars, out)
 
-    # -- evaluation and substitution ---------------------------------------
-
-    def evaluate(self, point):
-        """Exact value at a point given as {variable: rational}."""
-        total = Fraction(0)
-        vals = [Fraction(point[v]) for v in self.vars]
-        for e, c in self.terms.items():
-            term = Fraction(c)
-            for x, k in zip(vals, e):
-                if k:
-                    term *= x**k
-            total += term
-        return _as_coeff(total)
+    # -- substitution ------------------------------------------------------
 
     def specialize(self, assignment):
         """Substitute some variables by rational values or other variables.
@@ -563,9 +601,6 @@ class BinomialFactor:
     def sort_key(self):
         return (_gl_key(self.high), self.high_coeff, _gl_key(self.low), self.low_coeff)
 
-    def evaluate(self, point):
-        return self.as_poly().evaluate(point)
-
     def __repr__(self):
         return f"BinomialFactor({poly_text(self.as_poly())})"
 
@@ -653,14 +688,6 @@ class FactoredFraction:
             sorted(self.den.items(), key=lambda fm: fm[0].sort_key())
         )
 
-    def denominator_poly(self) -> SparsePoly:
-        out = SparsePoly.one(self.vars)
-        for f, m in self.denominator_factors():
-            fp = f.as_poly()
-            for _ in range(m):
-                out = out * fp
-        return out
-
     def _check_context(self, other):
         if self.vars != other.vars:
             raise ContextError(f"context mismatch: {self.vars} vs {other.vars}")
@@ -717,6 +744,15 @@ class FactoredFraction:
         if scale != 1:
             num = num.scale(Fraction(1, 1) / scale**power)
         return FactoredFraction(num, den)
+
+    def _times_binomial(self, c, exps, power: int):
+        """Multiply by (1 + c*x^exps)^power; a negative power divides."""
+        if power == 0:
+            return self
+        binom = SparsePoly(self.vars, {(0,) * len(exps): 1, tuple(exps): c})
+        if power > 0:
+            return self * binom**power
+        return self.divided_by_poly(binom, -power)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -788,15 +824,6 @@ class FactoredFraction:
             else:
                 out = out.divided_by_poly(fp, m)
         return out
-
-    def evaluate(self, point):
-        val = Fraction(self.num.evaluate(point))
-        for f, m in self.den.items():
-            d = Fraction(f.evaluate(point))
-            if not d:
-                raise ZeroDivisionError(f"denominator {f!r} vanishes at {point}")
-            val /= d**m
-        return _as_coeff(val)
 
     def __repr__(self):
         den = " * ".join(

@@ -17,7 +17,8 @@ Taking the formal logarithm gives coefficients U_m with
 which the divisor recursion inverts:  V_m = U_m - sum_{r|m, r>1} (1/r) *
 adams_r[V_{m/r}].  Truncation at order nmax is exact for V_1..V_nmax because
 rank n only contributes to T^m for n <= m.  The named invariants then come out
-of each V_n by clearing the flavor's fixed normalization factor.
+of each V_n by applying the flavor's ``norm_factors`` and its monomial
+``norm_shift``.
 """
 
 from __future__ import annotations
@@ -28,10 +29,6 @@ from fractions import Fraction
 from .errors import ConstantTermNotOne, NonIntegerCoefficient, NotPolynomial
 from .partitions import hook_term, partitions_of
 from .polynomials import (
-    FLAVOR_E,
-    FLAVOR_PURE,
-    FLAVOR_QT,
-    FLAVOR_XY,
     FactoredFraction,
     Flavor,
     SparsePoly,
@@ -165,44 +162,11 @@ def invariant_from_layer(
     polynomial (NotPolynomial on failure: a falsified polynomiality statement
     or a bug), and asserts integer coefficients (NonIntegerCoefficient).
     """
+    out = layer
+    for c, exps, power in flavor.norm_factors:
+        out = out._times_binomial(c, exps, power(g))
     shift = n * (n - 1) * (g - 1)
-    variables = flavor.variables
-    if flavor is FLAVOR_E:
-        out = layer.shift((shift,))
-        e = 2 * g - 2
-        one_minus_q = SparsePoly(variables, {(0,): 1, (1,): -1})
-        if e >= 0:
-            out = out.divided_by_poly(one_minus_q, e) if e else out
-        else:
-            out = out * one_minus_q ** (-e)
-    elif flavor is FLAVOR_QT:
-        clear = SparsePoly(variables, {(0, 0): 1, (1, 2): -1}) * SparsePoly(
-            variables, {(0, 0): 1, (1, 0): -1}
-        )
-        out = (layer * clear).shift((shift, 2 * shift))
-        if g:
-            out = out.divided_by_poly(
-                SparsePoly(variables, {(0, 0): 1, (1, 1): 1}), 2 * g
-            )
-    elif flavor is FLAVOR_XY:
-        clear = SparsePoly(variables, {(0, 0, 0): 1, (1, 1, 1): -1}) * SparsePoly(
-            variables, {(0, 0, 0): 1, (1, 0, 0): -1}
-        )
-        out = (layer * clear).shift((shift, shift, shift))
-        if g:
-            out = out.divided_by_poly(
-                SparsePoly(variables, {(0, 0, 0): 1, (1, 1, 0): 1}), g
-            )
-            out = out.divided_by_poly(
-                SparsePoly(variables, {(0, 0, 0): 1, (1, 0, 1): 1}), g
-            )
-    elif flavor is FLAVOR_PURE:
-        # (1-t^2), not (t^2-1): fixed by the n=1 layer 1/(1-t^2) giving PP_1=1
-        # and by positivity/leading-coefficient of every cross-checked case.
-        clear = SparsePoly(variables, {(0,): 1, (2,): -1})
-        out = (layer * clear).shift((2 * shift,))
-    else:
-        raise ValueError(f"unknown flavor {flavor!r}")
+    out = out.shift(tuple(s * shift for s in flavor.norm_shift))
     poly = out.as_polynomial()
     if poly.has_negative_exponents():
         lo = poly.min_exponents()

@@ -159,11 +159,13 @@ class TestCount:
         # |PGL(2,3)| * (q-1)^4 * E_2(3) = 24 * 16 * 550
         assert "character_tuples: 211200" in out
 
-    def test_unavailable_central_order_exits_2(self, capsys):
+    @pytest.mark.parametrize("order", [3, 0])
+    def test_unavailable_central_order_exits_2(self, capsys, order):
         code, _, err = run(
-            capsys, "count", "--family", "gl", "--q", "3", "--g", "1", "--zeta-order", "3"
+            capsys, "count", "--family", "gl", "--q", "3", "--g", "1",
+            "--zeta-order", str(order),
         )
-        assert code == 2 and "central element of order 3 unavailable" in err
+        assert code == 2 and f"central element of order {order} unavailable" in err
 
     def test_sl_center_misses_order_allowed_by_q(self, capsys):
         # 4 divides q-1 = 4, but the SL(2,5) center is only {±Id}

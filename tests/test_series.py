@@ -29,6 +29,7 @@ from charvar.series import (
 
 Q = ("q",)
 QT = ("q", "t")
+FLAVORS = (FLAVOR_E, FLAVOR_QT, FLAVOR_XY, FLAVOR_PURE)
 
 
 def const_series(flavor, values):
@@ -100,8 +101,9 @@ def test_exp_log_round_trip_on_random_series(tail):
 class TestExtractLayers:
     @pytest.mark.parametrize("g", [0, 1, 2, 3])
     def test_first_layer_is_the_single_cell_term(self, g):
-        (v1,) = extract_layers(FLAVOR_E, g, 1)
-        assert v1 == hook_term(FLAVOR_E, Partition((1,)), g)
+        for flavor in FLAVORS:
+            (v1,) = extract_layers(flavor, g, 1)
+            assert v1 == hook_term(flavor, Partition((1,)), g)
 
     def test_qt_genus_one_first_layer(self):
         (v1,) = extract_layers(FLAVOR_QT, 1, 1)
@@ -139,15 +141,12 @@ class TestExtractLayers:
 
 
 class TestInvariantFromLayer:
-    @pytest.mark.parametrize("g", [0, 1, 2, 3])
-    def test_rank_one_e_invariant_is_one(self, g):
-        (v1,) = extract_layers(FLAVOR_E, g, 1)
-        assert invariant_from_layer(FLAVOR_E, 1, g, v1) == SparsePoly.one(Q)
-
-    @pytest.mark.parametrize("g", [1, 2, 3, 5])
-    def test_rank_one_qt_invariant_is_one(self, g):
-        (v1,) = extract_layers(FLAVOR_QT, g, 1)
-        assert invariant_from_layer(FLAVOR_QT, 1, g, v1) == SparsePoly.one(QT)
+    @pytest.mark.parametrize("g", [0, 1, 2, 3, 5])
+    @pytest.mark.parametrize("flavor", FLAVORS, ids=lambda f: f.name)
+    def test_rank_one_invariant_is_one(self, flavor, g):
+        (v1,) = extract_layers(flavor, g, 1)
+        one = SparsePoly.one(flavor.variables)
+        assert invariant_from_layer(flavor, 1, g, v1) == one
 
     def test_rank_two_genus_three_matches_printed_polynomial(self):
         layers = extract_layers(FLAVOR_QT, 3, 2)
