@@ -75,9 +75,9 @@ class Flavor:
                      / [ (1-q^h (xy)^(l+1)) (1-q^h (xy)^l) ]
       pure  t^(4(1-g) sum-of-legs) prod_{z : a(z)=0} 1 / (1-t^2h)
 
-    The rank-n layer V_n becomes the invariant after multiplying by
-    ``norm_factors`` (constant exps, power a function of g) and by
-    x^(norm_shift * n(n-1)(g-1)).
+    The rank-n layer V_n becomes the invariant after dividing by the rank-one
+    term (the cell factors at the single cell h=1, l=0) and multiplying by
+    x^((leg_shift/2) * n(n-1)(g-1)).
     """
 
     name: str
@@ -85,8 +85,6 @@ class Flavor:
     twisted: tuple[str, ...]
     cell_factors: tuple
     leg_shift: tuple[int, ...]
-    norm_factors: tuple
-    norm_shift: tuple[int, ...]
     armless_only: bool = False
 
 
@@ -94,8 +92,6 @@ FLAVOR_E = Flavor(
     "E", ("q",), (),
     cell_factors=((-1, lambda h, l: (h,), lambda g: 2 * g - 2),),
     leg_shift=(2,),
-    norm_factors=((-1, (1,), lambda g: 2 - 2 * g),),
-    norm_shift=(1,),
 )
 FLAVOR_QT = Flavor(
     "qt", ("q", "t"), ("t",),
@@ -105,12 +101,6 @@ FLAVOR_QT = Flavor(
         (-1, lambda h, l: (h, 2 * l), lambda g: -1),
     ),
     leg_shift=(2, 4),
-    norm_factors=(
-        (-1, (1, 2), lambda g: 1),
-        (-1, (1, 0), lambda g: 1),
-        (1, (1, 1), lambda g: -2 * g),
-    ),
-    norm_shift=(1, 2),
 )
 FLAVOR_XY = Flavor(
     "xy", ("q", "x", "y"), ("x", "y"),
@@ -121,22 +111,13 @@ FLAVOR_XY = Flavor(
         (-1, lambda h, l: (h, l, l), lambda g: -1),
     ),
     leg_shift=(2, 2, 2),
-    norm_factors=(
-        (-1, (1, 1, 1), lambda g: 1),
-        (-1, (1, 0, 0), lambda g: 1),
-        (1, (1, 1, 0), lambda g: -g),
-        (1, (1, 0, 1), lambda g: -g),
-    ),
-    norm_shift=(1, 1, 1),
 )
 FLAVOR_PURE = Flavor(
     "pure", ("t",), (),
+    # (1-t^2h), not (t^2h-1): fixed by the n=1 layer 1/(1-t^2) giving PP_1=1
+    # and by positivity/leading-coefficient of every cross-checked case.
     cell_factors=((-1, lambda h, l: (2 * h,), lambda g: -1),),
     leg_shift=(4,),
-    # (1-t^2), not (t^2-1): fixed by the n=1 layer 1/(1-t^2) giving PP_1=1
-    # and by positivity/leading-coefficient of every cross-checked case.
-    norm_factors=((-1, (2,), lambda g: 1),),
-    norm_shift=(2,),
     armless_only=True,
 )
 

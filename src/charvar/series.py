@@ -16,9 +16,10 @@ Taking the formal logarithm gives coefficients U_m with
 
 which the divisor recursion inverts:  V_m = U_m - sum_{r|m, r>1} (1/r) *
 adams_r[V_{m/r}].  Truncation at order nmax is exact for V_1..V_nmax because
-rank n only contributes to T^m for n <= m.  The named invariants then come out
-of each V_n by applying the flavor's ``norm_factors`` and its monomial
-``norm_shift``.
+rank n only contributes to T^m for n <= m.  The named invariant of rank n
+comes out of V_n by dividing by the rank-one term (the flavor's
+``cell_factors`` at the single cell) and by a monomial shift of
+(``leg_shift``/2) * n(n-1)(g-1).
 """
 
 from __future__ import annotations
@@ -163,10 +164,12 @@ def invariant_from_layer(
     or a bug), and asserts integer coefficients (NonIntegerCoefficient).
     """
     out = layer
-    for c, exps, power in flavor.norm_factors:
-        out = out._times_binomial(c, exps, power(g))
+    # Divide by the single-cell term; reversed so the clearing multiplications
+    # (its denominators) run before the divisions.
+    for c, exps, power in reversed(flavor.cell_factors):
+        out = out._times_binomial(c, exps(1, 0), -power(g))
     shift = n * (n - 1) * (g - 1)
-    out = out.shift(tuple(s * shift for s in flavor.norm_shift))
+    out = out.shift(tuple(s // 2 * shift for s in flavor.leg_shift))
     poly = out.as_polynomial()
     if poly.has_negative_exponents():
         lo = poly.min_exponents()
