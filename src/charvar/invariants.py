@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
 import threading
 from dataclasses import dataclass, field
@@ -31,7 +32,7 @@ from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import KindMismatch, UnsupportedGenus
+from .errors import CharvarError, KindMismatch, UnsupportedGenus
 from .polynomials import (
     FLAVOR_E,
     FLAVOR_PURE,
@@ -735,13 +736,36 @@ class InvariantCache:
             return None
 
     def load(self, kind, n, g) -> InvariantResult | None:
+        """The cached result for a key, or None for a miss.
+
+        A document that does not read back as this key's result (not JSON,
+        not the document schema, or another kind, n, g or variable list) is a
+        miss too: one warning line goes to stderr, and the caller recomputes
+        and overwrites it.  A good hit is returned as stored, with no checks
+        re-run.
+        """
+        kind = parse_kind(kind)
         raw = self.load_bytes(kind, n, g)
         if raw is None:
             return None
-        doc = json.loads(raw)
-        if doc.get("version") != DOCUMENT_VERSION:
-            return None  # stale format: treat as a miss and recompute
-        return result_from_document(doc)
+        try:
+            doc = json.loads(raw)
+            if doc.get("version") != DOCUMENT_VERSION:
+                return None  # stale format: treat as a miss and recompute
+            result = result_from_document(doc)
+        except (ValueError, KeyError, TypeError, AttributeError, RecursionError,
+                CharvarError) as exc:
+            reason = f"{type(exc).__name__}: {exc}"
+        else:
+            stored = (result.kind, result.n, result.g, result.polynomial.vars)
+            if stored == (kind, n, g, kind.flavor.variables):
+                return result
+            reason = (f"it holds {result.kind.value} n={result.n} g={result.g} "
+                      f"in {','.join(result.polynomial.vars)}")
+        reason = " ".join(reason.split())
+        print(f"warning: ignoring cache document {self._path(kind, n, g)} "
+              f"({reason}); recomputing", file=sys.stderr)
+        return None
 
     def store(self, result: InvariantResult) -> Path:
         self.root.mkdir(parents=True, exist_ok=True)
@@ -763,11 +787,13 @@ class InvariantCache:
             return []
         out = []
         for path in self.root.glob("*_n*_g*.json"):
-            kind_text, n_text, g_text = path.stem.split("_")
             try:
-                out.append((parse_kind(kind_text), int(n_text[1:]), int(g_text[1:])))
+                kind_text, n_text, g_text = path.stem.split("_")
+                key = (parse_kind(kind_text), int(n_text[1:]), int(g_text[1:]))
             except (KindMismatch, ValueError):
-                continue
+                continue  # not a <kind>_n<N>_g<G> name
+            if key[1] >= 1 and key[2] >= 0 and self._path(*key) == path:
+                out.append(key)
         return sorted(out, key=lambda kng: (kng[0].value, kng[1], kng[2]))
 
     def clear(self):

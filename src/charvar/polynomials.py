@@ -15,9 +15,15 @@ On top of the polynomials sits FactoredFraction: a numerator polynomial
 divided by a multiset of normalized two-term factors ("binomials" such as
 1 - q^3*t^4).  Every denominator produced by the generating functions in this
 package is a product of such factors, so exact division by binomials replaces
-general multivariate gcd computation.  Division by a binomial runs in linear
-time by cumulative sums along "ladders" (monomials congruent modulo the
-binomial's exponent direction).
+general multivariate gcd computation.  Most trial divisions fail, so a
+binomial 1 + c*x^d with c = +-1 first gets a pre-test that can only reject:
+the numerator is evaluated modulo the prime 2^61 - 1 at a fixed point where
+x^d = -c, i.e. on the binomial's zero set.  A multiple of the binomial
+vanishes there (the quotient's coefficients have the numerator's
+denominators), so a nonzero value proves the division fails.  A zero value
+proves nothing, and the exact division decides: it runs in linear time by
+cumulative sums along "ladders" (monomials congruent modulo the binomial's
+exponent direction), with Laurent exponents taken as they are.
 
 The monomial order used for canonical output, leading terms, and division is
 graded lexicographic, ascending, with the variable order of the context.
@@ -30,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .errors import (
     ContextError,
@@ -476,32 +483,45 @@ def _try_divide(num: SparsePoly, div: SparsePoly):
         ((e, c),) = div.terms.items()
         inv = Fraction(1, c) if c != 1 else 1
         return num.shift(tuple(-k for k in e)).scale(inv)
+    if nd == 2:
+        out = _divide_two_term(num.terms, div.terms)
+        return None if out is None else SparsePoly._raw(num.vars, out)
     # strip monomial content so graded-lex is a well-order on what remains
     shift_div = div.min_exponents()
     shift_num = num.min_exponents()
     dterms = {tuple(a - b for a, b in zip(e, shift_div)): c for e, c in div.terms.items()}
     nterms = {tuple(a - b for a, b in zip(e, shift_num)): c for e, c in num.terms.items()}
-    if nd == 2:
-        out = _divide_two_term(nterms, dterms, len(num.vars))
-    else:
-        out = _divide_general(nterms, dterms)
+    out = _divide_general(nterms, dterms)
     if out is None:
         return None
     back = tuple(a - b for a, b in zip(shift_num, shift_div))
     return SparsePoly._raw(num.vars, out).shift(back)
 
 
-def _divide_two_term(nterms, dterms, nvars):
+def _divide_two_term(nterms, dterms):
     """Quotient of a term dict by a two-term divisor, by ladder recursion.
 
     Writing the divisor as c0*x^e0 + c1*x^e1 (e0 graded-lex below e1) and
-    grouping numerator monomials into ladders x^(base + k*d), d = e1 - e0,
+    grouping numerator monomials into ladders x^(e0 + base + k*d), d = e1 - e0,
     the quotient coefficients satisfy G_k = (F_k - c1*G_{k-1}) / c0 upward
     along each ladder, and divisibility is equivalent to the recursion
-    closing with G = 0 at the top of every ladder.
+    closing with G = 0 at the top of every ladder.  Positions are taken
+    relative to e0 without stripping monomial content first: floor division
+    places Laurent exponents on their ladders, and the quotient term of
+    position base + k*d has exactly that exponent.
+
+    Most trial divisions fail, so when c0 = 1 and c1 = +-1 the numerator is
+    first evaluated modulo a prime p at a fixed point of the divisor's zero
+    set (_off_zero_set).  A multiple Q*(1 + c1*x^d) is 0 there: with c0 = 1
+    the recursion makes Q's coefficients integer combinations of the
+    numerator's, so Q has a value modulo p too.  A nonzero value therefore
+    proves the division fails and no ladder is built; a zero value proves
+    nothing, and the recursion decides as for every other divisor.
     """
     (e0, c0), (e1, c1) = sorted(dterms.items(), key=lambda t: _gl_key(t[0]))
     d = tuple(b - a for a, b in zip(e0, e1))
+    if c0 == 1 and c1 in (1, -1) and _off_zero_set(nterms, d, c1):
+        return None
     j = next(i for i, v in enumerate(d) if v)
     dj = d[j]
     ladders = {}
@@ -532,6 +552,48 @@ def _divide_two_term(nterms, dterms, nvars):
             elif g:
                 out[tuple(b + k * v for b, v in zip(base, d))] = _as_coeff(g)
     return out
+
+
+# The pre-test's modulus, a Mersenne prime: 2 has order 61 modulo it, so
+# 2^k is 2^(k % 61) and a power of 2 is a bit shift.  Exponents that meet
+# modulo 61 can only hide a failed division from the pre-test, never fake one.
+_PRIME = (1 << 61) - 1
+
+
+def _off_zero_set(nterms, d, c1):
+    """True when the numerator provably is no multiple of 1 + c1*x^d (c1 = +-1).
+
+    The numerator is evaluated modulo _PRIME at x_i = 2^(w_i), with x_s
+    negated for c1 = 1 (s the first variable with d_s odd).  The weights
+    w_i = 3^i*d_j for i != j and w_j = -sum_(i != j) 3^i*d_i, with j the
+    first variable with d_j != 0, give w.d = 0, so x^d = -c1 and the divisor
+    vanishes at x.  False where no verdict is possible: for 1 + x^d with
+    every d_i even (x^d is a square and -1 is none modulo _PRIME), and for a
+    coefficient whose denominator _PRIME divides.
+    """
+    s = None
+    if c1 == 1:
+        s = next((i for i, v in enumerate(d) if v & 1), None)
+        if s is None:
+            return False
+    j = next(i for i, v in enumerate(d) if v)
+    w = [3**i * d[j] for i in range(len(d))]
+    w[j] = -sum(3**i * v for i, v in enumerate(d) if i != j)
+    total = 0
+    inverses = {}
+    for e, c in nterms.items():
+        if type(c) is not int:
+            den = c.denominator
+            inv = inverses.get(den)
+            if inv is None:
+                if not den % _PRIME:
+                    return False
+                inv = inverses[den] = pow(den, -1, _PRIME)
+            c = c.numerator * inv
+        if s is not None and e[s] & 1:
+            c = -c
+        total += c << (sum(map(mul, w, e)) % 61)
+    return total % _PRIME != 0
 
 
 def _divide_general(nterms, dterms):

@@ -6,12 +6,22 @@ import pytest
 
 from charvar import cli
 from charvar.errors import NotPolynomial
+from charvar.invariants import (
+    clear_memo,
+    compute_invariant,
+    document_bytes,
+    polynomial_document,
+)
 
 
 @pytest.fixture(autouse=True)
 def isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.CACHE_ENV_VAR, str(tmp_path / "cache"))
     return tmp_path / "cache"
+
+
+def _document_bytes(kind, n, g):
+    return document_bytes(polynomial_document(compute_invariant(kind, n, g)))
 
 
 def run(capsys, *argv):
@@ -224,6 +234,43 @@ class TestCache:
         assert run(capsys, "cache", "--clear")[0] == 0
         code, out, _ = run(capsys, "cache", "--list")
         assert code == 0 and out == ""
+
+    @pytest.mark.parametrize(
+        "command, file_name, content",
+        [
+            ("compute", "Hqt_n2_g2.json", lambda: b"{not json"),
+            ("compute", "Hqt_n2_g2.json", lambda: b"\xff\xfe\x80 not utf-8"),
+            ("compute", "Hqt_n2_g2.json", lambda: b"[]"),
+            ("compute", "Hqt_n2_g2.json", lambda: b'{"version": 1}'),
+            ("compute", "Hqt_n2_g2.json", lambda: _document_bytes("hqt", 2, 3)),
+            ("list", "E_n2_g1_old.json", lambda: b"{}"),
+        ],
+        ids=["invalid-json", "not-utf-8", "json-list", "missing-keys", "wrong-key",
+             "stray-name"],
+    )
+    def test_bad_cache_file_is_skipped(
+        self, capsys, isolated_cache, command, file_name, content
+    ):
+        args = ("compute", "--kind", "hqt", "--n", "2", "--g", "2", "--format", "json")
+        clear_memo()
+        code, cold, _ = run(capsys, *args)
+        assert code == 0
+        (isolated_cache / file_name).write_bytes(content())
+        clear_memo()
+        if command == "list":
+            code, out, err = run(capsys, "cache", "--list")
+            assert code == 0 and out == "Hqt/2/2\n"
+            assert "Traceback" not in err
+            return
+        code, out, err = run(capsys, *args)
+        assert code == 0 and out == cold
+        assert "Traceback" not in err
+        warnings = err.splitlines()
+        assert len(warnings) == 1 and warnings[0].startswith("warning:")
+        assert file_name in warnings[0]
+        assert (isolated_cache / file_name).read_bytes() == cold.encode()
+        clear_memo()
+        assert run(capsys, *args) == (0, cold, "")  # the rewritten file is a hit
 
     def test_cache_dir_flag_overrides_env(self, capsys, tmp_path):
         other = tmp_path / "other-cache"

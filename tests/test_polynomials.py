@@ -313,6 +313,42 @@ def test_divide_exact_inverts_multiplication(a, idx):
     assert divide_exact(a * b, b) == a
 
 
+# Divisors beyond the denominator pool: a direction with mixed signs (t - q),
+# a plus sign, three variables, 1 + q^2 (every exponent even, so the modular
+# pre-test has no point to evaluate at) and a coefficient that is not a unit.
+# The coefficient 1/(2^61 - 1) has no value modulo the pre-test's prime.
+_wide_divisors = [
+    SparsePoly(QT, {(0, 1): 1, (1, 0): -1}),
+    SparsePoly(QT, {(0, 0): 1, (1, 2): 1}),
+    SparsePoly(("q", "x", "y"), {(0, 0, 0): 1, (1, 1, 2): -1}),
+    SparsePoly(Q, {(0,): 1, (2,): 1}),
+    SparsePoly(Q, {(0,): 2, (1,): -1}),
+]
+_rationals = st.one_of(
+    _coeffs,
+    st.fractions(-6, 6, max_denominator=12),
+    st.just(Fraction(1, (1 << 61) - 1)),
+)
+
+
+@st.composite
+def wide_division_cases(draw):
+    b = draw(st.sampled_from(_wide_divisors))
+    exps = st.tuples(*[st.integers(min_value=-3, max_value=4)] * len(b.vars))
+    a = SparsePoly(b.vars, draw(st.dictionaries(exps, _rationals, max_size=6)))
+    m = SparsePoly.monomial(b.vars, draw(exps), draw(_rationals.filter(bool)))
+    return a, b, m
+
+
+@given(wide_division_cases())
+@settings(max_examples=150, deadline=None)
+def test_divide_exact_decides_wide_divisors(case):
+    a, b, m = case
+    assert divide_exact(a * b, b) == a
+    with pytest.raises(NotDivisible):
+        divide_exact(a * b + m, b)
+
+
 @given(sparse_polys())
 @settings(max_examples=60, deadline=None)
 def test_as_polynomial_of_embedded_polynomial(f):
