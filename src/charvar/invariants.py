@@ -221,7 +221,7 @@ def compute_invariant(kind, n: int, g: int, *, cache=None) -> InvariantResult:
 
 def palindrome_entry(poly: SparsePoly, two_n: int) -> CheckEntry:
     """q^{2N} * f(1/q) == f(q), coefficientwise."""
-    for (a,), c in poly.terms.items():
+    for (a,), c in poly.sorted_terms():
         c2 = poly.coefficient((two_n - a,))
         if c2 != c:
             return CheckEntry(
@@ -238,7 +238,7 @@ def curious_duality_entry(poly: SparsePoly, big_n: int) -> CheckEntry:
     reflecting the q-exponent about N shifts the t-exponent by twice as much,
     which is the coefficient shadow of the hard-Lefschetz-type pairing.
     """
-    for (a, b), c in poly.terms.items():
+    for (a, b), c in poly.sorted_terms():
         dual = (2 * big_n - a, b + 2 * (big_n - a))
         c2 = poly.coefficient(dual)
         if c2 != c:
@@ -301,7 +301,7 @@ def euler_entry(n: int, g: int, poly: SparsePoly) -> CheckEntry:
 def xy_symmetry_entry(poly: SparsePoly) -> CheckEntry:
     """H_n(1,x,y) is symmetric under swapping x and y."""
     at_q1 = poly.specialize({"q": 1})
-    for (a, b), c in at_q1.terms.items():
+    for (a, b), c in at_q1.sorted_terms():
         c2 = at_q1.coefficient((b, a))
         if c2 != c:
             return CheckEntry(

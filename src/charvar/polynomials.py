@@ -21,9 +21,9 @@ the numerator is evaluated modulo the prime 2^61 - 1 at a fixed point where
 x^d = -c, i.e. on the binomial's zero set.  A multiple of the binomial
 vanishes there (the quotient's coefficients have the numerator's
 denominators), so a nonzero value proves the division fails.  A zero value
-proves nothing, and the exact division decides: it runs in linear time by
-cumulative sums along "ladders" (monomials congruent modulo the binomial's
-exponent direction), with Laurent exponents taken as they are.
+proves nothing, and the exact division decides: a long division whose terms
+are kept in buckets by one exponent that the binomial's direction raises,
+walked upward, with Laurent exponents taken as they are.
 
 The monomial order used for canonical output, leading terms, and division is
 graded lexicographic, ascending, with the variable order of the context.
@@ -35,8 +35,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import gcd
-from operator import mul
+from operator import add, mul, sub
 
 from .errors import (
     ContextError,
@@ -279,7 +280,7 @@ class SparsePoly:
         get = out.get
         for ea, ca in a.items():
             for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
+                e = tuple(map(add, ea, eb))
                 v = get(e, 0) + ca * cb
                 if v:
                     out[e] = v
@@ -309,7 +310,7 @@ class SparsePoly:
             return self
         return SparsePoly._raw(
             self.vars,
-            {tuple(a + b for a, b in zip(e, exps)): c for e, c in self.terms.items()},
+            {tuple(map(add, e, exps)): c for e, c in self.terms.items()},
         )
 
     def __pow__(self, n):
@@ -499,58 +500,56 @@ def _try_divide(num: SparsePoly, div: SparsePoly):
 
 
 def _divide_two_term(nterms, dterms):
-    """Quotient of a term dict by a two-term divisor, by ladder recursion.
+    """Quotient of a term dict by a two-term divisor, by bucketed long division.
 
-    Writing the divisor as c0*x^e0 + c1*x^e1 (e0 graded-lex below e1) and
-    grouping numerator monomials into ladders x^(e0 + base + k*d), d = e1 - e0,
-    the quotient coefficients satisfy G_k = (F_k - c1*G_{k-1}) / c0 upward
-    along each ladder, and divisibility is equivalent to the recursion
-    closing with G = 0 at the top of every ladder.  Positions are taken
-    relative to e0 without stripping monomial content first: floor division
-    places Laurent exponents on their ladders, and the quotient term of
-    position base + k*d has exactly that exponent.
+    Write the divisor as c0*x^e0 + c1*x^e1 with e0 graded-lex below e1 and
+    d = e1 - e0.  Positions are taken relative to e0, so Laurent exponents need
+    no shift and the quotient term at position p has exponent p.  Because e0
+    precedes e1, some coordinate j has d_j > 0.  The numerator's terms go into
+    buckets by p_j, and the nonempty buckets are walked upward off a heap of
+    levels: each term p sets Q[p] = rem[p] / c0 and subtracts c1*Q[p] from
+    rem[p + d], d_j levels higher.  The division succeeds exactly when every
+    remainder left in the top d_j levels, where no quotient term can sit, is 0.
 
     Most trial divisions fail, so when c0 = 1 and c1 = +-1 the numerator is
     first evaluated modulo a prime p at a fixed point of the divisor's zero
     set (_off_zero_set).  A multiple Q*(1 + c1*x^d) is 0 there: with c0 = 1
     the recursion makes Q's coefficients integer combinations of the
     numerator's, so Q has a value modulo p too.  A nonzero value therefore
-    proves the division fails and no ladder is built; a zero value proves
-    nothing, and the recursion decides as for every other divisor.
+    proves the division fails and no bucket is filled; a zero value proves
+    nothing, and the long division decides as for every other divisor.
     """
     (e0, c0), (e1, c1) = sorted(dterms.items(), key=lambda t: _gl_key(t[0]))
-    d = tuple(b - a for a, b in zip(e0, e1))
+    d = tuple(map(sub, e1, e0))
     if c0 == 1 and c1 in (1, -1) and _off_zero_set(nterms, d, c1):
         return None
-    j = next(i for i, v in enumerate(d) if v)
+    j = next(i for i, v in enumerate(d) if v > 0)
     dj = d[j]
-    ladders = {}
-    for e, c in nterms.items():
-        pos = tuple(a - b for a, b in zip(e, e0))
-        k = pos[j] // dj
-        base = tuple(a - k * b for a, b in zip(pos, d))
-        ladders.setdefault(base, []).append((k, c))
+    if any(e0):
+        rem = {tuple(map(sub, e, e0)): c for e, c in nterms.items()}
+    else:
+        rem = dict(nterms)
+    buckets = {}
+    for p in rem:
+        buckets.setdefault(p[j], []).append(p)
+    top = max(buckets) - dj
+    levels = sorted(buckets)  # ascending, so already a heap
+    inv = None if c0 == 1 else Fraction(1, c0)
     out = {}
-    c0_inv = None if c0 == 1 else Fraction(1, c0)
-    for base, entries in ladders.items():
-        entries.sort(key=lambda t: t[0])
-        k_lo, k_hi = entries[0][0], entries[-1][0]
-        idx = 0
-        g = 0
-        for k in range(k_lo, k_hi + 1):
-            if idx < len(entries) and entries[idx][0] == k:
-                f_k = entries[idx][1]
-                idx += 1
-            else:
-                f_k = 0
-            g = f_k - c1 * g if g else f_k
-            if c0_inv is not None and g:
-                g = _as_coeff(g * c0_inv)
-            if k == k_hi:
-                if g:
-                    return None
-            elif g:
-                out[tuple(b + k * v for b, v in zip(base, d))] = _as_coeff(g)
+    while levels and levels[0] <= top:
+        level = heappop(levels)
+        for p in buckets[level]:
+            c = rem[p]
+            if c:
+                out[p] = c = _as_coeff(c if inv is None else c * inv)
+                t = tuple(map(add, p, d))
+                if t not in rem:
+                    if level + dj not in buckets:
+                        heappush(levels, level + dj)
+                    buckets.setdefault(level + dj, []).append(t)
+                rem[t] = rem.get(t, 0) - c1 * c
+    if any(rem[p] for level in levels for p in buckets[level]):
+        return None
     return out
 
 

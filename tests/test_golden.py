@@ -4,6 +4,8 @@ Each digest is of ``document_bytes(polynomial_document(...))`` for one
 (kind, n, g): E, Hqt and PP at n <= 4 and Hxy at n <= 3, all at g = 0..3.
 They pin the canonical output, so a change to the hook terms, the layer
 extraction or the normalizations must reproduce every document byte for byte.
+Hxy at n = 4, g = 2 is pinned on its own: its three-variable exact divisions
+are the largest the tests run.
 """
 
 import hashlib
@@ -85,3 +87,11 @@ def test_documents_match_golden_digests():
         != digest
     ]
     assert wrong == []
+
+
+HXY_4_2 = "202298a1d6fa935b700a240c102543a0c7b514a83129a58aeec91c47aa8cdbaa"
+
+
+def test_hxy_4_2_matches_golden_digest():
+    document = polynomial_document(compute_invariant("Hxy", 4, 2))
+    assert hashlib.sha256(document_bytes(document)).hexdigest() == HXY_4_2

@@ -20,6 +20,7 @@ from charvar.invariants import (
     result_from_document,
     run_check,
     specialize_invariant,
+    xy_symmetry_entry,
 )
 from charvar.polynomials import SparsePoly
 
@@ -145,6 +146,35 @@ class TestChecks:
         entry = palindrome_entry(bad, 2)
         assert not entry.passed
         assert "q^0" in entry.witness and "q^2" in entry.witness
+
+    # Each polynomial lists a failing monomial above the lowest one first, so a
+    # witness taken in dict order would name the higher one.
+    @pytest.mark.parametrize(
+        "entry,witness",
+        [
+            (
+                lambda: palindrome_entry(SparsePoly(("q",), {(3,): 5, (0,): 1}), 4),
+                "coefficient 1 at q^0 vs 0 at q^4",
+            ),
+            (
+                lambda: curious_duality_entry(
+                    SparsePoly(("q", "t"), {(2, 2): 5, (0, 0): 1}), 1
+                ),
+                "coefficient 1 at q^0*t^0 vs 5 at q^2*t^2",
+            ),
+            (
+                lambda: xy_symmetry_entry(
+                    SparsePoly(("q", "x", "y"), {(0, 2, 0): 3, (0, 0, 1): 2})
+                ),
+                "coefficient 2 at x^0*y^1 vs 0 at x^1*y^0",
+            ),
+        ],
+        ids=["palindrome", "curious_duality", "xy_symmetry"],
+    )
+    def test_witness_is_lowest_failing_monomial(self, entry, witness):
+        result = entry()
+        assert not result.passed
+        assert result.witness == witness
 
     def test_euler_at_2_3(self):
         report = run_check("euler", 2, 3)

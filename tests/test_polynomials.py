@@ -315,14 +315,20 @@ def test_divide_exact_inverts_multiplication(a, idx):
 
 # Divisors beyond the denominator pool: a direction with mixed signs (t - q),
 # a plus sign, three variables, 1 + q^2 (every exponent even, so the modular
-# pre-test has no point to evaluate at) and a coefficient that is not a unit.
-# The coefficient 1/(2^61 - 1) has no value modulo the pre-test's prime.
+# pre-test has no point to evaluate at), a coefficient that is not a unit,
+# q - t^2 (direction (-1, 2): the exponent the long division buckets by is not
+# the first), 2*q*t - 3 (a negative, non-unit low coefficient) and the Laurent
+# t^-1 - q.  The coefficient 1/(2^61 - 1) has no value modulo the pre-test's
+# prime.
 _wide_divisors = [
     SparsePoly(QT, {(0, 1): 1, (1, 0): -1}),
     SparsePoly(QT, {(0, 0): 1, (1, 2): 1}),
     SparsePoly(("q", "x", "y"), {(0, 0, 0): 1, (1, 1, 2): -1}),
     SparsePoly(Q, {(0,): 1, (2,): 1}),
     SparsePoly(Q, {(0,): 2, (1,): -1}),
+    SparsePoly(QT, {(1, 0): 1, (0, 2): -1}),
+    SparsePoly(QT, {(1, 1): 2, (0, 0): -3}),
+    SparsePoly(QT, {(0, -1): 1, (1, 0): -1}),
 ]
 _rationals = st.one_of(
     _coeffs,
