@@ -579,39 +579,24 @@ def _closed_ygenus(n: int, g: int) -> FactoredFraction:
 
 def closed_form_checks(n: int, g: int, *, cache=None) -> CheckReport:
     """Compare extracted invariants against every printed closed form for n."""
-    report = CheckReport()
     if n == 2:
-        e2 = compute_invariant(InvariantKind.E, 2, g, cache=cache)
-        report.add("closed_form_E2", _match_entry(e2.polynomial, closed_form("E2", g)))
-        h2 = compute_invariant(InvariantKind.HQT, 2, g, cache=cache)
-        report.add("closed_form_H2", _match_entry(h2.polynomial, closed_form("H2", g)))
+        printed = (("E2", InvariantKind.E), ("H2", InvariantKind.HQT))
     elif n == 3:
-        h3 = compute_invariant(InvariantKind.HQT, 3, g, cache=cache)
-        report.add("closed_form_H3", _match_entry(h3.polynomial, closed_form("H3", g)))
-        pp3 = compute_invariant(InvariantKind.PP, 3, g, cache=cache)
-        report.add(
-            "closed_form_PP3", _match_entry(pp3.polynomial, closed_form("PP3", g))
-        )
+        printed = (("H3", InvariantKind.HQT), ("PP3", InvariantKind.PP))
     else:
         raise KindMismatch(f"no printed closed forms for n = {n}")
-    if g >= 2 and n in (2, 3):
+    detail = "extraction equals the printed closed form"
+    report = CheckReport()
+    for which, kind in printed:
+        poly = compute_invariant(kind, n, g, cache=cache).polynomial
+        form = closed_form(which, g).as_polynomial()
+        report.add(f"closed_form_{which}", _poly_equal_entry(poly, form, detail))
+    if g >= 2:
         hxy = compute_invariant(InvariantKind.HXY, n, g, cache=cache)
         ygen = specialize_invariant(hxy, "ygenus")
-        report.add(
-            "closed_form_ygenus",
-            _match_entry(ygen, closed_form("ygenus", g, n=n)),
-        )
+        form = closed_form("ygenus", g, n=n).as_polynomial()
+        report.add("closed_form_ygenus", _poly_equal_entry(ygen, form, detail))
     return report
-
-
-def _match_entry(poly: SparsePoly, form: FactoredFraction) -> CheckEntry:
-    expanded = form.as_polynomial()
-    if poly == expanded:
-        return CheckEntry(True, detail="extraction equals the printed closed form")
-    diff = poly - expanded
-    e, c = diff.sorted_terms()[0]
-    mono = poly_text(SparsePoly.monomial(diff.vars, e, 1))
-    return CheckEntry(False, witness=f"difference has coefficient {c} at {mono}")
 
 
 def specialization_checks(n: int, g: int, *, include_xy=None, cache=None) -> CheckReport:
@@ -641,9 +626,9 @@ def specialization_checks(n: int, g: int, *, include_xy=None, cache=None) -> Che
     return report
 
 
-def _poly_equal_entry(a: SparsePoly, b: SparsePoly) -> CheckEntry:
+def _poly_equal_entry(a: SparsePoly, b: SparsePoly, detail="exact match") -> CheckEntry:
     if a == b:
-        return CheckEntry(True, detail="exact match")
+        return CheckEntry(True, detail=detail)
     diff = a - b
     e, c = diff.sorted_terms()[0]
     mono = poly_text(SparsePoly.monomial(diff.vars, e, 1))
@@ -654,11 +639,7 @@ def run_check(name: str, n: int, g: int, *, cache=None) -> CheckReport:
     """Dispatch a named check suite entry for (n, g)."""
     if name == "duality":
         r = compute_invariant(InvariantKind.HQT, n, g, cache=cache)
-        report = CheckReport()
-        report.add("degrees", degrees_entry(InvariantKind.HQT, n, g, r.polynomial))
-        report.add("duality", duality_entry(InvariantKind.HQT, n, g, r.polynomial))
-        report.add("positivity", positivity_entry(r.polynomial))
-        return report
+        return attached_checks(InvariantKind.HQT, n, g, r.polynomial)
     if name == "euler":
         r = compute_invariant(InvariantKind.E, n, g, cache=cache)
         report = CheckReport()

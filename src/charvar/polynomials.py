@@ -17,13 +17,14 @@ divided by a multiset of normalized two-term factors ("binomials" such as
 package is a product of such factors, so exact division by binomials replaces
 general multivariate gcd computation.  Most trial divisions fail, so a
 binomial 1 + c*x^d with c = +-1 first gets a pre-test that can only reject:
-the numerator is evaluated modulo the prime 2^61 - 1 at a fixed point where
-x^d = -c, i.e. on the binomial's zero set.  A multiple of the binomial
-vanishes there (the quotient's coefficients have the numerator's
-denominators), so a nonzero value proves the division fails.  A zero value
-proves nothing, and the exact division decides: a long division whose terms
-are kept in buckets by one exponent that the binomial's direction raises,
-walked upward, with Laurent exponents taken as they are.
+an integer numerator is evaluated modulo the prime 2^61 - 1 at a fixed point
+where x^d = -c, i.e. on the binomial's zero set.  A multiple of the binomial
+vanishes there (its quotient has integer coefficients too), so a nonzero
+value proves the division fails.  A zero value, or a numerator with a
+rational coefficient, gives no verdict, and the exact division decides: a
+long division whose terms are kept in buckets by one exponent that the
+binomial's direction raises, walked upward, with Laurent exponents taken as
+they are.
 
 The monomial order used for canonical output, leading terms, and division is
 graded lexicographic, ascending, with the variable order of the context.
@@ -511,13 +512,14 @@ def _divide_two_term(nterms, dterms):
     rem[p + d], d_j levels higher.  The division succeeds exactly when every
     remainder left in the top d_j levels, where no quotient term can sit, is 0.
 
-    Most trial divisions fail, so when c0 = 1 and c1 = +-1 the numerator is
-    first evaluated modulo a prime p at a fixed point of the divisor's zero
-    set (_off_zero_set).  A multiple Q*(1 + c1*x^d) is 0 there: with c0 = 1
-    the recursion makes Q's coefficients integer combinations of the
-    numerator's, so Q has a value modulo p too.  A nonzero value therefore
-    proves the division fails and no bucket is filled; a zero value proves
-    nothing, and the long division decides as for every other divisor.
+    Most trial divisions fail, so when c0 = 1 and c1 = +-1 an integer
+    numerator is first evaluated modulo a prime p at a fixed point of the
+    divisor's zero set (_off_zero_set).  A multiple Q*(1 + c1*x^d) is 0 there:
+    with c0 = 1 the recursion makes Q's coefficients integer combinations of
+    the numerator's, so Q has a value modulo p too.  A nonzero value therefore
+    proves the division fails and no bucket is filled; a zero value or a
+    rational numerator proves nothing, and the long division decides as for
+    every other divisor.
     """
     (e0, c0), (e1, c1) = sorted(dterms.items(), key=lambda t: _gl_key(t[0]))
     d = tuple(map(sub, e1, e0))
@@ -568,7 +570,8 @@ def _off_zero_set(nterms, d, c1):
     first variable with d_j != 0, give w.d = 0, so x^d = -c1 and the divisor
     vanishes at x.  False where no verdict is possible: for 1 + x^d with
     every d_i even (x^d is a square and -1 is none modulo _PRIME), and for a
-    coefficient whose denominator _PRIME divides.
+    numerator with a rational coefficient, which the layer pipeline never
+    builds (its numerators are integer polynomials).
     """
     s = None
     if c1 == 1:
@@ -579,16 +582,9 @@ def _off_zero_set(nterms, d, c1):
     w = [3**i * d[j] for i in range(len(d))]
     w[j] = -sum(3**i * v for i, v in enumerate(d) if i != j)
     total = 0
-    inverses = {}
     for e, c in nterms.items():
         if type(c) is not int:
-            den = c.denominator
-            inv = inverses.get(den)
-            if inv is None:
-                if not den % _PRIME:
-                    return False
-                inv = inverses[den] = pow(den, -1, _PRIME)
-            c = c.numerator * inv
+            return False
         if s is not None and e[s] & 1:
             c = -c
         total += c << (sum(map(mul, w, e)) % 61)

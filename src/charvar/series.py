@@ -10,16 +10,20 @@ factors as an infinite product of plethystic exponentials, one per rank n:
 
     S(T) = prod_n exp( sum_r adams_r[ V_n ] * T^(n*r) / r )
 
-Taking the formal logarithm gives coefficients U_m with
+The pipeline works with integer multiples of the logarithm's coefficients,
+so no step before the last one divides.  W_m = m*[T^m] log S are the
+coefficients of T*d/dT log S, and Newton's identity gives them from S:
 
-    U_m = sum_{r | m} (1/r) * adams_r[ V_{m/r} ],
+    W_m = m*S_m - sum_{k<m} W_k*S_{m-k}.
 
-which the divisor recursion inverts:  V_m = U_m - sum_{r|m, r>1} (1/r) *
-adams_r[V_{m/r}].  Truncation at order nmax is exact for V_1..V_nmax because
-rank n only contributes to T^m for n <= m.  The named invariant of rank n
-comes out of V_n by dividing by the rank-one term (the flavor's
-``cell_factors`` at the single cell) and by a monomial shift of
-(``leg_shift``/2) * n(n-1)(g-1).
+With X_n = n*V_n, the layers satisfy W_m = sum_{r | m} adams_r[ X_{m/r} ],
+which the divisor recursion inverts:  X_m = W_m - sum_{r|m, r>1}
+adams_r[X_{m/r}].  Every numerator along the way has integer coefficients.
+Truncation at order nmax is exact for X_1..X_nmax because rank n only
+contributes to T^m for n <= m.  The named invariant of rank n comes out of
+X_n by dividing by the rank-one term (the flavor's ``cell_factors`` at the
+single cell), by a monomial shift of (``leg_shift``/2) * n(n-1)(g-1), and by
+the single division by n, which must be exact.
 """
 
 from __future__ import annotations
@@ -70,23 +74,30 @@ def hook_sum_series(flavor: Flavor, g: int, order: int) -> TruncatedSeries:
 
 
 def series_log(s: TruncatedSeries) -> TruncatedSeries:
-    """Formal log via the coefficient recursion m*U_m = m*S_m - sum k*U_k*S_{m-k}."""
+    """The coefficients W_m = m*[T^m] log S of T*d/dT log S.
+
+    Newton's identity W_m = m*S_m - sum_{k<m} W_k*S_{m-k} keeps integer
+    numerators integer.
+    """
     if not s.coeffs[0].equals(1):
         raise ConstantTermNotOne("series_log wants constant coefficient exactly 1")
     variables = s.flavor.variables
-    u = [FactoredFraction.zero(variables)]
+    w = [FactoredFraction.zero(variables)]
     for m in range(1, s.order + 1):
-        terms = [s.coeffs[m]]
+        terms = [s.coeffs[m].scale(m)]
         for k in range(1, m):
-            if u[k].is_zero() or s.coeffs[m - k].is_zero():
+            if w[k].is_zero() or s.coeffs[m - k].is_zero():
                 continue
-            terms.append((u[k] * s.coeffs[m - k]).scale(Fraction(-k, m)))
-        u.append(frac_sum(terms, variables))
-    return TruncatedSeries(s.flavor, tuple(u))
+            terms.append(-(w[k] * s.coeffs[m - k]))
+        w.append(frac_sum(terms, variables))
+    return TruncatedSeries(s.flavor, tuple(w))
 
 
 def series_exp(s: TruncatedSeries) -> TruncatedSeries:
-    """Formal exp via m*E_m = sum_{k=1..m} k*L_k*E_{m-k}; wants L_0 = 0."""
+    """Inverse of series_log: E = exp(sum_m W_m T^m / m), from the W_m.
+
+    Uses m*E_m = sum_{k=1..m} W_k*E_{m-k}; wants W_0 = 0.
+    """
     if not s.coeffs[0].is_zero():
         raise ValueError("series_exp wants constant coefficient 0")
     variables = s.flavor.variables
@@ -96,8 +107,8 @@ def series_exp(s: TruncatedSeries) -> TruncatedSeries:
         for k in range(1, m + 1):
             if s.coeffs[k].is_zero() or e[m - k].is_zero():
                 continue
-            terms.append((s.coeffs[k] * e[m - k]).scale(Fraction(k, m)))
-        e.append(frac_sum(terms, variables))
+            terms.append(s.coeffs[k] * e[m - k])
+        e.append(frac_sum(terms, variables).scale(Fraction(1, m)))
     return TruncatedSeries(s.flavor, tuple(e))
 
 
@@ -106,24 +117,26 @@ def _divisors(m: int) -> list[int]:
 
 
 def extract_layers(flavor: Flavor, g: int, nmax: int) -> list[FactoredFraction]:
-    """The rank layers [V_1, ..., V_nmax] of the partition sum at genus g.
+    """The scaled rank layers [X_1, ..., X_nmax] of the partition sum at genus g.
 
-    Entry k of the returned list is V_{k+1}.  Raising nmax never changes the
+    Entry k of the returned list is X_{k+1} = (k+1)*V_{k+1}, from
+    X_m = W_m - sum_{r|m, r>1} adams_r[X_{m/r}] with W from series_log; its
+    numerator has integer coefficients.  Raising nmax never changes the
     earlier layers (the divisor recursion is triangular in m).
     """
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
-    u = series_log(hook_sum_series(flavor, g, nmax))
+    w = series_log(hook_sum_series(flavor, g, nmax))
     layers: list[FactoredFraction] = []
     for m in range(1, nmax + 1):
-        terms = [u.coeffs[m]]
+        terms = [w.coeffs[m]]
         for r in _divisors(m):
             if r == 1:
                 continue
             prev = layers[m // r - 1]
             if prev.is_zero():
                 continue
-            terms.append(adams(prev, r, flavor).scale(Fraction(-1, r)))
+            terms.append(-adams(prev, r, flavor))
         layers.append(frac_sum(terms, flavor.variables))
     return layers
 
@@ -133,6 +146,7 @@ def plethystic_exp_of_layers(
 ) -> TruncatedSeries:
     """Reassemble exp(sum_n sum_r adams_r[V_n] T^(nr) / r) up to T^order.
 
+    Takes the scaled layers X_n = n*V_n and adds adams_r[X_n] to W_(n*r).
     Round-trip oracle: with layers from extract_layers this reproduces
     hook_sum_series exactly.
     """
@@ -143,7 +157,7 @@ def plethystic_exp_of_layers(
             continue
         r = 1
         while n * r <= order:
-            log_coeffs[n * r].append(adams(layer, r, flavor).scale(Fraction(1, r)))
+            log_coeffs[n * r].append(adams(layer, r, flavor))
             r += 1
     log_series = TruncatedSeries(
         flavor, tuple(frac_sum(t, variables) for t in log_coeffs)
@@ -159,9 +173,11 @@ def invariant_from_layer(
 ) -> SparsePoly:
     """Solve the flavor's defining relation for the invariant of rank n.
 
-    Clears the layer's normalization factor, reduces the result to an honest
-    polynomial (NotPolynomial on failure: a falsified polynomiality statement
-    or a bug), and asserts integer coefficients (NonIntegerCoefficient).
+    Takes the scaled layer X_n = n*V_n from extract_layers.  Clears the
+    layer's normalization factor, reduces the result to an honest polynomial
+    (NotPolynomial on failure: a falsified polynomiality statement or a bug),
+    divides it by n, and asserts that this division is exact
+    (NonIntegerCoefficient).
     """
     out = layer
     # Divide by the single-cell term; reversed so the clearing multiplications
@@ -170,7 +186,7 @@ def invariant_from_layer(
         out = out._times_binomial(c, exps(1, 0), -power(g))
     shift = n * (n - 1) * (g - 1)
     out = out.shift(tuple(s // 2 * shift for s in flavor.leg_shift))
-    poly = out.as_polynomial()
+    poly = out.as_polynomial().scale(Fraction(1, n))
     if poly.has_negative_exponents():
         lo = poly.min_exponents()
         raise NotPolynomial(

@@ -5,11 +5,16 @@ Each digest is of ``document_bytes(polynomial_document(...))`` for one
 They pin the canonical output, so a change to the hook terms, the layer
 extraction or the normalizations must reproduce every document byte for byte.
 Hxy at n = 4, g = 2 is pinned on its own: its three-variable exact divisions
-are the largest the tests run.
+are the largest the tests run.  The JSON output of ``charvar check --suite
+all`` is pinned too, at three (n, g), so that a change to how the checks are
+assembled must reproduce every entry, detail and witness.
 """
 
 import hashlib
 
+import pytest
+
+from charvar import cli
 from charvar.invariants import compute_invariant, document_bytes, polynomial_document
 
 GOLDEN = {
@@ -95,3 +100,19 @@ HXY_4_2 = "202298a1d6fa935b700a240c102543a0c7b514a83129a58aeec91c47aa8cdbaa"
 def test_hxy_4_2_matches_golden_digest():
     document = polynomial_document(compute_invariant("Hxy", 4, 2))
     assert hashlib.sha256(document_bytes(document)).hexdigest() == HXY_4_2
+
+
+CHECK_ALL = {
+    (2, 2): "90ca076d924f7389b714644de45ca9ad2f02ea6d30ffcd787256aceae7e544d8",
+    (3, 2): "ba65f79bdf982538b11210132786f9794bf7752b2dd1593e7735590e3aaf6f49",
+    (2, 0): "38f9e05f6d2fc338ba756e834829a57907a98a3454afe7965187acefaaa24a01",
+}
+
+
+@pytest.mark.parametrize("n,g", sorted(CHECK_ALL))
+def test_check_all_json_matches_golden_digest(n, g, tmp_path, capsys):
+    argv = ["check", "--suite", "all", "--n", str(n), "--g", str(g), "--format", "json"]
+    code = cli.main(argv + ["--cache-dir", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_ALL[(n, g)]

@@ -68,7 +68,14 @@ class TestSeriesLog:
         s = TruncatedSeries(FLAVOR_E, (FactoredFraction.one(Q), a, FactoredFraction.zero(Q)))
         log = series_log(s)
         assert log.coeffs[1] == a
-        assert log.coeffs[2] == (a * a).scale(Fraction(-1, 2))
+        assert log.coeffs[2] == -(a * a)
+
+    def test_log_of_geometric_series_is_powers(self):
+        # S = 1/(1 - aT): T*d/dT log S = sum a^m T^m, so W_m = a^m
+        a = SparsePoly(Q, {(0,): 2, (1,): -1})
+        powers = [FactoredFraction.from_poly(a**m) for m in range(5)]
+        log = series_log(TruncatedSeries(FLAVOR_E, tuple(powers)))
+        assert log.coeffs[1:] == tuple(powers[1:])
 
     def test_log_of_exp_prefix(self):
         s = const_series(FLAVOR_E, [1, 1, Fraction(1, 2), Fraction(1, 6)])
@@ -140,6 +147,16 @@ class TestExtractLayers:
             assert a == b
 
 
+@pytest.mark.parametrize("flavor", FLAVORS, ids=lambda f: f.name)
+def test_layer_pipeline_numerators_are_integer(flavor):
+    nmax = 2 if flavor is FLAVOR_XY else 3
+    for g in range(4):
+        s = hook_sum_series(flavor, g, nmax)
+        layers = extract_layers(flavor, g, nmax)
+        fracs = (*s.coeffs, *series_log(s).coeffs, *layers)
+        assert all(fr.num.is_integral() for fr in fracs)
+
+
 class TestInvariantFromLayer:
     @pytest.mark.parametrize("g", [0, 1, 2, 3, 5])
     @pytest.mark.parametrize("flavor", FLAVORS, ids=lambda f: f.name)
@@ -158,6 +175,11 @@ class TestInvariantFromLayer:
         )
         with pytest.raises(NonIntegerCoefficient):
             invariant_from_layer(FLAVOR_PURE, 1, 1, layer)
+
+    def test_division_by_rank_must_be_exact(self):
+        layer = FactoredFraction.one(("t",))
+        with pytest.raises(NonIntegerCoefficient):
+            invariant_from_layer(FLAVOR_PURE, 2, 1, layer)
 
     def test_not_polynomial_is_detected(self):
         layer = FactoredFraction.one(("t",)).divided_by_poly(
