@@ -159,20 +159,19 @@ def dimension_2n(kind: InvariantKind, n: int, g: int) -> int:
 _memo_lock = threading.Lock()
 _layer_memo: dict = {}
 _result_memo: dict = {}
+_NO_LAYERS = (None, None, ())
 
 
 def _layers(flavor, g: int, nmax: int):
     key = (flavor.name, g)
     with _memo_lock:
-        cached = _layer_memo.get(key)
-        if cached is not None and cached[0] >= nmax:
-            return cached[1][:nmax]
-    layers = extract_layers(flavor, g, nmax)
-    with _memo_lock:
-        cached = _layer_memo.get(key)
-        if cached is None or cached[0] < nmax:
-            _layer_memo[key] = (nmax, layers)
-    return layers
+        entry = _layer_memo.get(key, _NO_LAYERS)
+    if len(entry[2]) < nmax:
+        entry = extract_layers(flavor, g, nmax, start=entry)
+        with _memo_lock:
+            if len(_layer_memo.get(key, _NO_LAYERS)[2]) < nmax:
+                _layer_memo[key] = entry
+    return entry[2][:nmax]
 
 
 def clear_memo():

@@ -15,9 +15,10 @@ terms are genuine fractions.  All functions here are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
-from .polynomials import FactoredFraction, Flavor
+from .polynomials import FactoredFraction, Flavor, SparsePoly, normalize_factor
 
 
 @dataclass(frozen=True)
@@ -114,14 +115,30 @@ def cell_stats(partition: Partition) -> DiagramStats:
 
 
 def hook_term(flavor: Flavor, partition: Partition, g: int) -> FactoredFraction:
-    """The generating-function term attached to one partition at genus g."""
+    """The generating-function term attached to one partition at genus g.
+
+    Built once, so cancelled once: the numerator is the product of the positive
+    binomial powers, the denominator the normalize_factor multiset of the rest.
+    """
     if g < 0:
         raise ValueError("genus must be non-negative")
     stats = cell_stats(partition)
-    out = FactoredFraction.one(flavor.variables)
+    variables = flavor.variables
+    zero = (0,) * len(variables)
+    num = SparsePoly.one(variables)
+    den = {}
     for cell in stats.cells:
         if flavor.armless_only and cell.arm:
             continue
         for c, exps, power in flavor.cell_factors:
-            out = out._times_binomial(c, exps(cell.hook, cell.leg), power(g))
+            k = power(g)
+            binom = SparsePoly(variables, {zero: 1, exps(cell.hook, cell.leg): c})
+            if k > 0:
+                num = num * binom**k
+            elif k < 0:
+                factor, shift, scale = normalize_factor(binom)
+                den[factor] = den.get(factor, 0) - k
+                num = num.shift(tuple(k * e for e in shift))
+                num = num.scale(Fraction(1) / scale**-k)
+    out = FactoredFraction(num, den)
     return out.shift(tuple(s * (1 - g) * stats.leg_sum for s in flavor.leg_shift))

@@ -277,9 +277,13 @@ class SparsePoly:
             return SparsePoly.zero(self.vars)
         if len(a) > len(b):
             a, b = b, a
-        out = {}
+        zero = (0,) * len(self.vars)
+        c0 = a.get(zero, 0)  # a's constant row is a copy of b, scaled unless c0 = 1
+        out = dict(b) if c0 == 1 else {e: c0 * c for e, c in b.items()} if c0 else {}
         get = out.get
         for ea, ca in a.items():
+            if ea == zero:
+                continue
             for eb, cb in b.items():
                 e = tuple(map(add, ea, eb))
                 v = get(e, 0) + ca * cb

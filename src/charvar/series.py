@@ -23,7 +23,10 @@ Truncation at order nmax is exact for X_1..X_nmax because rank n only
 contributes to T^m for n <= m.  The named invariant of rank n comes out of
 X_n by dividing by the rank-one term (the flavor's ``cell_factors`` at the
 single cell), by a monomial shift of (``leg_shift``/2) * n(n-1)(g-1), and by
-the single division by n, which must be exact.
+the single division by n, which must be exact.  A longer truncation only
+appends coefficients, so ``hook_sum_series``, ``series_log`` and
+``extract_layers`` each continue their own lower-order result ``start``: the
+memo's (S, W, X) entry is extended, never rebuilt.
 """
 
 from __future__ import annotations
@@ -62,28 +65,28 @@ class TruncatedSeries:
         ) and all(a.equals(b) for a, b in zip(self.coeffs, other.coeffs))
 
 
-def hook_sum_series(flavor: Flavor, g: int, order: int) -> TruncatedSeries:
-    """The partition sum truncated at T^order; coefficient 0 is 1."""
+def hook_sum_series(flavor: Flavor, g: int, order: int, start=None) -> TruncatedSeries:
+    """The partition sum truncated at T^order, continuing ``start``; S_0 = 1."""
     if order < 0:
         raise ValueError("order must be non-negative")
-    coeffs = []
-    for m in range(order + 1):
+    coeffs = list(start.coeffs if start else ())
+    for m in range(len(coeffs), order + 1):
         terms = [hook_term(flavor, p, g) for p in partitions_of(m)]
         coeffs.append(frac_sum(terms, flavor.variables))
     return TruncatedSeries(flavor, tuple(coeffs))
 
 
-def series_log(s: TruncatedSeries) -> TruncatedSeries:
+def series_log(s: TruncatedSeries, start=None) -> TruncatedSeries:
     """The coefficients W_m = m*[T^m] log S of T*d/dT log S.
 
     Newton's identity W_m = m*S_m - sum_{k<m} W_k*S_{m-k} keeps integer
-    numerators integer.
+    numerators integer.  Continues ``start``, the log of a truncation of s.
     """
     if not s.coeffs[0].equals(1):
         raise ConstantTermNotOne("series_log wants constant coefficient exactly 1")
     variables = s.flavor.variables
-    w = [FactoredFraction.zero(variables)]
-    for m in range(1, s.order + 1):
+    w = list(start.coeffs if start else [FactoredFraction.zero(variables)])
+    for m in range(len(w), s.order + 1):
         terms = [s.coeffs[m].scale(m)]
         for k in range(1, m):
             if w[k].is_zero() or s.coeffs[m - k].is_zero():
@@ -116,19 +119,23 @@ def _divisors(m: int) -> list[int]:
     return [r for r in range(1, m + 1) if m % r == 0]
 
 
-def extract_layers(flavor: Flavor, g: int, nmax: int) -> list[FactoredFraction]:
+def extract_layers(flavor: Flavor, g: int, nmax: int, start=None):
     """The scaled rank layers [X_1, ..., X_nmax] of the partition sum at genus g.
 
     Entry k of the returned list is X_{k+1} = (k+1)*V_{k+1}, from
     X_m = W_m - sum_{r|m, r>1} adams_r[X_{m/r}] with W from series_log; its
     numerator has integer coefficients.  Raising nmax never changes the
-    earlier layers (the divisor recursion is triangular in m).
+    earlier layers (the divisor recursion is triangular in m), so ``start``,
+    the (S, W, X) triple of a lower rank or (None, None, ()), is extended to
+    nmax and returned as a triple.
     """
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
-    w = series_log(hook_sum_series(flavor, g, nmax))
-    layers: list[FactoredFraction] = []
-    for m in range(1, nmax + 1):
+    s, w, layers = start or (None, None, ())
+    s = hook_sum_series(flavor, g, nmax, s)
+    w = series_log(s, w)
+    layers = list(layers)
+    for m in range(len(layers) + 1, nmax + 1):
         terms = [w.coeffs[m]]
         for r in _divisors(m):
             if r == 1:
@@ -138,7 +145,7 @@ def extract_layers(flavor: Flavor, g: int, nmax: int) -> list[FactoredFraction]:
                 continue
             terms.append(-adams(prev, r, flavor))
         layers.append(frac_sum(terms, flavor.variables))
-    return layers
+    return layers if start is None else (s, w, tuple(layers))
 
 
 def plethystic_exp_of_layers(

@@ -5,9 +5,11 @@ Each digest is of ``document_bytes(polynomial_document(...))`` for one
 They pin the canonical output, so a change to the hook terms, the layer
 extraction or the normalizations must reproduce every document byte for byte.
 Hxy at n = 4, g = 2 is pinned on its own: its three-variable exact divisions
-are the largest the tests run.  The JSON output of ``charvar check --suite
-all`` is pinned too, at three (n, g), so that a change to how the checks are
-assembled must reproduce every entry, detail and witness.
+are the largest the tests run.  So is Hqt at n = 5, g = 3, the one case where
+hook terms and products run at partition size 5.  The JSON output of
+``charvar check --suite all`` is pinned too, at three (n, g), so that a change
+to how the checks are assembled must reproduce every entry, detail and
+witness.
 """
 
 import hashlib
@@ -100,6 +102,14 @@ HXY_4_2 = "202298a1d6fa935b700a240c102543a0c7b514a83129a58aeec91c47aa8cdbaa"
 def test_hxy_4_2_matches_golden_digest():
     document = polynomial_document(compute_invariant("Hxy", 4, 2))
     assert hashlib.sha256(document_bytes(document)).hexdigest() == HXY_4_2
+
+
+HQT_5_3 = "5166b081701043fcf80ec510b6b84f8066980810bcf58c76dbca83c9f9d96a7f"
+
+
+def test_hqt_5_3_matches_golden_digest():
+    document = polynomial_document(compute_invariant("Hqt", 5, 3))
+    assert hashlib.sha256(document_bytes(document)).hexdigest() == HQT_5_3
 
 
 CHECK_ALL = {

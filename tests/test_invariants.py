@@ -311,3 +311,60 @@ def test_concurrent_computation_is_safe():
         t.join()
     assert not errors
     assert results[0].polynomial == results[4].polynomial
+
+
+def test_sweep_extends_the_layer_memo(monkeypatch):
+    """A sweep n = 1, 2, 3 builds each partition's hook term once: 1 + 1 + 2 + 3."""
+    from charvar import invariants as inv
+    from charvar import series
+
+    calls = []
+    real = series.hook_term
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(series, "hook_term", counted)
+    inv.clear_memo()
+    for n in (1, 2, 3):
+        compute_invariant("hqt", n, 2)
+    assert len(calls) == 7
+
+
+def test_concurrent_sweeps_extend_one_memo_entry():
+    """Eight threads sweep Hqt n = 1..4 at g = 2 in mixed orders over one memo entry."""
+    import sys
+    import threading
+
+    from charvar import invariants as inv
+
+    ranks = (1, 2, 3, 4)
+    inv.clear_memo()
+    expected = {n: compute_invariant("hqt", n, 2).polynomial for n in ranks}
+    inv.clear_memo()
+    results = {}
+    errors = []
+
+    def work(i):
+        order = ranks[i % 4 :] + ranks[: i % 4]
+        try:
+            for n in order if i < 4 else order[::-1]:
+                results[i, n] = compute_invariant("hqt", n, 2).polynomial
+        except Exception as exc:  # pragma: no cover - diagnostic only
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert results == {(i, n): expected[n] for i in range(8) for n in ranks}
+    assert len(inv._layer_memo[("qt", 2)][2]) == 4

@@ -1,5 +1,7 @@
 """Partition enumeration, cell statistics, and hook-term tests."""
 
+from fractions import Fraction
+
 import pytest
 
 from charvar.partitions import Partition, cell_stats, hook_term, partitions_of
@@ -9,6 +11,7 @@ from charvar.polynomials import (
     FLAVOR_QT,
     FLAVOR_XY,
     FactoredFraction,
+    Flavor,
     SparsePoly,
 )
 
@@ -124,3 +127,42 @@ class TestHookTerms:
         for part in partitions_of(n):
             fused = hook_term(FLAVOR_XY, part, g).specialize({"x": "t", "y": "t"})
             assert fused == hook_term(FLAVOR_QT, part, g)
+
+
+def chained_hook_term(flavor, partition, g):
+    """Reference: one binomial at a time, each step a cancelled FactoredFraction."""
+    stats = cell_stats(partition)
+    out = FactoredFraction.one(flavor.variables)
+    for cell in stats.cells:
+        if flavor.armless_only and cell.arm:
+            continue
+        for c, exps, power in flavor.cell_factors:
+            out = out._times_binomial(c, exps(cell.hook, cell.leg), power(g))
+    return out.shift(tuple(s * (1 - g) * stats.leg_sum for s in flavor.leg_shift))
+
+
+# Denominators with a Fraction coefficient and a negative exponent, so that
+# normalize_factor's shift and scale are folded into the numerator.
+FLAVOR_SKEW = Flavor(
+    "skew", QT, (),
+    cell_factors=(
+        (Fraction(1, 2), lambda h, l: (h, -l - 1), lambda g: -1),
+        (-3, lambda h, l: (l, h), lambda g: g),
+    ),
+    leg_shift=(0, 2),
+)
+
+
+@pytest.mark.parametrize(
+    "flavor",
+    [FLAVOR_E, FLAVOR_QT, FLAVOR_XY, FLAVOR_PURE, FLAVOR_SKEW],
+    ids=lambda f: f.name,
+)
+def test_hook_term_matches_chained_construction(flavor):
+    for g in range(5):
+        for m in range(6):
+            for part in partitions_of(m):
+                ours = hook_term(flavor, part, g)
+                ref = chained_hook_term(flavor, part, g)
+                assert ours.num.terms == ref.num.terms, (g, part)
+                assert ours.den == ref.den, (g, part)

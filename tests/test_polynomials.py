@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from charvar.errors import (
@@ -304,6 +304,46 @@ def test_adams_composition_untwisted(f, r, s):
     assert adams_poly(adams_poly(g, s, FLAVOR_PURE), r, FLAVOR_PURE) == adams_poly(
         g, r * s, FLAVOR_PURE
     )
+
+
+def naive_product_terms(a, b):
+    """Reference for SparsePoly.__mul__: every term pair, then drop zeros."""
+    out = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: int(c) if c.denominator == 1 else c for e, c in out.items() if c}
+
+
+_mul_coeffs = st.one_of(
+    st.integers(-4, 4), st.fractions(-3, 3, max_denominator=4)
+).filter(bool)
+
+
+@st.composite
+def polys_with_constant(draw, max_terms):
+    """Laurent polys in q, t; the constant term is absent, 1, or another number."""
+    nonconstant = _exps_qt.filter(any)
+    terms = draw(st.dictionaries(nonconstant, _mul_coeffs, max_size=max_terms))
+    constants = [None, 1, 1, -1, 3, Fraction(1, 2), Fraction(-5, 3)]
+    constant = draw(st.sampled_from(constants))
+    if constant is not None:
+        terms[(0, 0)] = constant
+    return SparsePoly(QT, terms)
+
+
+@given(polys_with_constant(3), polys_with_constant(6))
+@example(p(QT, {(0, 0): 1, (1, 0): -1}), p(QT, {(0, 0): 1, (1, 0): 1}))
+@example(p(QT, {(0, 0): 2, (0, 1): 1}), p(QT, {(0, 0): 1, (0, -1): Fraction(1, 2)}))
+@example(p(QT, {(0, 0): Fraction(1, 2), (1, -1): 1}), p(QT, {(0, 0): 2, (3, 1): 4}))
+@settings(max_examples=150, deadline=None)
+def test_mul_matches_naive_double_loop(a, b):
+    for x, y in ((a, b), (b, a)):
+        got = (x * y).terms
+        want = naive_product_terms(x, y)
+        assert got == want
+        assert [type(got[e]) for e in want] == [type(c) for c in want.values()]
 
 
 @given(sparse_polys(min_terms=1), st.integers(0, len(_denominator_pool) - 1))

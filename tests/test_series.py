@@ -147,6 +147,25 @@ class TestExtractLayers:
             assert a == b
 
 
+def _parts(fracs):
+    return [(fr.num.terms, fr.den) for fr in fracs]
+
+
+@pytest.mark.parametrize("flavor", FLAVORS, ids=lambda f: f.name)
+def test_continued_extraction_matches_scratch(flavor):
+    """Extending rank by rank gives the from-scratch S, W and X exactly."""
+    nmax = 3 if flavor is FLAVOR_XY else 4
+    for g in range(4):
+        entry = (None, None, ())
+        for n in range(1, nmax + 1):
+            entry = extract_layers(flavor, g, n, start=entry)
+        s = hook_sum_series(flavor, g, nmax)
+        scratch = (s.coeffs, series_log(s).coeffs, extract_layers(flavor, g, nmax))
+        continued = (entry[0].coeffs, entry[1].coeffs, entry[2])
+        for ours, ref in zip(continued, scratch):
+            assert _parts(ours) == _parts(ref), g
+
+
 @pytest.mark.parametrize("flavor", FLAVORS, ids=lambda f: f.name)
 def test_layer_pipeline_numerators_are_integer(flavor):
     nmax = 2 if flavor is FLAVOR_XY else 3
