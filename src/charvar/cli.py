@@ -14,12 +14,14 @@ Output is byte-deterministic: JSON documents are canonical (sorted keys,
 compact separators, one trailing newline) and text output uses the canonical
 ascending term order.  The cache directory is --cache-dir, else the
 CHARVAR_CACHE_DIR environment variable, else ./.charvar-cache; cached results
-are served byte-identical to fresh computations.
+are served byte-identical to fresh computations.  Every hit is re-verified: a
+document whose attached checks or dimension do not reproduce is a miss.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -287,10 +289,13 @@ def cmd_cache(args) -> int:
     return EXIT_OK
 
 
+# One parser per process, built on first use; parsing leaves no state in it.
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     return args.func(args)

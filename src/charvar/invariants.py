@@ -17,7 +17,8 @@ are exposed as separate functions because they trigger further computations.
 
 Results are memoized in-process and can additionally be cached on disk as
 canonical JSON documents (one per (kind, n, g)); cache hits reproduce the
-computed document byte for byte.
+computed document byte for byte, and each hit is re-verified by rerunning its
+attached checks.
 """
 
 from __future__ import annotations
@@ -399,7 +400,6 @@ def _as_poly_in_context(value, variables):
         if value.vars == variables:
             return value
         # a specialization may collapse to fewer variables (e.g. H_1 = 1)
-        mapping = dict.fromkeys(value.vars)
         out = {}
         for e, c in value.terms.items():
             new = [0] * len(variables)
@@ -718,11 +718,13 @@ class InvariantCache:
     def load(self, kind, n, g) -> InvariantResult | None:
         """The cached result for a key, or None for a miss.
 
-        A document that does not read back as this key's result (not JSON,
-        not the document schema, or another kind, n, g or variable list) is a
-        miss too: one warning line goes to stderr, and the caller recomputes
-        and overwrites it.  A good hit is returned as stored, with no checks
-        re-run.
+        A hit is re-verified: the attached checks are rerun on the stored
+        polynomial and dim2N is recomputed, and both must equal the stored
+        meta (a stored report that records a failed check reproduces, so it is
+        served).  A document that does not read back as this key's result (not
+        JSON, not the document schema, another kind, n, g or variable list, or
+        checks or dim2N that do not reproduce) is a miss too: one warning line
+        goes to stderr, and the caller recomputes and overwrites it.
         """
         kind = parse_kind(kind)
         raw = self.load_bytes(kind, n, g)
@@ -733,15 +735,19 @@ class InvariantCache:
             if doc.get("version") != DOCUMENT_VERSION:
                 return None  # stale format: treat as a miss and recompute
             result = result_from_document(doc)
-        except (ValueError, KeyError, TypeError, AttributeError, RecursionError,
-                CharvarError) as exc:
-            reason = f"{type(exc).__name__}: {exc}"
-        else:
-            stored = (result.kind, result.n, result.g, result.polynomial.vars)
-            if stored == (kind, n, g, kind.flavor.variables):
+            if (result.kind, result.n, result.g, result.polynomial.vars) != (
+                    kind, n, g, kind.flavor.variables):
+                reason = (f"it holds {result.kind.value} n={result.n} g={result.g} "
+                          f"in {','.join(result.polynomial.vars)}")
+            elif result.dimension != dimension_2n(kind, n, g):
+                reason = f"dim2N {result.dimension} is not {dimension_2n(kind, n, g)}"
+            elif attached_checks(kind, n, g, result.polynomial).entries != result.checks.entries:
+                reason = "the stored checks do not reproduce"
+            else:
                 return result
-            reason = (f"it holds {result.kind.value} n={result.n} g={result.g} "
-                      f"in {','.join(result.polynomial.vars)}")
+        except (ValueError, KeyError, TypeError, AttributeError, ArithmeticError,
+                RecursionError, CharvarError) as exc:
+            reason = f"{type(exc).__name__}: {exc}"
         reason = " ".join(reason.split())
         print(f"warning: ignoring cache document {self._path(kind, n, g)} "
               f"({reason}); recomputing", file=sys.stderr)

@@ -15,10 +15,9 @@ terms are genuine fractions.  All functions here are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .polynomials import FactoredFraction, Flavor, SparsePoly, normalize_factor
+from .polynomials import FactoredFraction, Flavor, SparsePoly, _fold_factor
 
 
 @dataclass(frozen=True)
@@ -136,9 +135,6 @@ def hook_term(flavor: Flavor, partition: Partition, g: int) -> FactoredFraction:
             if k > 0:
                 num = num * binom**k
             elif k < 0:
-                factor, shift, scale = normalize_factor(binom)
-                den[factor] = den.get(factor, 0) - k
-                num = num.shift(tuple(k * e for e in shift))
-                num = num.scale(Fraction(1) / scale**-k)
+                num = _fold_factor(num, den, binom, -k)
     out = FactoredFraction(num, den)
     return out.shift(tuple(s * (1 - g) * stats.leg_sum for s in flavor.leg_shift))

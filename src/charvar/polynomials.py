@@ -355,43 +355,40 @@ class SparsePoly:
 
         ``assignment`` maps a subset of the context's variables either to an
         exact rational value or to a variable name (which may be an existing
-        variable, a shared new one, or several sources may fuse into one).
-        Returns a SparsePoly in the remaining context, or a plain rational if
-        no variables remain.
+        variable, a shared new one, or several sources may fuse into one; fused
+        exponents add).  Returns a SparsePoly in the remaining context, or a
+        plain rational if no variables remain.  A nonzero int value at a
+        positive exponent is multiplied in as an int; zero values, negative
+        exponents and every other value go through Fraction.  Coefficients come
+        out normalized either way: int when integral, else Fraction.
         """
         for v in assignment:
             if v not in self.vars:
                 raise ContextError(f"cannot specialize unknown variable {v!r}")
-        kept = [v for v in self.vars if v not in assignment]
-        new_vars = list(kept)
-        for v in self.vars:
-            if v in assignment:
-                t = assignment[v]
-                if isinstance(t, str) and t not in new_vars:
-                    new_vars.append(t)
+        targets = [assignment.get(v, v) for v in self.vars]
+        # the kept variables, then the new names in order of first use
+        names = [v for v in self.vars if v not in assignment]
+        names += [t for t in targets if isinstance(t, str)]
+        index = {v: i for i, v in enumerate(dict.fromkeys(names))}
         out = {}
         for e, c in self.terms.items():
             coeff = c
-            new_e = [0] * len(new_vars)
-            for v, k in zip(self.vars, e):
-                if v in assignment:
-                    t = assignment[v]
-                    if isinstance(t, str):
-                        new_e[new_vars.index(t)] += k
-                    else:
-                        if k == 0:
-                            continue
-                        t = Fraction(t)
-                        if not t:
-                            if k < 0:
-                                raise NegativeExponentAtZero(
-                                    f"{v}^{k} evaluated at {v} = 0"
-                                )
-                            coeff = 0
-                            break
-                        coeff = coeff * t**k
+            new_e = [0] * len(index)
+            for v, t, k in zip(self.vars, targets, e):
+                if isinstance(t, str):
+                    new_e[index[t]] += k
+                elif k == 0:
+                    continue
+                elif k > 0 and type(t) is int and t:
+                    coeff = coeff * t**k
                 else:
-                    new_e[new_vars.index(v)] = k
+                    t = Fraction(t)
+                    if not t:
+                        if k < 0:
+                            raise NegativeExponentAtZero(f"{v}^{k} evaluated at {v} = 0")
+                        coeff = 0
+                        break
+                    coeff = coeff * t**k
             if not coeff:
                 continue
             key = tuple(new_e)
@@ -400,9 +397,9 @@ class SparsePoly:
                 out[key] = _as_coeff(v2)
             elif key in out:
                 del out[key]
-        if not new_vars:
+        if not index:
             return out.get((), 0)
-        return SparsePoly._raw(tuple(new_vars), out)
+        return SparsePoly._raw(tuple(index), out)
 
     def has_negative_exponents(self):
         return any(any(k < 0 for k in e) for e in self.terms)
@@ -679,6 +676,14 @@ def normalize_factor(p: SparsePoly):
     return factor, shift, _as_coeff(scale)
 
 
+def _fold_factor(num: SparsePoly, den: dict, p: SparsePoly, power: int) -> SparsePoly:
+    """Divide num / den by p^power: add p's factor to den, in place, and return
+    num with p's monomial shift and scale folded in."""
+    factor, shift, scale = normalize_factor(p)
+    den[factor] = den.get(factor, 0) + power
+    return num.shift(tuple(-power * k for k in shift)).scale(Fraction(1) / scale**power)
+
+
 # -- fractions with factored binomial denominators ----------------------------
 
 
@@ -779,13 +784,8 @@ class FactoredFraction:
             return self
         if power < 0:
             raise ValueError("negative powers not supported here")
-        factor, shift, scale = normalize_factor(p)
         den = dict(self.den)
-        den[factor] = den.get(factor, 0) + power
-        num = self.num.shift(tuple(-power * k for k in shift))
-        if scale != 1:
-            num = num.scale(Fraction(1, 1) / scale**power)
-        return FactoredFraction(num, den)
+        return FactoredFraction(_fold_factor(self.num, den, p, power), den)
 
     def _times_binomial(self, c, exps, power: int):
         """Multiply by (1 + c*x^exps)^power; a negative power divides."""
@@ -952,17 +952,7 @@ def adams(fr: FactoredFraction, r: int, flavor: Flavor) -> FactoredFraction:
             raise ContextError(f"flavor {flavor.name} does not match {fr.vars}")
         return fr
     num = adams_poly(fr.num, r, flavor)
-    out = FactoredFraction(num, {}, cancel=False)
     den = {}
     for f, m in fr.den.items():
-        fp = adams_poly(f.as_poly(), r, flavor)
-        factor, shift, scale = normalize_factor(fp)
-        den[factor] = den.get(factor, 0) + m
-        if any(shift):
-            out = out.shift(tuple(-m * k for k in shift))
-        if scale != 1:
-            out = out.scale(Fraction(1, 1) / Fraction(scale) ** m)
-    merged = dict(out.den)
-    for f, m in den.items():
-        merged[f] = merged.get(f, 0) + m
-    return FactoredFraction(out.num, merged)
+        num = _fold_factor(num, den, adams_poly(f.as_poly(), r, flavor), m)
+    return FactoredFraction(num, den)

@@ -1,6 +1,10 @@
 """CLI behavior: golden outputs, determinism, cache transparency, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +26,25 @@ def isolated_cache(tmp_path, monkeypatch):
 
 def _document_bytes(kind, n, g):
     return document_bytes(polynomial_document(compute_invariant(kind, n, g)))
+
+
+def _edited(document, edit):
+    doc = json.loads(document)
+    edit(doc)
+    return document_bytes(doc)
+
+
+def _constant_to_7(doc):
+    assert doc["terms"][0] == {"e": [0], "c": "1"}
+    doc["terms"][0]["c"] = "7"
+
+
+def _fail_duality(doc):
+    doc["meta"]["checks"]["duality"].update(passed=False, witness="edited")
+
+
+def _dim_plus_1(doc):
+    doc["meta"]["dim2N"] += 1
 
 
 def run(capsys, *argv):
@@ -236,26 +259,29 @@ class TestCache:
         assert code == 0 and out == ""
 
     @pytest.mark.parametrize(
-        "command, file_name, content",
+        "command, kind, file_name, content",
         [
-            ("compute", "Hqt_n2_g2.json", lambda: b"{not json"),
-            ("compute", "Hqt_n2_g2.json", lambda: b"\xff\xfe\x80 not utf-8"),
-            ("compute", "Hqt_n2_g2.json", lambda: b"[]"),
-            ("compute", "Hqt_n2_g2.json", lambda: b'{"version": 1}'),
-            ("compute", "Hqt_n2_g2.json", lambda: _document_bytes("hqt", 2, 3)),
-            ("list", "E_n2_g1_old.json", lambda: b"{}"),
+            ("compute", "hqt", "Hqt_n2_g2.json", lambda cold: b"{not json"),
+            ("compute", "hqt", "Hqt_n2_g2.json", lambda cold: b"\xff\xfe\x80 not utf-8"),
+            ("compute", "hqt", "Hqt_n2_g2.json", lambda cold: b"[]"),
+            ("compute", "hqt", "Hqt_n2_g2.json", lambda cold: b'{"version": 1}'),
+            ("compute", "hqt", "Hqt_n2_g2.json", lambda cold: _document_bytes("hqt", 2, 3)),
+            ("list", "hqt", "E_n2_g1_old.json", lambda cold: b"{}"),
+            ("compute", "E", "E_n2_g2.json", lambda cold: _edited(cold, _constant_to_7)),
+            ("compute", "hqt", "Hqt_n2_g2.json", lambda cold: _edited(cold, _fail_duality)),
+            ("compute", "hqt", "Hqt_n2_g2.json", lambda cold: _edited(cold, _dim_plus_1)),
         ],
         ids=["invalid-json", "not-utf-8", "json-list", "missing-keys", "wrong-key",
-             "stray-name"],
+             "stray-name", "constant-edited", "check-flipped", "dim-off-by-one"],
     )
     def test_bad_cache_file_is_skipped(
-        self, capsys, isolated_cache, command, file_name, content
+        self, capsys, isolated_cache, command, kind, file_name, content
     ):
-        args = ("compute", "--kind", "hqt", "--n", "2", "--g", "2", "--format", "json")
+        args = ("compute", "--kind", kind, "--n", "2", "--g", "2", "--format", "json")
         clear_memo()
         code, cold, _ = run(capsys, *args)
         assert code == 0
-        (isolated_cache / file_name).write_bytes(content())
+        (isolated_cache / file_name).write_bytes(content(cold))
         clear_memo()
         if command == "list":
             code, out, err = run(capsys, "cache", "--list")
@@ -272,6 +298,29 @@ class TestCache:
         clear_memo()
         assert run(capsys, *args) == (0, cold, "")  # the rewritten file is a hit
 
+    def test_stored_failing_check_is_served(self, capsys, isolated_cache, monkeypatch):
+        """A stored report that records a failed check reproduces on load, so
+        the document is a hit, not a miss."""
+        from charvar import invariants
+
+        real = invariants.attached_checks
+
+        def failing(kind, n, g, poly):
+            report = real(kind, n, g, poly)
+            report.add("duality", invariants.CheckEntry(False, witness="recorded"))
+            return report
+
+        monkeypatch.setattr(invariants, "attached_checks", failing)
+        args = ("compute", "--kind", "E", "--n", "2", "--g", "2", "--format", "json")
+        clear_memo()
+        try:
+            code, cold, _ = run(capsys, *args)
+            assert code == 0 and '"witness":"recorded"' in cold
+            clear_memo()
+            assert run(capsys, *args) == (0, cold, "")
+        finally:
+            clear_memo()  # later tests must not see the doctored report
+
     def test_cache_dir_flag_overrides_env(self, capsys, tmp_path):
         other = tmp_path / "other-cache"
         run(
@@ -282,3 +331,34 @@ class TestCache:
         assert code == 0 and out == "E/1/2\n"
         code, out, _ = run(capsys, "cache", "--list")  # env cache untouched
         assert "E/1/2" not in out
+
+
+# (argv, documented exit code), in the order one process makes the calls:
+# malformed argv, help, a computation, usage errors, another computation.
+IN_PROCESS_TABLE = [
+    (["frobnicate"], 2),
+    (["compute", "--kind", "E", "--g", "2"], 2),
+    (["compute", "--kind", "E", "--n", "abc", "--g", "2"], 2),
+    (["--help"], 0),
+    (["compute", "--kind", "E", "--n", "2", "--g", "2"], 0),
+    (["count", "--family", "gl", "--q", "3", "--g", "1", "--zeta-order", "0"], 2),
+    (["check", "--suite", "euler", "--n", "2", "--g", "1"], 2),
+    (["compute", "--kind", "hqt", "--n", "2", "--g", "1", "--format", "json"], 0),
+]
+FRESH_PROCESS = "import sys; from charvar.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def test_in_process_calls_match_fresh_processes(capsys, monkeypatch):
+    """Repeated main() calls share one parser and carry nothing between calls:
+    each gives the exit code, stdout and stderr of a fresh interpreter."""
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the same width
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    clear_memo()
+    parser = cli._shared_parser()
+    for argv, expected in IN_PROCESS_TABLE:
+        code, out, err = run(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-c", FRESH_PROCESS, *argv], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert code == expected and "Traceback" not in err, argv
+    assert cli._shared_parser() is parser

@@ -346,6 +346,77 @@ def test_mul_matches_naive_double_loop(a, b):
         assert [type(got[e]) for e in want] == [type(c) for c in want.values()]
 
 
+def fraction_specialize(f, assignment):
+    """Reference for SparsePoly.specialize: every value goes through Fraction."""
+    new_vars = [v for v in f.vars if v not in assignment]
+    for v in f.vars:
+        t = assignment.get(v)
+        if isinstance(t, str) and t not in new_vars:
+            new_vars.append(t)
+    out = {}
+    for e, c in f.terms.items():
+        coeff = c
+        new_e = [0] * len(new_vars)
+        for v, k in zip(f.vars, e):
+            t = assignment.get(v, v)
+            if isinstance(t, str):
+                new_e[new_vars.index(t)] += k
+            elif k:
+                t = Fraction(t)
+                if not t:
+                    if k < 0:
+                        raise NegativeExponentAtZero(f"{v}^{k} evaluated at {v} = 0")
+                    coeff = 0
+                    break
+                coeff = coeff * t**k
+        if coeff:
+            key = tuple(new_e)
+            out[key] = out.get(key, 0) + coeff
+    out = {e: int(c) if c.denominator == 1 else c for e, c in out.items() if c}
+    if not new_vars:
+        return out.get((), 0)
+    return SparsePoly(tuple(new_vars), out)
+
+
+QTX = ("q", "t", "x")
+_targets = st.sampled_from(
+    [0, 1, -1, 3, -2, Fraction(1, 2), Fraction(-2, 3), "q", "t", "x", "u", "u"]
+)
+
+
+@st.composite
+def specialize_cases(draw):
+    exps = st.tuples(*[st.integers(min_value=-3, max_value=4)] * 3)
+    f = SparsePoly(QTX, draw(st.dictionaries(exps, _mul_coeffs, max_size=6)))
+    chosen = draw(st.lists(st.sampled_from(QTX), unique=True, min_size=1))
+    return f, {v: draw(_targets) for v in chosen}
+
+
+@given(specialize_cases())
+@example((p(("x", "y"), {(1, 2): 1}), {"x": "y"}))
+@example((p(QT, {(-1, 0): 2, (0, 1): 1}), {"q": 0}))
+@example((p(QT, {(2, 1): 3, (0, -2): Fraction(1, 2)}), {"q": 3, "t": -2}))
+@example((p(QTX, {(1, 1, 0): 1, (0, 1, 1): -1, (2, 0, 0): 4}), {"t": "u", "x": "u", "q": -1}))
+@settings(max_examples=200, deadline=None)
+def test_specialize_matches_fraction_path(case):
+    f, assignment = case
+    try:
+        want = fraction_specialize(f, assignment)
+    except NegativeExponentAtZero:
+        with pytest.raises(NegativeExponentAtZero):
+            f.specialize(assignment)
+        return
+    got = f.specialize(assignment)
+    assert type(got) is type(want)
+    if isinstance(want, SparsePoly):
+        assert got.vars == want.vars and got.terms == want.terms
+        assert [type(got.terms[e]) for e in want.terms] == [
+            type(c) for c in want.terms.values()
+        ]
+    else:
+        assert got == want
+
+
 @given(sparse_polys(min_terms=1), st.integers(0, len(_denominator_pool) - 1))
 @settings(max_examples=60, deadline=None)
 def test_divide_exact_inverts_multiplication(a, idx):

@@ -16,6 +16,9 @@ from charvar.polynomials import (
     FLAVOR_XY,
     FactoredFraction,
     SparsePoly,
+    adams,
+    adams_poly,
+    normalize_factor,
 )
 from charvar.series import (
     TruncatedSeries,
@@ -164,6 +167,40 @@ def test_continued_extraction_matches_scratch(flavor):
         continued = (entry[0].coeffs, entry[1].coeffs, entry[2])
         for ours, ref in zip(continued, scratch):
             assert _parts(ours) == _parts(ref), g
+
+
+def reference_adams(fr, r, flavor):
+    """Reference: the numerator shifted and scaled factor by factor inside an
+    empty-denominator fraction, the substituted factors merged in at the end."""
+    out = FactoredFraction(adams_poly(fr.num, r, flavor), {}, cancel=False)
+    den = {}
+    for f, m in fr.den.items():
+        factor, shift, scale = normalize_factor(adams_poly(f.as_poly(), r, flavor))
+        den[factor] = den.get(factor, 0) + m
+        if any(shift):
+            out = out.shift(tuple(-m * k for k in shift))
+        if scale != 1:
+            out = out.scale(Fraction(1, 1) / Fraction(scale) ** m)
+    merged = dict(out.den)
+    for f, m in den.items():
+        merged[f] = merged.get(f, 0) + m
+    return FactoredFraction(out.num, merged)
+
+
+@pytest.mark.parametrize("flavor", FLAVORS, ids=lambda f: f.name)
+def test_adams_matches_reference_on_layers(flavor):
+    """On the layers at g = 0..3, and on a fraction over v - q with v twisted:
+    its low term is v, so an even Adams image renormalizes with scale -1."""
+    nmax = 2 if flavor is FLAVOR_XY else 3
+    fracs = [layer for g in range(4) for layer in extract_layers(flavor, g, nmax)]
+    if flavor.twisted:
+        v = SparsePoly.variable(flavor.variables, flavor.twisted[-1])
+        q = SparsePoly.variable(flavor.variables, "q")
+        fracs.append(FactoredFraction.from_poly(v + 1).divided_by_poly(v - q))
+    for fr in fracs:
+        for r in range(2, 5):
+            ours, ref = adams(fr, r, flavor), reference_adams(fr, r, flavor)
+            assert (ours.num.terms, ours.den) == (ref.num.terms, ref.den), (fr, r)
 
 
 @pytest.mark.parametrize("flavor", FLAVORS, ids=lambda f: f.name)
