@@ -13,16 +13,16 @@ Subcommands and exit codes:
 Output is byte-deterministic: JSON documents are canonical (sorted keys,
 compact separators, one trailing newline) and text output uses the canonical
 ascending term order.  The cache directory is --cache-dir, else the
-CHARVAR_CACHE_DIR environment variable, else ./.charvar-cache; cached results
-are served byte-identical to fresh computations.  Every hit is re-verified: a
-document whose attached checks or dimension do not reproduce is a miss.
+CHARVAR_CACHE_DIR environment variable, else ./.charvar-cache.  A cached
+document is served only when it is byte for byte the canonical document that
+its stored terms give for the requested key, with dimension and attached checks
+recomputed; anything else is a miss that is recomputed and overwritten.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -39,12 +39,12 @@ from .errors import (
 )
 from .groups import build_group, tuple_count
 from .invariants import (
+    DOCUMENT_VERSION,
     CheckReport,
     InvariantCache,
     compute_invariant,
     document_bytes,
     parse_kind,
-    polynomial_document,
     run_check,
 )
 from .polynomials import poly_text
@@ -61,10 +61,6 @@ EXIT_ASSERTION = 3
 def _cache_from(args) -> InvariantCache:
     root = args.cache_dir or os.environ.get(CACHE_ENV_VAR) or DEFAULT_CACHE_DIR
     return InvariantCache(root)
-
-
-def _emit_json(payload) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,15 +130,15 @@ def cmd_compute(args) -> int:
             "kind": kind.value,
             "n": args.n,
             "g": args.g,
-            "version": 1,
+            "version": DOCUMENT_VERSION,
         }
         if args.format == "json":
-            _emit_json(diagnostic)
+            sys.stdout.buffer.write(document_bytes(diagnostic))
         else:
             print(f"error[{type(exc).__name__}]: {exc}")
         return EXIT_ASSERTION
     if args.format == "json":
-        sys.stdout.buffer.write(document_bytes(polynomial_document(result)))
+        sys.stdout.buffer.write(result.canonical_bytes)
     else:
         print(poly_text(result.polynomial))
     return EXIT_OK
@@ -192,15 +188,14 @@ def cmd_check(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.format == "json":
-        _emit_json(
-            {
-                "suite": args.suite,
-                "n": args.n,
-                "g": args.g,
-                "checks": report.to_json(),
-                "passed": report.all_passed,
-            }
-        )
+        summary = {
+            "suite": args.suite,
+            "n": args.n,
+            "g": args.g,
+            "checks": report.to_json(),
+            "passed": report.all_passed,
+        }
+        sys.stdout.buffer.write(document_bytes(summary))
     else:
         for name, entry in sorted(report.entries.items()):
             if entry.passed:
@@ -262,7 +257,7 @@ def cmd_count(args) -> int:
     agreement = len(set(counts)) <= 1
     payload["agreement"] = agreement
     if args.format == "json":
-        _emit_json(payload)
+        sys.stdout.buffer.write(document_bytes(payload))
     else:
         for key in sorted(payload):
             print(f"{key}: {payload[key]}")

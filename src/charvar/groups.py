@@ -43,23 +43,6 @@ class PrimeField:
         if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
-    def inverse(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return pow(a, self.p - 2, self.p)
-
-
-def _mat_mul(a, b, p):
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    return (
-        (a0 * b0 + a1 * b2) % p,
-        (a0 * b1 + a1 * b3) % p,
-        (a2 * b0 + a3 * b2) % p,
-        (a2 * b1 + a3 * b3) % p,
-    )
-
 
 def _mat_inv(m, p):
     a, b, c, d = m
@@ -201,10 +184,10 @@ def matrix_group_from_elements(label: str, q: int, elements) -> MatrixGroup:
     """Wrap an explicit list of matrices (must be a subgroup) as a MatrixGroup."""
     field = PrimeField(q)
     group = MatrixGroup(label, 2, field, elements)
-    for a in group.elements:
-        for b in group.elements:
-            if _mat_mul(a, b, q) not in group.index:
-                raise ValueError(f"elements not closed under product: {a} * {b}")
+    try:
+        group.mul
+    except KeyError as exc:
+        raise ValueError(f"elements not closed under product: {exc.args[0]} missing") from None
     return group
 
 

@@ -16,13 +16,15 @@ checks (specialization matches, closed-form matches, pure-part extraction)
 are exposed as separate functions because they trigger further computations.
 
 Results are memoized in-process and can additionally be cached on disk as
-canonical JSON documents (one per (kind, n, g)); cache hits reproduce the
-computed document byte for byte, and each hit is re-verified by rerunning its
-attached checks.
+canonical JSON documents (one per (kind, n, g)).  A cache hit has one rule: the
+result is rebuilt for the requested key from the stored terms alone (dimension
+and attached checks recomputed), and it is served only when its canonical
+document equals the stored bytes.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sys
@@ -41,6 +43,7 @@ from .polynomials import (
     FLAVOR_XY,
     FactoredFraction,
     SparsePoly,
+    _gl_key,
     frac_sum,
     poly_text,
 )
@@ -111,13 +114,6 @@ class CheckReport:
             for name, e in sorted(self.entries.items())
         }
 
-    @classmethod
-    def from_json(cls, data) -> "CheckReport":
-        rep = cls()
-        for name, e in data.items():
-            rep.entries[name] = CheckEntry(e["passed"], e["witness"], e.get("detail", ""))
-        return rep
-
 
 @dataclass(frozen=True)
 class InvariantResult:
@@ -129,6 +125,11 @@ class InvariantResult:
     polynomial: SparsePoly
     dimension: int  # 2N = (n^2-1)(2g-2); for PP the degree bound 2n(n-1)(g-1)
     checks: CheckReport
+
+    @functools.cached_property
+    def canonical_bytes(self) -> bytes:
+        """The canonical JSON document, rendered once per result."""
+        return document_bytes(polynomial_document(self))
 
 
 def moebius(n: int) -> int:
@@ -196,7 +197,7 @@ def compute_invariant(kind, n: int, g: int, *, cache=None) -> InvariantResult:
     with _memo_lock:
         hit = _result_memo.get(key)
     if hit is not None:
-        if cache is not None and cache.load(kind, n, g) is None:
+        if cache is not None and cache.load_bytes(kind, n, g) != hit.canonical_bytes:
             cache.store(hit)
         return hit
     if cache is not None:
@@ -221,13 +222,15 @@ def compute_invariant(kind, n: int, g: int, *, cache=None) -> InvariantResult:
 
 def palindrome_entry(poly: SparsePoly, two_n: int) -> CheckEntry:
     """q^{2N} * f(1/q) == f(q), coefficientwise."""
-    for (a,), c in poly.sorted_terms():
-        c2 = poly.coefficient((two_n - a,))
-        if c2 != c:
-            return CheckEntry(
-                False,
-                witness=f"coefficient {c} at q^{a} vs {c2} at q^{two_n - a}",
-            )
+    terms = poly.terms
+    bad = [e for e, c in terms.items() if terms.get((two_n - e[0],), 0) != c]
+    if bad:
+        (a,) = min(bad, key=_gl_key)
+        c, c2 = terms[(a,)], terms.get((two_n - a,), 0)
+        return CheckEntry(
+            False,
+            witness=f"coefficient {c} at q^{a} vs {c2} at q^{two_n - a}",
+        )
     return CheckEntry(True, detail=f"palindromic about q^{two_n}/2")
 
 
@@ -238,14 +241,19 @@ def curious_duality_entry(poly: SparsePoly, big_n: int) -> CheckEntry:
     reflecting the q-exponent about N shifts the t-exponent by twice as much,
     which is the coefficient shadow of the hard-Lefschetz-type pairing.
     """
-    for (a, b), c in poly.sorted_terms():
+    terms = poly.terms
+    bad = [
+        (a, b) for (a, b), c in terms.items()
+        if terms.get((2 * big_n - a, b + 2 * (big_n - a)), 0) != c
+    ]
+    if bad:
+        a, b = min(bad, key=_gl_key)
         dual = (2 * big_n - a, b + 2 * (big_n - a))
-        c2 = poly.coefficient(dual)
-        if c2 != c:
-            return CheckEntry(
-                False,
-                witness=f"coefficient {c} at q^{a}*t^{b} vs {c2} at q^{dual[0]}*t^{dual[1]}",
-            )
+        c, c2 = terms[(a, b)], terms.get(dual, 0)
+        return CheckEntry(
+            False,
+            witness=f"coefficient {c} at q^{a}*t^{b} vs {c2} at q^{dual[0]}*t^{dual[1]}",
+        )
     return CheckEntry(True, detail=f"curious duality with N={big_n}")
 
 
@@ -282,10 +290,11 @@ def degrees_entry(kind: InvariantKind, n: int, g: int, poly: SparsePoly) -> Chec
 
 
 def positivity_entry(poly: SparsePoly) -> CheckEntry:
-    for e, c in poly.sorted_terms():
-        if c < 0:
-            mono = poly_text(SparsePoly.monomial(poly.vars, e, 1))
-            return CheckEntry(False, witness=f"coefficient {c} at {mono}")
+    bad = [e for e, c in poly.terms.items() if c < 0]
+    if bad:
+        e = min(bad, key=_gl_key)
+        mono = poly_text(SparsePoly.monomial(poly.vars, e, 1))
+        return CheckEntry(False, witness=f"coefficient {poly.terms[e]} at {mono}")
     return CheckEntry(True, detail="all coefficients non-negative")
 
 
@@ -300,13 +309,14 @@ def euler_entry(n: int, g: int, poly: SparsePoly) -> CheckEntry:
 
 def xy_symmetry_entry(poly: SparsePoly) -> CheckEntry:
     """H_n(1,x,y) is symmetric under swapping x and y."""
-    at_q1 = poly.specialize({"q": 1})
-    for (a, b), c in at_q1.sorted_terms():
-        c2 = at_q1.coefficient((b, a))
-        if c2 != c:
-            return CheckEntry(
-                False, witness=f"coefficient {c} at x^{a}*y^{b} vs {c2} at x^{b}*y^{a}"
-            )
+    terms = poly.specialize({"q": 1}).terms
+    bad = [(a, b) for (a, b), c in terms.items() if terms.get((b, a), 0) != c]
+    if bad:
+        a, b = min(bad, key=_gl_key)
+        c, c2 = terms[(a, b)], terms.get((b, a), 0)
+        return CheckEntry(
+            False, witness=f"coefficient {c} at x^{a}*y^{b} vs {c2} at x^{b}*y^{a}"
+        )
     return CheckEntry(True, detail="x<->y symmetric at q=1")
 
 
@@ -598,10 +608,8 @@ def closed_form_checks(n: int, g: int, *, cache=None) -> CheckReport:
     return report
 
 
-def specialization_checks(n: int, g: int, *, include_xy=None, cache=None) -> CheckReport:
-    """Cross-kind consistency: Hqt(t=-1)=E, Hxy(t,t)=Hqt, pure extract = PP."""
-    if include_xy is None:
-        include_xy = n <= 3
+def specialization_checks(n: int, g: int, *, cache=None) -> CheckReport:
+    """Cross-kind consistency: Hqt(t=-1)=E, and for n <= 3 Hxy(t,t)=Hqt, pure extract = PP."""
     report = CheckReport()
     hqt = compute_invariant(InvariantKind.HQT, n, g, cache=cache)
     e = compute_invariant(InvariantKind.E, n, g, cache=cache)
@@ -609,7 +617,7 @@ def specialization_checks(n: int, g: int, *, include_xy=None, cache=None) -> Che
         "to_E_match",
         _poly_equal_entry(specialize_invariant(hqt, "to_E"), e.polynomial),
     )
-    if include_xy:
+    if n <= 3:
         hxy = compute_invariant(InvariantKind.HXY, n, g, cache=cache)
         report.add(
             "xy_to_qt_match",
@@ -686,15 +694,6 @@ def document_bytes(doc: dict) -> bytes:
     return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
 
-def result_from_document(doc: dict) -> InvariantResult:
-    kind = parse_kind(doc["kind"])
-    variables = tuple(doc["vars"])
-    terms = {tuple(t["e"]): int(t["c"]) for t in doc["terms"]}
-    poly = SparsePoly(variables, terms)
-    checks = CheckReport.from_json(doc["meta"]["checks"])
-    return InvariantResult(kind, doc["n"], doc["g"], poly, doc["meta"]["dim2N"], checks)
-
-
 class InvariantCache:
     """One canonical JSON document per (kind, n, g) under a cache directory.
 
@@ -718,13 +717,15 @@ class InvariantCache:
     def load(self, kind, n, g) -> InvariantResult | None:
         """The cached result for a key, or None for a miss.
 
-        A hit is re-verified: the attached checks are rerun on the stored
-        polynomial and dim2N is recomputed, and both must equal the stored
-        meta (a stored report that records a failed check reproduces, so it is
-        served).  A document that does not read back as this key's result (not
-        JSON, not the document schema, another kind, n, g or variable list, or
-        checks or dim2N that do not reproduce) is a miss too: one warning line
-        goes to stderr, and the caller recomputes and overwrites it.
+        A hit has one rule: the result is rebuilt for the requested key from
+        the stored terms alone (exponents and coefficients read as integers,
+        dim2N and the attached checks recomputed), and it is served only when
+        its canonical document equals the stored bytes.  A stored report that
+        records a failed check reproduces, so it is served.  A document of an
+        older format version is a silent miss.  Anything else (not JSON, not
+        the document schema, another key, edited values, or bytes that are
+        not canonical) is a miss with one warning line on stderr, and the
+        caller recomputes and overwrites it.
         """
         kind = parse_kind(kind)
         raw = self.load_bytes(kind, n, g)
@@ -734,21 +735,16 @@ class InvariantCache:
             doc = json.loads(raw)
             if doc.get("version") != DOCUMENT_VERSION:
                 return None  # stale format: treat as a miss and recompute
-            result = result_from_document(doc)
-            if (result.kind, result.n, result.g, result.polynomial.vars) != (
-                    kind, n, g, kind.flavor.variables):
-                reason = (f"it holds {result.kind.value} n={result.n} g={result.g} "
-                          f"in {','.join(result.polynomial.vars)}")
-            elif result.dimension != dimension_2n(kind, n, g):
-                reason = f"dim2N {result.dimension} is not {dimension_2n(kind, n, g)}"
-            elif attached_checks(kind, n, g, result.polynomial).entries != result.checks.entries:
-                reason = "the stored checks do not reproduce"
-            else:
+            terms = {tuple(map(int, t["e"])): int(t["c"]) for t in doc["terms"]}
+            poly = SparsePoly(kind.flavor.variables, terms)
+            result = InvariantResult(kind, n, g, poly, dimension_2n(kind, n, g),
+                                     attached_checks(kind, n, g, poly))
+            if result.canonical_bytes == raw:
                 return result
+            reason = f"it is not the canonical {kind.value} n={n} g={g} document of its terms"
         except (ValueError, KeyError, TypeError, AttributeError, ArithmeticError,
                 RecursionError, CharvarError) as exc:
-            reason = f"{type(exc).__name__}: {exc}"
-        reason = " ".join(reason.split())
+            reason = " ".join(f"{type(exc).__name__}: {exc}".split())
         print(f"warning: ignoring cache document {self._path(kind, n, g)} "
               f"({reason}); recomputing", file=sys.stderr)
         return None
@@ -756,11 +752,10 @@ class InvariantCache:
     def store(self, result: InvariantResult) -> Path:
         self.root.mkdir(parents=True, exist_ok=True)
         path = self._path(result.kind, result.n, result.g)
-        data = document_bytes(polynomial_document(result))
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
+                handle.write(result.canonical_bytes)
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):

@@ -796,14 +796,6 @@ class FactoredFraction:
             return self * binom**power
         return self.divided_by_poly(binom, -power)
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("fraction power wants a non-negative integer")
-        out = FactoredFraction.one(self.vars)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def equals(self, other) -> bool:
         """Value equality (cross-multiplied over a common denominator)."""
         if isinstance(other, (int, Fraction)):

@@ -47,6 +47,22 @@ def _dim_plus_1(doc):
     doc["meta"]["dim2N"] += 1
 
 
+def _first_term(edit):
+    def apply(doc):
+        assert doc["terms"][0] == {"e": [0, 0], "c": "1"}
+        edit(doc["terms"][0])
+
+    return apply
+
+
+def _dim_float(doc):
+    doc["meta"]["dim2N"] = float(doc["meta"]["dim2N"])
+
+
+def _pretty(document):
+    return json.dumps(json.loads(document), indent=1, sort_keys=True).encode()
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
@@ -270,9 +286,21 @@ class TestCache:
             ("compute", "E", "E_n2_g2.json", lambda cold: _edited(cold, _constant_to_7)),
             ("compute", "hqt", "Hqt_n2_g2.json", lambda cold: _edited(cold, _fail_duality)),
             ("compute", "hqt", "Hqt_n2_g2.json", lambda cold: _edited(cold, _dim_plus_1)),
+            ("compute", "hqt", "Hqt_n2_g2.json", lambda cold: _edited(cold, _dim_float)),
+            ("compute", "hqt", "Hqt_n2_g2.json",
+             lambda cold: _edited(cold, _first_term(lambda t: t.update(e=[0.0, 0])))),
+            ("compute", "hqt", "Hqt_n2_g2.json",
+             lambda cold: _edited(cold, _first_term(lambda t: t.update(e=[0, False])))),
+            ("compute", "hqt", "Hqt_n2_g2.json",
+             lambda cold: _edited(cold, _first_term(lambda t: t.update(c=1)))),
+            ("compute", "hqt", "Hqt_n2_g2.json",
+             lambda cold: _edited(cold, lambda doc: doc.update(extra=None))),
+            ("compute", "hqt", "Hqt_n2_g2.json", _pretty),
         ],
         ids=["invalid-json", "not-utf-8", "json-list", "missing-keys", "wrong-key",
-             "stray-name", "constant-edited", "check-flipped", "dim-off-by-one"],
+             "stray-name", "constant-edited", "check-flipped", "dim-off-by-one",
+             "dim2N-float", "exponent-float", "exponent-bool", "coefficient-unquoted",
+             "extra-key", "pretty-printed"],
     )
     def test_bad_cache_file_is_skipped(
         self, capsys, isolated_cache, command, kind, file_name, content
@@ -320,6 +348,30 @@ class TestCache:
             assert run(capsys, *args) == (0, cold, "")
         finally:
             clear_memo()  # later tests must not see the doctored report
+
+    def test_all_suite_loads_each_kind_once(self, capsys, monkeypatch):
+        """Memo hits compare bytes: one load per kind and one check run per
+        computed result, plus the duality suite's own run."""
+        from charvar import invariants
+
+        counts = {"load": 0, "checks": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            invariants.InvariantCache, "load", counted("load", invariants.InvariantCache.load)
+        )
+        monkeypatch.setattr(
+            invariants, "attached_checks", counted("checks", invariants.attached_checks)
+        )
+        clear_memo()
+        assert run(capsys, "check", "--suite", "all", "--n", "2", "--g", "2")[0] == 0
+        assert counts == {"load": 4, "checks": 5}
 
     def test_cache_dir_flag_overrides_env(self, capsys, tmp_path):
         other = tmp_path / "other-cache"

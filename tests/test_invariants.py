@@ -17,7 +17,7 @@ from charvar.invariants import (
     palindrome_entry,
     parse_kind,
     polynomial_document,
-    result_from_document,
+    positivity_entry,
     run_check,
     specialize_invariant,
     xy_symmetry_entry,
@@ -168,8 +168,14 @@ class TestChecks:
                 ),
                 "coefficient 2 at x^0*y^1 vs 0 at x^1*y^0",
             ),
+            (
+                lambda: positivity_entry(
+                    SparsePoly(("q", "t"), {(2, 1): -3, (1, 0): 2, (0, 1): -1})
+                ),
+                "coefficient -1 at t",
+            ),
         ],
-        ids=["palindrome", "curious_duality", "xy_symmetry"],
+        ids=["palindrome", "curious_duality", "xy_symmetry", "positivity"],
     )
     def test_witness_is_lowest_failing_monomial(self, entry, witness):
         result = entry()
@@ -235,10 +241,11 @@ def test_moebius_values():
 
 
 class TestCacheAndDocuments:
-    def test_document_round_trip(self):
+    def test_document_round_trip(self, tmp_path):
         result = compute_invariant("E", 2, 3)
-        doc = polynomial_document(result)
-        back = result_from_document(json.loads(document_bytes(doc)))
+        cache = InvariantCache(tmp_path)
+        cache.store(result)
+        back = cache.load("E", 2, 3)
         assert back.polynomial == result.polynomial
         assert back.kind is result.kind and back.dimension == result.dimension
         assert back.checks.to_json() == result.checks.to_json()
@@ -276,6 +283,25 @@ class TestCacheAndDocuments:
         # a compute against the stale cache refreshes the document
         compute_invariant("E", 2, 2, cache=cache)
         assert cache.load("E", 2, 2) is not None
+
+    def test_memo_hit_compares_bytes_and_stores_only_on_a_difference(
+        self, tmp_path, monkeypatch
+    ):
+        from charvar import invariants as inv
+
+        cache = InvariantCache(tmp_path)
+        inv.clear_memo()
+        result = compute_invariant("hqt", 2, 2, cache=cache)
+        path = cache._path(InvariantKind.HQT, 2, 2)
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(inv, "attached_checks", lambda *args: calls.append(args))
+            patch.setattr(InvariantCache, "store", lambda self, r: calls.append(r))
+            assert compute_invariant("hqt", 2, 2, cache=cache) is result
+        assert calls == []  # an intact file is left alone, and no check reruns
+        path.unlink()
+        assert compute_invariant("hqt", 2, 2, cache=cache) is result
+        assert path.read_bytes() == document_bytes(polynomial_document(result))
 
     def test_compute_uses_cache(self, tmp_path):
         from charvar import invariants as inv
