@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
+from operator import mul
 
 from .errors import LiftFailure, NonIntegralCount
 from .groups import ConjugacyData, MatrixGroup, _is_prime
@@ -209,57 +210,22 @@ def _kernel_basis(matrix, p):
     return basis
 
 
-def _det_mod(matrix, p):
-    rows = [list(row) for row in matrix]
-    n = len(rows)
-    det = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det = (det * rows[col][col]) % p
-        inv = pow(rows[col][col], p - 2, p)
-        for r in range(col + 1, n):
-            if rows[r][col]:
-                f = (rows[r][col] * inv) % p
-                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[col])]
-    return det % p
-
-
 def _charpoly(matrix, p):
-    """det(M - x I) as ascending coefficients, by interpolation."""
+    """det(xI - M) as ascending coefficients over F_p, monic, by Faddeev-LeVerrier.
+
+    The recursion divides by 1..s for an s x s matrix, which is valid because
+    p > 2|G| > s.
+    """
     s = len(matrix)
-    xs = list(range(s + 1))
-    ys = []
-    for x in xs:
-        shifted = [
-            [(matrix[i][j] - (x if i == j else 0)) % p for j in range(s)]
-            for i in range(s)
-        ]
-        ys.append(_det_mod(shifted, p))
-    # Lagrange interpolation over F_p
-    poly = [0] * (s + 1)
-    for t, y in zip(xs, ys):
-        if not y:
-            continue
-        basis = [1]
-        denom = 1
-        for u in xs:
-            if u == t:
-                continue
-            denom = (denom * (t - u)) % p
-            new = [0] * (len(basis) + 1)
-            for i, c in enumerate(basis):
-                new[i] = (new[i] - u * c) % p
-                new[i + 1] = (new[i + 1] + c) % p
-            basis = new
-        scale = (y * pow(denom, p - 2, p)) % p
-        for i, c in enumerate(basis):
-            poly[i] = (poly[i] + scale * c) % p
-    return poly
+    coeffs = [0] * s + [1]
+    product = [[0] * s for _ in range(s)]  # M A_{k-1}, with A_0 = 0
+    for k in range(1, s + 1):
+        for i in range(s):  # A_k = M A_{k-1} + c_{s-k+1} I
+            product[i][i] += coeffs[s - k + 1]
+        cols = list(zip(*product))
+        product = [[sum(map(mul, row, col)) % p for col in cols] for row in matrix]
+        coeffs[s - k] = -sum(product[i][i] for i in range(s)) * pow(k, p - 2, p) % p
+    return coeffs
 
 
 def _poly_roots_mod(coeffs, p):

@@ -3,11 +3,13 @@
 Subcommands and exit codes:
 
   charvar compute --kind E|hqt|hxy|pp --n N --g G [--format text|json]
-  charvar check   --suite duality|euler|specialization|closedform|pp|all --n N --g G
+  charvar check   --suite SUITE|all --n N --g G [--format text|json]
   charvar count   --family gl|sl --q Q --g G --zeta-order N [--oracle brute|character|both]
   charvar cache   --list | --clear
 
-  0 success, 1 check/agreement failure, 2 usage error, 3 internal assertion
+  0 success, 1 check/agreement failure, 2 usage error (also a SUITE of
+  invariants.SUITES that does not apply at (n, g), or a central element of
+  --zeta-order the group lacks), 3 internal assertion
   (a polynomiality/integrality failure, surfaced with diagnostics).
 
 Output is byte-deterministic: JSON documents are canonical (sorted keys,
@@ -40,7 +42,7 @@ from .errors import (
 from .groups import build_group, tuple_count
 from .invariants import (
     DOCUMENT_VERSION,
-    CheckReport,
+    SUITES,
     InvariantCache,
     compute_invariant,
     document_bytes,
@@ -82,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--suite",
         required=True,
-        choices=("duality", "euler", "specialization", "closedform", "pp", "all"),
+        choices=(*SUITES, "all"),
     )
     p_check.add_argument("--n", required=True, type=int)
     p_check.add_argument("--g", required=True, type=int)
@@ -144,40 +146,13 @@ def cmd_compute(args) -> int:
     return EXIT_OK
 
 
-_SUITE_NEEDS = {
-    "euler": "euler wants g >= 2 (the Euler-characteristic identity)",
-    "closedform": "closed forms are printed only for n = 2 and n = 3",
-}
-
-
-def _run_suite(suite: str, n: int, g: int, cache) -> CheckReport:
-    report = CheckReport()
-    if suite in ("duality", "all"):
-        report.merge(run_check("duality", n, g, cache=cache))
-    if suite in ("euler", "all") and g >= 2:
-        report.merge(run_check("euler", n, g, cache=cache))
-    if suite in ("specialization", "all"):
-        report.merge(run_check("specialization_match", n, g, cache=cache))
-    if (suite == "closedform" or (suite == "all" and g >= 1)) and n in (2, 3):
-        report.merge(run_check("closed_form_match", n, g, cache=cache))
-    if suite in ("pp", "all"):
-        report.merge(run_check("pp_properties", n, g, cache=cache))
-    return report
-
-
 def cmd_check(args) -> int:
     if args.n < 1 or args.g < 0:
         print("error: need --n >= 1 and --g >= 0", file=sys.stderr)
         return EXIT_USAGE
-    if args.suite == "euler" and args.g < 2:
-        print(f"error: {_SUITE_NEEDS['euler']}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.suite == "closedform" and args.n not in (2, 3):
-        print(f"error: {_SUITE_NEEDS['closedform']}", file=sys.stderr)
-        return EXIT_USAGE
     cache = _cache_from(args)
     try:
-        report = _run_suite(args.suite, args.n, args.g, cache)
+        report = run_check(args.suite, args.n, args.g, cache=cache)
     except OSError as exc:
         print(f"error: cache directory unusable: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -209,24 +184,10 @@ def cmd_count(args) -> int:
     if args.g < 1:
         print("error: need --g >= 1", file=sys.stderr)
         return EXIT_USAGE
-    if args.zeta_order < 1:
-        print(
-            f"error: central element of order {args.zeta_order} unavailable "
-            "(need --zeta-order >= 1)",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     try:
         group = build_group(args.family.upper(), 2, args.q)
     except (GroupTooLarge, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if (args.q - 1) % args.zeta_order:
-        print(
-            f"error: central element of order {args.zeta_order} unavailable "
-            f"(needs {args.zeta_order} | q-1 = {args.q - 1})",
-            file=sys.stderr,
-        )
         return EXIT_USAGE
     try:
         xi = group.central_of_order(args.zeta_order)

@@ -11,9 +11,9 @@ functions (see charvar.series):
 None of the implemented formulas depend on the coprime twisting degree, so no
 degree label appears in any signature.  Each computed result carries a
 CheckReport with the self-contained conjecture checks for its kind (degrees,
-positivity, curious duality, Euler characteristic, ...); the cross-invariant
-checks (specialization matches, closed-form matches, pure-part extraction)
-are exposed as separate functions because they trigger further computations.
+positivity, curious duality, Euler characteristic, ...).  The check suites are
+one table, SUITES (see run_check); the duality, euler and pp suites read the
+attached reports, the cross-invariant checks trigger further computations.
 
 Results are memoized in-process and can additionally be cached on disk as
 canonical JSON documents (one per (kind, n, g)).  A cache hit has one rule: the
@@ -123,7 +123,7 @@ class InvariantResult:
     n: int
     g: int
     polynomial: SparsePoly
-    dimension: int  # 2N = (n^2-1)(2g-2); for PP the degree bound 2n(n-1)(g-1)
+    dimension: int  # dimension_2n(kind, n, g)
     checks: CheckReport
 
     @functools.cached_property
@@ -151,6 +151,7 @@ def moebius(n: int) -> int:
 
 
 def dimension_2n(kind: InvariantKind, n: int, g: int) -> int:
+    """2N, the top degree of E and Hqt (twice the dimension); for PP its degree bound."""
     if kind is InvariantKind.PP:
         return 2 * n * (n - 1) * (g - 1)
     return (n * n - 1) * (2 * g - 2)
@@ -257,36 +258,16 @@ def curious_duality_entry(poly: SparsePoly, big_n: int) -> CheckEntry:
     return CheckEntry(True, detail=f"curious duality with N={big_n}")
 
 
-def duality_entry(kind: InvariantKind, n: int, g: int, poly: SparsePoly) -> CheckEntry:
-    if kind is InvariantKind.E:
-        return palindrome_entry(poly, (n * n - 1) * (2 * g - 2))
-    if kind is InvariantKind.HQT:
-        return curious_duality_entry(poly, (n * n - 1) * (g - 1))
-    raise KindMismatch(f"duality check undefined for kind {kind.value}")
-
-
-def degrees_entry(kind: InvariantKind, n: int, g: int, poly: SparsePoly) -> CheckEntry:
-    two_n = (n * n - 1) * (2 * g - 2)
+def _top_degree_entry(poly: SparsePoly, d: int, detail: str, mono: str) -> CheckEntry:
+    """Each variable has degree d, and the coefficient at mono = (vars)^d is 1."""
     if poly.is_zero():
         return CheckEntry(True, detail="zero polynomial (degenerate genus)")
-    if kind is InvariantKind.E:
-        deg = poly.degree_in("q")
-        top = poly.coefficient((two_n,))
-        if deg != two_n or top != 1:
-            return CheckEntry(
-                False, witness=f"q-degree {deg}, coefficient {top} at q^{two_n}"
-            )
-        return CheckEntry(True, detail=f"degree {two_n}, monic top")
-    if kind is InvariantKind.HQT:
-        dq, dt = poly.degree_in("q"), poly.degree_in("t")
-        top = poly.coefficient((two_n, two_n))
-        if dq != two_n or dt != two_n or top != 1:
-            return CheckEntry(
-                False,
-                witness=f"q-degree {dq}, t-degree {dt}, coefficient {top} at (qt)^{two_n}",
-            )
-        return CheckEntry(True, detail=f"q- and t-degree {two_n}, (qt)^{two_n} monic")
-    raise KindMismatch(f"degrees check undefined for kind {kind.value}")
+    degrees = [poly.degree_in(v) for v in poly.vars]
+    top = poly.coefficient((d,) * len(degrees))
+    if degrees != [d] * len(degrees) or top != 1:
+        shown = ", ".join(f"{v}-degree {k}" for v, k in zip(poly.vars, degrees))
+        return CheckEntry(False, witness=f"{shown}, coefficient {top} at {mono}")
+    return CheckEntry(True, detail=detail)
 
 
 def positivity_entry(poly: SparsePoly) -> CheckEntry:
@@ -299,7 +280,7 @@ def positivity_entry(poly: SparsePoly) -> CheckEntry:
 
 
 def euler_entry(n: int, g: int, poly: SparsePoly) -> CheckEntry:
-    """E_n(1) == moebius(n) * n^(2g-3); meaningful for g >= 2."""
+    """E_n(1) == moebius(n) * n^(2g-3), where _euler_unsupported allows it."""
     value = poly.specialize({"q": 1})
     expected = moebius(n) * n ** (2 * g - 3)
     if value != expected:
@@ -320,88 +301,65 @@ def xy_symmetry_entry(poly: SparsePoly) -> CheckEntry:
     return CheckEntry(True, detail="x<->y symmetric at q=1")
 
 
-def pp_properties_entry(n: int, g: int, poly: SparsePoly) -> CheckEntry:
-    """PP_n is a polynomial of degree 2n(n-1)(g-1), monic there, non-negative."""
-    neg = positivity_entry(poly)
-    if not neg.passed:
-        return neg
-    if poly.is_zero():
-        return CheckEntry(True, detail="zero polynomial (degenerate genus)")
-    deg = poly.degree_in("t")
-    expected = 2 * n * (n - 1) * (g - 1)
-    top = poly.coefficient((expected,))
-    if deg != expected or top != 1:
-        return CheckEntry(
-            False, witness=f"t-degree {deg}, coefficient {top} at t^{expected}"
-        )
-    return CheckEntry(True, detail=f"degree {expected}, leading coefficient 1")
+def _euler_unsupported(n: int, g: int) -> str | None:
+    """Why E_n(1) = moebius(n) * n^(2g-3) is not checked at (n, g), if it is not."""
+    if g < 2:
+        return "euler wants g >= 2 (the Euler-characteristic identity)"
+    return None
 
 
 def attached_checks(kind: InvariantKind, n: int, g: int, poly: SparsePoly) -> CheckReport:
     """The self-contained checks recorded on every computed result."""
     report = CheckReport()
+    d = dimension_2n(kind, n, g)
     if kind is InvariantKind.E:
-        report.add("degrees", degrees_entry(kind, n, g, poly))
-        report.add("duality", duality_entry(kind, n, g, poly))
-        if g >= 2:
+        report.add("degrees", _top_degree_entry(poly, d, f"degree {d}, monic top", f"q^{d}"))
+        report.add("duality", palindrome_entry(poly, d))
+        if _euler_unsupported(n, g) is None:
             report.add("euler", euler_entry(n, g, poly))
     elif kind is InvariantKind.HQT:
-        report.add("degrees", degrees_entry(kind, n, g, poly))
-        report.add("duality", duality_entry(kind, n, g, poly))
+        report.add("degrees", _top_degree_entry(
+            poly, d, f"q- and t-degree {d}, (qt)^{d} monic", f"(qt)^{d}"))
+        report.add("duality", curious_duality_entry(poly, d // 2))
         report.add("positivity", positivity_entry(poly))
     elif kind is InvariantKind.HXY:
         report.add("positivity", positivity_entry(poly))
         report.add("xy_symmetry_at_q1", xy_symmetry_entry(poly))
     elif kind is InvariantKind.PP:
-        report.add("pp_properties", pp_properties_entry(n, g, poly))
+        # PP_n is a polynomial of degree d, monic there, with non-negative coefficients
+        entry = positivity_entry(poly)
+        if entry.passed:
+            entry = _top_degree_entry(poly, d, f"degree {d}, leading coefficient 1", f"t^{d}")
+        report.add("pp_properties", entry)
     return report
 
 
 # -- specializations ------------------------------------------------------------
 
 
-def specialize_invariant(result: InvariantResult, target: str) -> SparsePoly:
-    """Named specializations between the invariant kinds.
-
-    poincare (Hqt, q->1), to_E (Hqt, t->-1), pure_extract (Hqt, keep the
-    monomials q^i t^{2i} as t^{2i}), xy_to_qt (Hxy, x,y->t), ygenus
-    (Hxy, q->1 then x->-1, leaving a polynomial in y).
-    """
-    kind = result.kind
-    poly = result.polynomial
-    if target == "poincare":
-        _require(kind, InvariantKind.HQT, target)
-        out = poly.specialize({"q": 1})
-    elif target == "to_E":
-        _require(kind, InvariantKind.HQT, target)
-        out = poly.specialize({"t": -1})
-    elif target == "pure_extract":
-        _require(kind, InvariantKind.HQT, target)
-        terms = {(b,): c for (a, b), c in poly.terms.items() if b == 2 * a}
-        return SparsePoly(("t",), terms)
-    elif target == "xy_to_qt":
-        _require(kind, InvariantKind.HXY, target)
-        out = poly.specialize({"x": "t", "y": "t"})
-    elif target == "ygenus":
-        _require(kind, InvariantKind.HXY, target)
-        out = poly.specialize({"q": 1, "x": -1})
-    else:
-        raise KindMismatch(f"unknown specialization target {target!r}")
-    return _as_poly_in_context(out, _TARGET_VARS[target])
-
-
-_TARGET_VARS = {
-    "poincare": ("t",),
-    "to_E": ("q",),
-    "pure_extract": ("t",),
-    "xy_to_qt": ("q", "t"),
-    "ygenus": ("y",),
+# target -> (kind it applies to, assignment, variables of the result); the
+# assignment None is pure_extract, which keeps the monomials q^i t^{2i} as t^{2i}
+_TARGETS = {
+    "poincare": (InvariantKind.HQT, {"q": 1}, ("t",)),
+    "to_E": (InvariantKind.HQT, {"t": -1}, ("q",)),
+    "pure_extract": (InvariantKind.HQT, None, ("t",)),
+    "xy_to_qt": (InvariantKind.HXY, {"x": "t", "y": "t"}, ("q", "t")),
+    "ygenus": (InvariantKind.HXY, {"q": 1, "x": -1}, ("y",)),
 }
 
 
-def _require(kind, wanted, target):
-    if kind is not wanted:
-        raise KindMismatch(f"{target} wants kind {wanted.value}, got {kind.value}")
+def specialize_invariant(result: InvariantResult, target: str) -> SparsePoly:
+    """The specialization of result named by a target of _TARGETS."""
+    try:
+        kind, assignment, variables = _TARGETS[target]
+    except KeyError:
+        raise KindMismatch(f"unknown specialization target {target!r}") from None
+    if result.kind is not kind:
+        raise KindMismatch(f"{target} wants kind {kind.value}, got {result.kind.value}")
+    poly = result.polynomial
+    if assignment is None:
+        return SparsePoly(variables, {(b,): c for (a, b), c in poly.terms.items() if b == 2 * a})
+    return _as_poly_in_context(poly.specialize(assignment), variables)
 
 
 def _as_poly_in_context(value, variables):
@@ -583,20 +541,28 @@ def _closed_ygenus(n: int, g: int) -> FactoredFraction:
     return FactoredFraction.from_poly(total)
 
 
-# -- cross-invariant checks -------------------------------------------------------
+# -- cross-invariant checks and the check suites -----------------------------------
+
+
+# n -> the printed closed forms of that rank, with the kind each one gives
+_PRINTED = {
+    2: (("E2", InvariantKind.E), ("H2", InvariantKind.HQT)),
+    3: (("H3", InvariantKind.HQT), ("PP3", InvariantKind.PP)),
+}
+
+
+def _closed_form_unsupported(n: int, g: int) -> str | None:
+    if n not in _PRINTED or g < 1:
+        ranks = " and ".join(f"n = {k}" for k in _PRINTED)
+        return f"closed forms are printed only for {ranks}, at g >= 1"
+    return None
 
 
 def closed_form_checks(n: int, g: int, *, cache=None) -> CheckReport:
-    """Compare extracted invariants against every printed closed form for n."""
-    if n == 2:
-        printed = (("E2", InvariantKind.E), ("H2", InvariantKind.HQT))
-    elif n == 3:
-        printed = (("H3", InvariantKind.HQT), ("PP3", InvariantKind.PP))
-    else:
-        raise KindMismatch(f"no printed closed forms for n = {n}")
+    """Compare extracted invariants against every printed closed form for n (n in _PRINTED)."""
     detail = "extraction equals the printed closed form"
     report = CheckReport()
-    for which, kind in printed:
+    for which, kind in _PRINTED[n]:
         poly = compute_invariant(kind, n, g, cache=cache).polynomial
         form = closed_form(which, g).as_polynomial()
         report.add(f"closed_form_{which}", _poly_equal_entry(poly, form, detail))
@@ -624,13 +590,21 @@ def specialization_checks(n: int, g: int, *, cache=None) -> CheckReport:
             _poly_equal_entry(specialize_invariant(hxy, "xy_to_qt"), hqt.polynomial),
         )
         pp = compute_invariant(InvariantKind.PP, n, g, cache=cache)
-        report.add(
-            "pure_vs_extract",
-            _poly_equal_entry(
-                specialize_invariant(hqt, "pure_extract"), pp.polynomial
-            ),
-        )
+        report.add("pure_vs_extract", _pure_vs_extract(hqt, pp))
     return report
+
+
+def pure_part_checks(n: int, g: int, *, cache=None) -> CheckReport:
+    """The checks attached to PP_n, and PP_n against the pure extract of H_n."""
+    pp = compute_invariant(InvariantKind.PP, n, g, cache=cache)
+    hqt = compute_invariant(InvariantKind.HQT, n, g, cache=cache)
+    report = CheckReport(dict(pp.checks.entries))
+    report.add("pure_vs_extract", _pure_vs_extract(hqt, pp))
+    return report
+
+
+def _pure_vs_extract(hqt: InvariantResult, pp: InvariantResult) -> CheckEntry:
+    return _poly_equal_entry(specialize_invariant(hqt, "pure_extract"), pp.polynomial)
 
 
 def _poly_equal_entry(a: SparsePoly, b: SparsePoly, detail="exact match") -> CheckEntry:
@@ -642,33 +616,47 @@ def _poly_equal_entry(a: SparsePoly, b: SparsePoly, detail="exact match") -> Che
     return CheckEntry(False, witness=f"difference has coefficient {c} at {mono}")
 
 
-def run_check(name: str, n: int, g: int, *, cache=None) -> CheckReport:
-    """Dispatch a named check suite entry for (n, g)."""
-    if name == "duality":
-        r = compute_invariant(InvariantKind.HQT, n, g, cache=cache)
-        return attached_checks(InvariantKind.HQT, n, g, r.polynomial)
-    if name == "euler":
-        r = compute_invariant(InvariantKind.E, n, g, cache=cache)
-        report = CheckReport()
-        report.add("euler", euler_entry(n, g, r.polynomial))
-        return report
-    if name == "closed_form_match":
-        return closed_form_checks(n, g, cache=cache)
-    if name == "specialization_match":
-        return specialization_checks(n, g, cache=cache)
-    if name == "pp_properties":
-        r = compute_invariant(InvariantKind.PP, n, g, cache=cache)
-        report = CheckReport()
-        report.add("pp_properties", pp_properties_entry(n, g, r.polynomial))
-        hqt = compute_invariant(InvariantKind.HQT, n, g, cache=cache)
-        report.add(
-            "pure_vs_extract",
-            _poly_equal_entry(
-                specialize_invariant(hqt, "pure_extract"), r.polynomial
-            ),
-        )
-        return report
-    raise KindMismatch(f"unknown check {name!r}")
+def _attached(kind: InvariantKind, name: str | None = None):
+    """A suite made of the checks attached to one kind's result (all, or one entry)."""
+
+    def checks(n: int, g: int, *, cache=None) -> CheckReport:
+        entries = compute_invariant(kind, n, g, cache=cache).checks.entries
+        return CheckReport({name: entries[name]} if name else dict(entries))
+
+    return checks
+
+
+# suite -> (its checks at (n, g), the reason it does not apply at (n, g) or None)
+SUITES = {
+    "duality": (_attached(InvariantKind.HQT), lambda n, g: None),
+    "euler": (_attached(InvariantKind.E, "euler"), _euler_unsupported),
+    "specialization": (specialization_checks, lambda n, g: None),
+    "closedform": (closed_form_checks, _closed_form_unsupported),
+    "pp": (pure_part_checks, lambda n, g: None),
+}
+
+
+def run_check(suite: str, n: int, g: int, *, cache=None) -> CheckReport:
+    """Run one check suite of SUITES at (n, g), or every suite that applies ("all").
+
+    duality, euler and the pp_properties entry are read from the reports
+    attached to the computed (or cache-served) results.  A named suite that
+    does not apply at (n, g) raises UnsupportedGenus; an unknown name raises
+    KindMismatch.
+    """
+    if suite == "all":
+        names = [name for name, (_, unsupported) in SUITES.items() if not unsupported(n, g)]
+    elif suite in SUITES:
+        reason = SUITES[suite][1](n, g)
+        if reason:
+            raise UnsupportedGenus(reason)
+        names = [suite]
+    else:
+        raise KindMismatch(f"unknown check {suite!r}")
+    report = CheckReport()
+    for name in names:
+        report.merge(SUITES[name][0](n, g, cache=cache))
+    return report
 
 
 # -- canonical documents and the disk cache ----------------------------------------

@@ -1,5 +1,6 @@
 """Cyclotomic arithmetic, Dixon character tables, and Frobenius sums."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from charvar.groups import (
     matrix_group_from_elements,
     tuple_count,
 )
+from charvar.invariants import document_bytes
 
 
 class TestCyclotomic:
@@ -162,3 +164,22 @@ class TestStretchTarget:
                 assert tuple_count(gl25, g, xi) == frobenius_sums(
                     table, g, xi
                 ).tuple_prediction
+
+
+# SHA-256 of the canonical JSON table document of each group, so a change to
+# the Dixon splitting (the characteristic polynomial, the eigenspaces, the lift)
+# must reproduce every table byte for byte.
+TABLE_DIGESTS = {
+    ("SL", 3): "fb5a788cb88a4cce86ac1db13279a02b12d2f8c0a5a7a01af0187986d67e1860",
+    ("GL", 3): "0cb8f74844204f7462feb6c9fef9d56b7bd23b9db87f250735810baec3a046d5",
+    ("SL", 5): "bd7234a02597895bdfdf5f31eb31fc43efbfe04c77ae9eb7a6d63a8b74c0eac1",
+    ("GL", 5): "089bae970f8864bb365e5ac96abc71d053ab398a933fc512e0f3bb9bf5c5e0f5",
+    ("SL", 7): "c977dca7b99949cb7d8748d6ba4c4ab0e0559c66d758d1a83035f40decee7e3b",
+}
+
+
+@pytest.mark.parametrize("family,q", sorted(TABLE_DIGESTS))
+def test_table_document_matches_golden_digest(family, q):
+    table = character_table(build_group(family, 2, q))
+    digest = hashlib.sha256(document_bytes(table.to_json_document())).hexdigest()
+    assert digest == TABLE_DIGESTS[family, q]

@@ -351,7 +351,7 @@ class TestCache:
 
     def test_all_suite_loads_each_kind_once(self, capsys, monkeypatch):
         """Memo hits compare bytes: one load per kind and one check run per
-        computed result, plus the duality suite's own run."""
+        computed result; the suites read the attached reports."""
         from charvar import invariants
 
         counts = {"load": 0, "checks": 0}
@@ -371,7 +371,7 @@ class TestCache:
         )
         clear_memo()
         assert run(capsys, "check", "--suite", "all", "--n", "2", "--g", "2")[0] == 0
-        assert counts == {"load": 4, "checks": 5}
+        assert counts == {"load": 4, "checks": 4}
 
     def test_cache_dir_flag_overrides_env(self, capsys, tmp_path):
         other = tmp_path / "other-cache"

@@ -6,10 +6,10 @@ They pin the canonical output, so a change to the hook terms, the layer
 extraction or the normalizations must reproduce every document byte for byte.
 Hxy at n = 4, g = 2 is pinned on its own: its three-variable exact divisions
 are the largest the tests run.  So is Hqt at n = 5, g = 3, the one case where
-hook terms and products run at partition size 5.  The JSON output of
-``charvar check --suite all`` is pinned too, at three (n, g), so that a change
-to how the checks are assembled must reproduce every entry, detail and
-witness.
+hook terms and products run at partition size 5.  The JSON output and
+exit code of ``charvar check`` are pinned too, for every suite at six (n, g),
+so that a change to how the checks are assembled must reproduce every entry,
+detail and witness, and refuse the same suites.
 """
 
 import hashlib
@@ -112,17 +112,59 @@ def test_hqt_5_3_matches_golden_digest():
     assert hashlib.sha256(document_bytes(document)).hexdigest() == HQT_5_3
 
 
-CHECK_ALL = {
-    (2, 2): "90ca076d924f7389b714644de45ca9ad2f02ea6d30ffcd787256aceae7e544d8",
-    (3, 2): "ba65f79bdf982538b11210132786f9794bf7752b2dd1593e7735590e3aaf6f49",
-    (2, 0): "38f9e05f6d2fc338ba756e834829a57907a98a3454afe7965187acefaaa24a01",
+NO_OUTPUT = hashlib.sha256(b"").hexdigest()
+
+# (suite, n, g) -> (exit code, digest of stdout) of
+# ``charvar check --suite <suite> --n <n> --g <g> --format json``.
+CHECK_SUITES = {
+    ("duality", 1, 3): (0, "cee3865e726ce4147e8bfacf2f8d3f02aa4e51d04f0b47a207251012a286a15e"),
+    ("duality", 2, 0): (0, "b6cb74d23dfcb7b3c9e19b40e869850417d1f80915f1005e9c22c4c69f608b09"),
+    ("duality", 2, 1): (0, "5100c62e06b24ff5fdecb1a69a7f004f25163e6a6c9fd621192bd17fd27029c8"),
+    ("duality", 2, 2): (0, "dcc9d3f9b5134c0e80c286e363dab637a0c1fa5b73c73689c5dd33efee500775"),
+    ("duality", 3, 2): (0, "9fb98df7875e92c0095aac2349c3c6ca2c3448498084c6dbe404898353a5ef3c"),
+    ("duality", 4, 2): (0, "69c62a223bd58f8fe4344ff2e1001f85a548a052cf8a14009de8a080c716ea48"),
+    ("euler", 1, 3): (0, "614e79864341b17a79e434b89ce2bc067f236af5db209ce5d778aa1d9510b97e"),
+    ("euler", 2, 0): (2, NO_OUTPUT),
+    ("euler", 2, 1): (2, NO_OUTPUT),
+    ("euler", 2, 2): (0, "abdf7966f50419b64a25ac0c4bf21fedd41f0cbfc9a4bed3bae84cc4f8fbaddf"),
+    ("euler", 3, 2): (0, "2fb4c9ace57da34c8b2677ddfabc2ee02f1296292c0ff6960e79a33d35094701"),
+    ("euler", 4, 2): (0, "ef04c00753b1719b8caa2cc1d947303bba5f10c50aa3f6ad8d8d6e7bfc6b02ca"),
+    ("specialization", 1, 3): (0, "93cda9ce9fe72c96628af2b0b6863295b2a2c1c4161febb4156ff3fef1ef4aa8"),
+    ("specialization", 2, 0): (0, "0950d0204ff6860876951b5b74bab190940ea2192ec9ce6883c1290ce5261afe"),
+    ("specialization", 2, 1): (0, "cb252fb6789a253ec7136116e1abf9cfabe1895acd7e2b9c358cc189d7bf3014"),
+    ("specialization", 2, 2): (0, "85e1eddad37553980c94c7a31115ae73424b34113ad37fdd9b71fd4615a51b07"),
+    ("specialization", 3, 2): (0, "41f1d6fdc4537f5782af7fed2ce26c5cf92fc3900afd9ba379dcc0665e5e5bca"),
+    ("specialization", 4, 2): (0, "cdac2a066fe1b3ca50ecb36697d25207e6117d36e4e548bfd90b1340fa9574e5"),
+    ("closedform", 1, 3): (2, NO_OUTPUT),
+    ("closedform", 2, 0): (2, NO_OUTPUT),
+    ("closedform", 2, 1): (0, "02fdad4ef34dcdff8b8602592372a9a9d477885d63acf65acc2849f96b62c07d"),
+    ("closedform", 2, 2): (0, "aa9dd0dd6b416ca174bb21b4b9916690c9cf885049cebc8a3caa8d178d8609f8"),
+    ("closedform", 3, 2): (0, "0a212d81fde5833a2ad6045fee39c01ec7609c12d0f523fb84a3c724ca15c171"),
+    ("closedform", 4, 2): (2, NO_OUTPUT),
+    ("pp", 1, 3): (0, "8308c129c4f59f3ef5335a8b5aeaba808f0cb7e9168a746df718fa35e93d8712"),
+    ("pp", 2, 0): (0, "3d94499b9037f64388bc2cace48f0367d134bb20fb57ba15c78cd8589c57baa2"),
+    ("pp", 2, 1): (0, "6b23cd8b10347f46d33b93476ae0101666aa896d4efa2967d4723b73c3281fa1"),
+    ("pp", 2, 2): (0, "e8c1175889f5c27184e97e44aed59308c916e7c4f932a575925d7ee02529d846"),
+    ("pp", 3, 2): (0, "7d10eec62402ca894062b184fca9bc16a9baccd15b48678cfe4643dc24111af9"),
+    ("pp", 4, 2): (0, "0a0d4993c8ca23b3f6eb165532fc7a1314d36e960667132fd39679f7d60138d7"),
+    ("all", 1, 3): (0, "770e116f70142497cb58e8e194fb1fad44df4d9c529291077eb9d38f9ccb64b7"),
+    ("all", 2, 0): (0, "38f9e05f6d2fc338ba756e834829a57907a98a3454afe7965187acefaaa24a01"),
+    ("all", 2, 1): (0, "a5695e359139b4f7d796bd3f8c44017e4c95cbf70dc9d893b6d7867b2291e5c2"),
+    ("all", 2, 2): (0, "90ca076d924f7389b714644de45ca9ad2f02ea6d30ffcd787256aceae7e544d8"),
+    ("all", 3, 2): (0, "ba65f79bdf982538b11210132786f9794bf7752b2dd1593e7735590e3aaf6f49"),
+    ("all", 4, 2): (0, "9dec90fe89a659859246b76d1e858a893faaf2c44f547b329f93750269a7dfe5"),
 }
+CHECK_POINTS = sorted({(n, g) for _, n, g in CHECK_SUITES})
 
 
-@pytest.mark.parametrize("n,g", sorted(CHECK_ALL))
+@pytest.mark.parametrize("n,g", CHECK_POINTS)
 def test_check_all_json_matches_golden_digest(n, g, tmp_path, capsys):
-    argv = ["check", "--suite", "all", "--n", str(n), "--g", str(g), "--format", "json"]
-    code = cli.main(argv + ["--cache-dir", str(tmp_path)])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_ALL[(n, g)]
+    """Every suite, ``all`` included, at (n, g): exit code and JSON output."""
+    expected = {s: v for (s, *point), v in CHECK_SUITES.items() if point == [n, g]}
+    got = {}
+    for suite in expected:
+        argv = ["check", "--suite", suite, "--n", str(n), "--g", str(g), "--format", "json"]
+        code = cli.main(argv + ["--cache-dir", str(tmp_path)])
+        out = capsys.readouterr().out
+        got[suite] = (code, hashlib.sha256(out.encode()).hexdigest())
+    assert got == expected

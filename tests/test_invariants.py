@@ -9,6 +9,7 @@ from charvar.errors import KindMismatch, UnsupportedGenus
 from charvar.invariants import (
     InvariantCache,
     InvariantKind,
+    attached_checks,
     closed_form,
     compute_invariant,
     curious_duality_entry,
@@ -182,6 +183,29 @@ class TestChecks:
         assert not result.passed
         assert result.witness == witness
 
+    # At n = 2, g = 2 the top degree is 6 for E and Hqt and 4 for PP.
+    @pytest.mark.parametrize(
+        "kind,terms,name,witness",
+        [
+            ("E", {(0,): 1, (8,): 1}, "degrees", "q-degree 8, coefficient 0 at q^6"),
+            ("E", {(0,): 1, (6,): 2}, "degrees", "q-degree 6, coefficient 2 at q^6"),
+            (
+                "Hqt", {(0, 0): 1, (6, 7): 1}, "degrees",
+                "q-degree 6, t-degree 7, coefficient 0 at (qt)^6",
+            ),
+            ("PP", {(0,): 1, (6,): 1}, "pp_properties", "t-degree 6, coefficient 0 at t^4"),
+            ("PP", {(0,): 1, (4,): 3}, "pp_properties", "t-degree 4, coefficient 3 at t^4"),
+            ("PP", {(0,): 1, (2,): -1, (4,): 1}, "pp_properties", "coefficient -1 at t^2"),
+        ],
+        ids=["E-degree", "E-monic", "Hqt-degree", "PP-degree", "PP-monic", "PP-negative"],
+    )
+    def test_top_degree_witness(self, kind, terms, name, witness):
+        kind = parse_kind(kind)
+        poly = SparsePoly(kind.flavor.variables, terms)
+        entry = attached_checks(kind, 2, 2, poly).entries[name]
+        assert not entry.passed
+        assert entry.witness == witness
+
     def test_euler_at_2_3(self):
         report = run_check("euler", 2, 3)
         entry = report.entries["euler"]
@@ -189,12 +213,24 @@ class TestChecks:
 
     @pytest.mark.parametrize("n,g", [(2, 2), (2, 3), (3, 2)])
     def test_suites_pass(self, n, g):
-        for suite in ("duality", "specialization_match", "closed_form_match", "pp_properties"):
+        for suite in ("duality", "specialization", "closedform", "pp"):
             assert run_check(suite, n, g).all_passed, (suite, n, g)
 
     def test_unknown_suite(self):
         with pytest.raises(KindMismatch):
             run_check("bogus", 2, 2)
+
+    @pytest.mark.parametrize(
+        "suite,n,g,entry",
+        [("euler", 2, 1, "euler"), ("closedform", 4, 2, "closed_form"),
+         ("closedform", 2, 0, "closed_form")],
+    )
+    def test_suite_that_does_not_apply(self, suite, n, g, entry):
+        """A named suite raises; "all" leaves it out."""
+        with pytest.raises(UnsupportedGenus):
+            run_check(suite, n, g)
+        names = run_check("all", n, g).entries
+        assert names and not [name for name in names if name.startswith(entry)]
 
 
 class TestCrossInvariantIdentities:
