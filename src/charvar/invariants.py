@@ -9,11 +9,12 @@ functions (see charvar.series):
   PP   pure-part Poincare polynomial PP_n(t)
 
 None of the implemented formulas depend on the coprime twisting degree, so no
-degree label appears in any signature.  Each computed result carries a
-CheckReport with the self-contained conjecture checks for its kind (degrees,
-positivity, curious duality, Euler characteristic, ...).  The check suites are
-one table, SUITES (see run_check); the duality, euler and pp suites read the
-attached reports, the cross-invariant checks trigger further computations.
+degree label appears in any signature.  A result is (kind, n, g, polynomial)
+and derives the rest: 2N and a CheckReport with the self-contained conjecture
+checks for its kind (degrees, positivity, curious duality, Euler characteristic,
+...).  The check suites are one table, SUITES (see run_check); the duality,
+euler and pp suites read the attached reports, the cross-invariant checks
+trigger further computations.
 
 Results are memoized in-process and can additionally be cached on disk as
 canonical JSON documents (one per (kind, n, g)).  A cache hit has one rule: the
@@ -117,14 +118,19 @@ class CheckReport:
 
 @dataclass(frozen=True)
 class InvariantResult:
-    """A computed invariant plus its metadata and attached check report."""
+    """A computed invariant; its dimension and attached check report derive from it."""
 
     kind: InvariantKind
     n: int
     g: int
     polynomial: SparsePoly
-    dimension: int  # dimension_2n(kind, n, g)
-    checks: CheckReport
+    dimension: int = field(init=False)  # dimension_2n(kind, n, g)
+    checks: CheckReport = field(init=False)  # attached_checks(kind, n, g, polynomial)
+
+    def __post_init__(self):  # module-level names, looked up at call time
+        kind, n, g = self.kind, self.n, self.g
+        object.__setattr__(self, "dimension", dimension_2n(kind, n, g))
+        object.__setattr__(self, "checks", attached_checks(kind, n, g, self.polynomial))
 
     @functools.cached_property
     def canonical_bytes(self) -> bytes:
@@ -208,9 +214,7 @@ def compute_invariant(kind, n: int, g: int, *, cache=None) -> InvariantResult:
                 _result_memo.setdefault(key, stored)
             return stored
     layer = _layers(kind.flavor, g, n)[n - 1]
-    poly = invariant_from_layer(kind.flavor, n, g, layer)
-    report = attached_checks(kind, n, g, poly)
-    result = InvariantResult(kind, n, g, poly, dimension_2n(kind, n, g), report)
+    result = InvariantResult(kind, n, g, invariant_from_layer(kind.flavor, n, g, layer))
     with _memo_lock:
         _result_memo.setdefault(key, result)
     if cache is not None:
@@ -221,18 +225,23 @@ def compute_invariant(kind, n: int, g: int, *, cache=None) -> InvariantResult:
 # -- individual checks ---------------------------------------------------------
 
 
+def _pairing_entry(poly: SparsePoly, partner, detail: str) -> CheckEntry:
+    """The coefficient at every exponent e equals the one at partner(e).  The witness
+    is the graded-lex lowest failing e, each monomial as v^k over poly.vars joined by '*'."""
+    terms = poly.terms
+    bad = [e for e, c in terms.items() if terms.get(partner(e), 0) != c]
+    if not bad:
+        return CheckEntry(True, detail=detail)
+    e = min(bad, key=_gl_key)
+    dual = partner(e)
+    at, at2 = ("*".join(f"{v}^{k}" for v, k in zip(poly.vars, x)) for x in (e, dual))
+    witness = f"coefficient {terms[e]} at {at} vs {terms.get(dual, 0)} at {at2}"
+    return CheckEntry(False, witness=witness)
+
+
 def palindrome_entry(poly: SparsePoly, two_n: int) -> CheckEntry:
     """q^{2N} * f(1/q) == f(q), coefficientwise."""
-    terms = poly.terms
-    bad = [e for e, c in terms.items() if terms.get((two_n - e[0],), 0) != c]
-    if bad:
-        (a,) = min(bad, key=_gl_key)
-        c, c2 = terms[(a,)], terms.get((two_n - a,), 0)
-        return CheckEntry(
-            False,
-            witness=f"coefficient {c} at q^{a} vs {c2} at q^{two_n - a}",
-        )
-    return CheckEntry(True, detail=f"palindromic about q^{two_n}/2")
+    return _pairing_entry(poly, lambda e: (two_n - e[0],), f"palindromic about q^{two_n}/2")
 
 
 def curious_duality_entry(poly: SparsePoly, big_n: int) -> CheckEntry:
@@ -242,20 +251,9 @@ def curious_duality_entry(poly: SparsePoly, big_n: int) -> CheckEntry:
     reflecting the q-exponent about N shifts the t-exponent by twice as much,
     which is the coefficient shadow of the hard-Lefschetz-type pairing.
     """
-    terms = poly.terms
-    bad = [
-        (a, b) for (a, b), c in terms.items()
-        if terms.get((2 * big_n - a, b + 2 * (big_n - a)), 0) != c
-    ]
-    if bad:
-        a, b = min(bad, key=_gl_key)
-        dual = (2 * big_n - a, b + 2 * (big_n - a))
-        c, c2 = terms[(a, b)], terms.get(dual, 0)
-        return CheckEntry(
-            False,
-            witness=f"coefficient {c} at q^{a}*t^{b} vs {c2} at q^{dual[0]}*t^{dual[1]}",
-        )
-    return CheckEntry(True, detail=f"curious duality with N={big_n}")
+    return _pairing_entry(
+        poly, lambda e: (2 * big_n - e[0], e[1] + 2 * (big_n - e[0])),
+        f"curious duality with N={big_n}")
 
 
 def _top_degree_entry(poly: SparsePoly, d: int, detail: str, mono: str) -> CheckEntry:
@@ -290,15 +288,8 @@ def euler_entry(n: int, g: int, poly: SparsePoly) -> CheckEntry:
 
 def xy_symmetry_entry(poly: SparsePoly) -> CheckEntry:
     """H_n(1,x,y) is symmetric under swapping x and y."""
-    terms = poly.specialize({"q": 1}).terms
-    bad = [(a, b) for (a, b), c in terms.items() if terms.get((b, a), 0) != c]
-    if bad:
-        a, b = min(bad, key=_gl_key)
-        c, c2 = terms[(a, b)], terms.get((b, a), 0)
-        return CheckEntry(
-            False, witness=f"coefficient {c} at x^{a}*y^{b} vs {c2} at x^{b}*y^{a}"
-        )
-    return CheckEntry(True, detail="x<->y symmetric at q=1")
+    return _pairing_entry(
+        poly.specialize({"q": 1}), lambda e: (e[1], e[0]), "x<->y symmetric at q=1")
 
 
 def _euler_unsupported(n: int, g: int) -> str | None:
@@ -359,23 +350,7 @@ def specialize_invariant(result: InvariantResult, target: str) -> SparsePoly:
     poly = result.polynomial
     if assignment is None:
         return SparsePoly(variables, {(b,): c for (a, b), c in poly.terms.items() if b == 2 * a})
-    return _as_poly_in_context(poly.specialize(assignment), variables)
-
-
-def _as_poly_in_context(value, variables):
-    """Scalars come back from full specialization; re-wrap in the target context."""
-    if isinstance(value, SparsePoly):
-        if value.vars == variables:
-            return value
-        # a specialization may collapse to fewer variables (e.g. H_1 = 1)
-        out = {}
-        for e, c in value.terms.items():
-            new = [0] * len(variables)
-            for v, k in zip(value.vars, e):
-                new[variables.index(v)] = k
-            out[tuple(new)] = c
-        return SparsePoly(variables, out)
-    return SparsePoly.constant(variables, value)
+    return poly.specialize(assignment)  # every target keeps a variable: never a scalar
 
 
 # -- printed closed forms --------------------------------------------------------
@@ -394,29 +369,13 @@ def closed_form(which: str, g: int, n: int | None = None) -> FactoredFraction:
     (1 - q^3 t^6) = (1 - q t^2)(q^2 t^4 + q t^2 + 1) so that denominators stay
     binomial; the values are unchanged.
     """
-    if which == "E2":
-        _want_genus(g, 1, which)
-        return _closed_e2(g)
-    if which == "H2":
-        _want_genus(g, 1, which)
-        return _closed_h2(g)
-    if which == "H3":
-        _want_genus(g, 1, which)
-        return _closed_h3(g)
-    if which == "PP3":
-        _want_genus(g, 1, which)
-        return _closed_pp3(g)
-    if which == "ygenus":
-        _want_genus(g, 2, which)
-        if n is None:
-            raise ValueError("ygenus closed form needs n")
-        return _closed_ygenus(n, g)
-    raise KindMismatch(f"unknown closed form {which!r}")
-
-
-def _want_genus(g, minimum, which):
+    build = _CLOSED_FORMS.get(which)
+    if build is None:
+        raise KindMismatch(f"unknown closed form {which!r}")
+    minimum = 2 if which == "ygenus" else 1
     if g < minimum:
         raise UnsupportedGenus(f"closed form {which} wants g >= {minimum}, got {g}")
+    return build(g, n) if which == "ygenus" else build(g)
 
 
 def _closed_e2(g) -> FactoredFraction:
@@ -523,7 +482,9 @@ def _closed_pp3(g) -> FactoredFraction:
     return frac_sum(terms, _T)
 
 
-def _closed_ygenus(n: int, g: int) -> FactoredFraction:
+def _closed_ygenus(g: int, n: int | None) -> FactoredFraction:
+    if n is None:
+        raise ValueError("ygenus closed form needs n")
     yvars = ("y",)
     front = SparsePoly(yvars, {(k,): (-1) ** k for k in range(n)}) ** (g - 1)
     total = SparsePoly.zero(yvars)
@@ -539,6 +500,16 @@ def _closed_ygenus(n: int, g: int) -> FactoredFraction:
             inner = inner * SparsePoly(yvars, {(0,): 1, (m * i,): -((-1) ** (m * i))}) ** 2
         total = total + (front * inner ** (g - 1)).scale(Fraction(mu, m))
     return FactoredFraction.from_poly(total)
+
+
+# closed form -> its builder, called with g (and n, for ygenus)
+_CLOSED_FORMS = {
+    "E2": _closed_e2,
+    "H2": _closed_h2,
+    "H3": _closed_h3,
+    "PP3": _closed_pp3,
+    "ygenus": _closed_ygenus,
+}
 
 
 # -- cross-invariant checks and the check suites -----------------------------------
@@ -575,7 +546,7 @@ def closed_form_checks(n: int, g: int, *, cache=None) -> CheckReport:
 
 
 def specialization_checks(n: int, g: int, *, cache=None) -> CheckReport:
-    """Cross-kind consistency: Hqt(t=-1)=E, and for n <= 3 Hxy(t,t)=Hqt, pure extract = PP."""
+    """Cross-kind consistency: Hqt(t=-1) = E, and for n <= 3 Hxy(t,t) = Hqt."""
     report = CheckReport()
     hqt = compute_invariant(InvariantKind.HQT, n, g, cache=cache)
     e = compute_invariant(InvariantKind.E, n, g, cache=cache)
@@ -589,8 +560,6 @@ def specialization_checks(n: int, g: int, *, cache=None) -> CheckReport:
             "xy_to_qt_match",
             _poly_equal_entry(specialize_invariant(hxy, "xy_to_qt"), hqt.polynomial),
         )
-        pp = compute_invariant(InvariantKind.PP, n, g, cache=cache)
-        report.add("pure_vs_extract", _pure_vs_extract(hqt, pp))
     return report
 
 
@@ -599,12 +568,9 @@ def pure_part_checks(n: int, g: int, *, cache=None) -> CheckReport:
     pp = compute_invariant(InvariantKind.PP, n, g, cache=cache)
     hqt = compute_invariant(InvariantKind.HQT, n, g, cache=cache)
     report = CheckReport(dict(pp.checks.entries))
-    report.add("pure_vs_extract", _pure_vs_extract(hqt, pp))
+    extract = specialize_invariant(hqt, "pure_extract")
+    report.add("pure_vs_extract", _poly_equal_entry(extract, pp.polynomial))
     return report
-
-
-def _pure_vs_extract(hqt: InvariantResult, pp: InvariantResult) -> CheckEntry:
-    return _poly_equal_entry(specialize_invariant(hqt, "pure_extract"), pp.polynomial)
 
 
 def _poly_equal_entry(a: SparsePoly, b: SparsePoly, detail="exact match") -> CheckEntry:
@@ -724,9 +690,7 @@ class InvariantCache:
             if doc.get("version") != DOCUMENT_VERSION:
                 return None  # stale format: treat as a miss and recompute
             terms = {tuple(map(int, t["e"])): int(t["c"]) for t in doc["terms"]}
-            poly = SparsePoly(kind.flavor.variables, terms)
-            result = InvariantResult(kind, n, g, poly, dimension_2n(kind, n, g),
-                                     attached_checks(kind, n, g, poly))
+            result = InvariantResult(kind, n, g, SparsePoly(kind.flavor.variables, terms))
             if result.canonical_bytes == raw:
                 return result
             reason = f"it is not the canonical {kind.value} n={n} g={g} document of its terms"

@@ -688,24 +688,33 @@ def _fold_factor(num: SparsePoly, den: dict, p: SparsePoly, power: int) -> Spars
 
 
 class FactoredFraction:
-    """numerator / product of binomial factors, with opportunistic cancellation.
+    """numerator / product of binomial factors, reduced by construction.
 
-    The denominator is a multiset {BinomialFactor: multiplicity}.  After
-    construction no denominator factor exactly divides the numerator; the
+    The denominator is a multiset {BinomialFactor: multiplicity}.  Every
+    fraction is reduced: no denominator factor exactly divides the numerator
+    (the constructor cancels; _reduced builds what is reduced already).  The
     canonical zero has a zero numerator and an empty denominator.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: SparsePoly, den=None, *, cancel=True):
+    def __init__(self, num: SparsePoly, den=None):
         if den is None:
             den = {}
         if num.is_zero():
             den = {}
-        elif cancel and den:
+        elif den:
             num, den = _cancel(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", dict(den))
+
+    @classmethod
+    def _reduced(cls, num: SparsePoly, den):
+        """Build without cancelling: num / den must be reduced, with den empty if num is 0."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", dict(den))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("FactoredFraction is immutable")
@@ -716,15 +725,15 @@ class FactoredFraction:
 
     @classmethod
     def from_poly(cls, p: SparsePoly):
-        return cls(p, {}, cancel=False)
+        return cls._reduced(p, {})
 
     @classmethod
     def one(cls, variables):
-        return cls(SparsePoly.one(variables), {}, cancel=False)
+        return cls._reduced(SparsePoly.one(variables), {})
 
     @classmethod
     def zero(cls, variables):
-        return cls(SparsePoly.zero(variables), {}, cancel=False)
+        return cls._reduced(SparsePoly.zero(variables), {})
 
     def is_zero(self):
         return self.num.is_zero()
@@ -735,22 +744,20 @@ class FactoredFraction:
             sorted(self.den.items(), key=lambda fm: fm[0].sort_key())
         )
 
-    def _check_context(self, other):
-        if self.vars != other.vars:
-            raise ContextError(f"context mismatch: {self.vars} vs {other.vars}")
-
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = FactoredFraction.from_poly(SparsePoly.constant(self.vars, other))
-        self._check_context(other)
+        self.num._check_context(other.num)
         return frac_sum([self, other], self.vars)
 
     __radd__ = __add__
 
+    # negation, a nonzero scale and a monomial shift keep a fraction reduced
+
     def __neg__(self):
-        return FactoredFraction(-self.num, self.den, cancel=False)
+        return FactoredFraction._reduced(-self.num, self.den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -762,7 +769,7 @@ class FactoredFraction:
             return self.scale(other)
         if isinstance(other, SparsePoly):
             return FactoredFraction(self.num * other, self.den)
-        self._check_context(other)
+        self.num._check_context(other.num)
         den = dict(self.den)
         for f, m in other.den.items():
             den[f] = den.get(f, 0) + m
@@ -773,10 +780,10 @@ class FactoredFraction:
     def scale(self, c):
         if not c:
             return FactoredFraction.zero(self.vars)
-        return FactoredFraction(self.num.scale(c), self.den, cancel=False)
+        return FactoredFraction._reduced(self.num.scale(c), self.den)
 
     def shift(self, exps):
-        return FactoredFraction(self.num.shift(exps), self.den, cancel=False)
+        return FactoredFraction._reduced(self.num.shift(exps), self.den)
 
     def divided_by_poly(self, p: SparsePoly, power: int = 1):
         """Divide by p^power where p normalizes to a binomial factor."""
@@ -802,7 +809,7 @@ class FactoredFraction:
             other = FactoredFraction.from_poly(SparsePoly.constant(self.vars, other))
         elif isinstance(other, SparsePoly):
             other = FactoredFraction.from_poly(other)
-        self._check_context(other)
+        self.num._check_context(other.num)
         common = _common_denominator([self, other])
         return _lift_numerator(self, common) == _lift_numerator(other, common)
 
@@ -817,47 +824,38 @@ class FactoredFraction:
     # -- conversions ------------------------------------------------------
 
     def as_polynomial(self) -> SparsePoly:
-        """Divide out the whole denominator, or raise NotPolynomial."""
-        num = self.num
-        for f, m in self.denominator_factors():
-            fp = f.as_poly()
-            for _ in range(m):
-                q = _try_divide(num, fp)
-                if q is None:
-                    raise NotPolynomial(
-                        f"denominator factor ({poly_text(fp)}) does not divide "
-                        f"the numerator",
-                        factor=fp,
-                    )
-                num = q
-        return num
+        """The numerator when the denominator is empty, else NotPolynomial.
+
+        A fraction is reduced, so no denominator factor divides the numerator.
+        """
+        if not self.den:
+            return self.num
+        fp = self.denominator_factors()[0][0].as_poly()
+        raise NotPolynomial(
+            f"denominator factor ({poly_text(fp)}) does not divide the numerator",
+            factor=fp,
+        )
 
     def specialize(self, assignment):
         """Specialize variables; denominator factors must stay nonzero."""
         num = self.num.specialize(assignment)
         if not isinstance(num, SparsePoly):
-            num = SparsePoly.constant((), num) if num else SparsePoly.zero(())
-        out = FactoredFraction(num, {}, cancel=False)
+            num = SparsePoly.constant((), num)
+        den = {}
         for f, m in self.denominator_factors():
             fp = f.as_poly().specialize(assignment)
             if not isinstance(fp, SparsePoly):
-                if fp == 0:
-                    raise ZeroDivisionError(
-                        f"denominator factor {f!r} vanishes under {assignment}"
-                    )
-                out = out.scale(Fraction(1, 1) / Fraction(fp) ** m)
-            elif fp.is_zero():
+                fp = SparsePoly.constant((), fp)
+            if fp.is_zero():
                 raise ZeroDivisionError(
                     f"denominator factor {f!r} vanishes under {assignment}"
                 )
-            elif len(fp.terms) == 1:
+            if len(fp.terms) == 1:
                 ((e, c),) = fp.terms.items()
-                out = out.shift(tuple(-m * k for k in e))
-                if c != 1:
-                    out = out.scale(Fraction(1, 1) / Fraction(c) ** m)
+                num = num.shift(tuple(-m * k for k in e)).scale(Fraction(1) / Fraction(c) ** m)
             else:
-                out = out.divided_by_poly(fp, m)
-        return out
+                num = _fold_factor(num, den, fp, m)
+        return FactoredFraction(num, den)
 
     def __repr__(self):
         den = " * ".join(
@@ -870,7 +868,12 @@ class FactoredFraction:
 
 
 def _cancel(num, den):
-    """Divide out every denominator factor that exactly divides num."""
+    """Divide out every denominator factor that exactly divides num.
+
+    Afterwards no factor left in the denominator divides the numerator: a
+    factor that failed still fails after later divisions, because each later
+    quotient divides the numerator it came from.
+    """
     out = {}
     for f, m in sorted(den.items(), key=lambda fm: fm[0].sort_key()):
         fp = None

@@ -129,11 +129,11 @@ CHECK_SUITES = {
     ("euler", 2, 2): (0, "abdf7966f50419b64a25ac0c4bf21fedd41f0cbfc9a4bed3bae84cc4f8fbaddf"),
     ("euler", 3, 2): (0, "2fb4c9ace57da34c8b2677ddfabc2ee02f1296292c0ff6960e79a33d35094701"),
     ("euler", 4, 2): (0, "ef04c00753b1719b8caa2cc1d947303bba5f10c50aa3f6ad8d8d6e7bfc6b02ca"),
-    ("specialization", 1, 3): (0, "93cda9ce9fe72c96628af2b0b6863295b2a2c1c4161febb4156ff3fef1ef4aa8"),
-    ("specialization", 2, 0): (0, "0950d0204ff6860876951b5b74bab190940ea2192ec9ce6883c1290ce5261afe"),
-    ("specialization", 2, 1): (0, "cb252fb6789a253ec7136116e1abf9cfabe1895acd7e2b9c358cc189d7bf3014"),
-    ("specialization", 2, 2): (0, "85e1eddad37553980c94c7a31115ae73424b34113ad37fdd9b71fd4615a51b07"),
-    ("specialization", 3, 2): (0, "41f1d6fdc4537f5782af7fed2ce26c5cf92fc3900afd9ba379dcc0665e5e5bca"),
+    ("specialization", 1, 3): (0, "9ee664b73efc45e55b237516d3e1956bad254fe641f521b78e0be4e45cff0f82"),
+    ("specialization", 2, 0): (0, "063df05883908bc4912b6341a741707b4430c29b894336c19a23e0e78ec326a1"),
+    ("specialization", 2, 1): (0, "3adf9ffa5e7a206b0aee69a62275efa85534c3e094ccb3855eac1e0ab1161834"),
+    ("specialization", 2, 2): (0, "a202ead63a91deddec32d1db7b802cef76715a2d424e0461a1d98b2045d93711"),
+    ("specialization", 3, 2): (0, "06fa21d43baa67a5cdc2b960794a977d14ea98a6ce29791eb3d8d012f1d59223"),
     ("specialization", 4, 2): (0, "cdac2a066fe1b3ca50ecb36697d25207e6117d36e4e548bfd90b1340fa9574e5"),
     ("closedform", 1, 3): (2, NO_OUTPUT),
     ("closedform", 2, 0): (2, NO_OUTPUT),

@@ -7,6 +7,7 @@ import pytest
 from conftest import e2_g3_poly, h2_g3_poly, poincare2_g3_poly, pp2_g3_poly
 from charvar.errors import KindMismatch, UnsupportedGenus
 from charvar.invariants import (
+    _TARGETS,
     InvariantCache,
     InvariantKind,
     attached_checks,
@@ -120,6 +121,15 @@ class TestSpecializeInvariant:
         hxy = compute_invariant("hxy", 2, 2)
         hqt = compute_invariant("hqt", 2, 2)
         assert specialize_invariant(hxy, "xy_to_qt") == hqt.polynomial
+
+    @pytest.mark.parametrize("target", sorted(_TARGETS))
+    def test_every_target_returns_a_poly_in_its_variables(self, target):
+        """No target specializes every variable away, H_1 = 1 included."""
+        kind, _, variables = _TARGETS[target]
+        for n in range(1, 4):
+            for g in range(4):
+                got = specialize_invariant(compute_invariant(kind, n, g), target)
+                assert type(got) is SparsePoly and got.vars == variables, (n, g)
 
     def test_kind_mismatch(self):
         e = compute_invariant("E", 2, 3)

@@ -466,6 +466,33 @@ def test_divide_exact_decides_wide_divisors(case):
         divide_exact(a * b + m, b)
 
 
+_assignments = [{"q": 1}, {"t": -1}, {"t": 1}, {"q": 2}, {"t": "q"}, {"q": -1, "t": 2}]
+
+
+@st.composite
+def built_fractions(draw):
+    """Fractions from products, sums, divided_by_poly and specialize."""
+    out = draw(fractions())
+    for _ in range(draw(st.integers(0, 2))):
+        other = draw(fractions())
+        out = out * other if draw(st.booleans()) else out + other
+    if draw(st.booleans()):
+        try:
+            out = out.specialize(draw(st.sampled_from(_assignments)))
+        except ZeroDivisionError:
+            pass  # a denominator factor vanished there
+    return out
+
+
+@given(built_fractions())
+@settings(max_examples=100, deadline=None)
+def test_no_denominator_factor_divides_the_numerator(f):
+    """Every fraction is reduced, which is why as_polynomial needs no division."""
+    for factor, _ in f.denominator_factors():
+        with pytest.raises(NotDivisible):
+            divide_exact(f.num, factor.as_poly())
+
+
 @given(sparse_polys())
 @settings(max_examples=60, deadline=None)
 def test_as_polynomial_of_embedded_polynomial(f):

@@ -172,7 +172,7 @@ def test_continued_extraction_matches_scratch(flavor):
 def reference_adams(fr, r, flavor):
     """Reference: the numerator shifted and scaled factor by factor inside an
     empty-denominator fraction, the substituted factors merged in at the end."""
-    out = FactoredFraction(adams_poly(fr.num, r, flavor), {}, cancel=False)
+    out = FactoredFraction(adams_poly(fr.num, r, flavor), {})
     den = {}
     for f, m in fr.den.items():
         factor, shift, scale = normalize_factor(adams_poly(f.as_poly(), r, flavor))
