@@ -15,27 +15,39 @@ On top of the polynomials sits FactoredFraction: a numerator polynomial
 divided by a multiset of normalized two-term factors ("binomials" such as
 1 - q^3*t^4).  Every denominator produced by the generating functions in this
 package is a product of such factors, so exact division by binomials replaces
-general multivariate gcd computation.  Most trial divisions fail, so a
-binomial 1 + c*x^d with c = +-1 first gets a pre-test that can only reject:
-an integer numerator is evaluated modulo the prime 2^61 - 1 at a fixed point
-where x^d = -c, i.e. on the binomial's zero set.  A multiple of the binomial
-vanishes there (its quotient has integer coefficients too), so a nonzero
-value proves the division fails.  A zero value, or a numerator with a
+general multivariate gcd computation.  Most trial divisions fail, so
+``_try_divide`` gives a binomial 1 + c*x^d with c = +-1 a pre-test that can
+only reject: an integer numerator is evaluated modulo the prime 2^61 - 1 at a
+fixed point where x^d = -c, i.e. on the binomial's zero set.  A multiple of
+the binomial vanishes there (its quotient has integer coefficients too), so a
+nonzero value proves the division fails.  A zero value, or a numerator with a
 rational coefficient, gives no verdict, and the exact division decides: a
 long division whose terms are kept in buckets by one exponent that the
 binomial's direction raises, walked upward, with Laurent exponents taken as
 they are.
 
+Evaluation at a test point is a ring homomorphism from the integer Laurent
+polynomials to the integers modulo the prime, so a value is memoized on its
+polynomial and carried into the results of the operations that build
+numerators, without a pass over the result: negation, an integer scale and a
+monomial shift; a fraction product (from the values of its factors); a
+fraction sum (from the summands' values and the lifting factors' values); and
+an exact quotient by a binomial (the value divided by the binomial's value,
+wherever that is nonzero).  A value that is not known is computed by one pass
+over the terms when a pre-test asks for it.
+
 The monomial order used for canonical output, leading terms, and division is
 graded lexicographic, ascending, with the variable order of the context.
-All values are immutable after construction; every operation is a pure
-function, safe for concurrent use.
+All values are immutable after construction (a polynomial's memo of
+pre-test values only caches what its terms determine); every operation is a
+pure function, safe for concurrent use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 from heapq import heappop, heappush
 from math import gcd
 from operator import add, mul, sub
@@ -132,9 +144,13 @@ FLAVOR_PURE = Flavor(
 
 
 class SparsePoly:
-    """Immutable sparse Laurent polynomial in a fixed variable context."""
+    """Immutable sparse Laurent polynomial in a fixed variable context.
 
-    __slots__ = ("vars", "terms")
+    ``_values`` is a private memo of the pre-test's values, {point: value or
+    None}, or None before the first value (see _poly_value).
+    """
+
+    __slots__ = ("vars", "terms", "_values")
 
     def __init__(self, variables, terms=None):
         object.__setattr__(self, "vars", tuple(variables))
@@ -150,6 +166,7 @@ class SparsePoly:
                 if c:
                     clean[tuple(exps)] = c
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_values", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SparsePoly is immutable")
@@ -160,6 +177,7 @@ class SparsePoly:
         self = object.__new__(cls)
         object.__setattr__(self, "vars", variables)
         object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_values", None)
         return self
 
     @classmethod
@@ -258,7 +276,8 @@ class SparsePoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return SparsePoly._raw(self.vars, {e: -c for e, c in self.terms.items()})
+        out = SparsePoly._raw(self.vars, {e: -c for e, c in self.terms.items()})
+        return _carry(self, out, lambda pt: -1)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -304,19 +323,21 @@ class SparsePoly:
             return SparsePoly.zero(self.vars)
         if c == 1:
             return self
-        return SparsePoly._raw(
+        out = SparsePoly._raw(
             self.vars, {e: _as_coeff(v * c) for e, v in self.terms.items()}
         )
+        return _carry(self, out, lambda pt: c) if type(c) is int else out
 
     def shift(self, exps):
         """Multiply by the (Laurent) monomial with the given exponents."""
         exps = tuple(exps)
         if not any(exps):
             return self
-        return SparsePoly._raw(
+        out = SparsePoly._raw(
             self.vars,
             {tuple(map(add, e, exps)): c for e, c in self.terms.items()},
         )
+        return _carry(self, out, lambda pt: _monomial_value(exps, pt))
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -478,7 +499,16 @@ def divide_exact(num: SparsePoly, div: SparsePoly) -> SparsePoly:
 
 
 def _try_divide(num: SparsePoly, div: SparsePoly):
-    """Exact quotient as SparsePoly, or None.  Handles Laurent inputs."""
+    """Exact quotient as SparsePoly, or None.  Handles Laurent inputs.
+
+    Most trial divisions fail, so a divisor x^e0*(1 + c1*x^d) with c1 = +-1
+    first gets the pre-test: the numerator's value at the divisor's test
+    point.  A multiple Q*(1 + c1*x^d) has value 0 there: the long division
+    makes Q's coefficients integer combinations of the numerator's, so Q has
+    a value too.  A nonzero value therefore proves the division fails; a zero
+    or unknown value (a rational numerator, or no test point) proves nothing,
+    and the long division decides every success.
+    """
     if num.is_zero():
         return num
     nd = len(div.terms)
@@ -487,7 +517,13 @@ def _try_divide(num: SparsePoly, div: SparsePoly):
         inv = Fraction(1, c) if c != 1 else 1
         return num.shift(tuple(-k for k in e)).scale(inv)
     if nd == 2:
-        out = _divide_two_term(num.terms, div.terms)
+        (e0, c0), (e1, c1) = sorted(div.terms.items(), key=lambda t: _gl_key(t[0]))
+        d = tuple(map(sub, e1, e0))
+        if c0 == 1 and c1 in (1, -1):
+            pt = _test_point(d, c1)
+            if pt is not None and _poly_value(num, pt):
+                return None
+        out = _divide_two_term(num.terms, e0, c0, d, c1)
         return None if out is None else SparsePoly._raw(num.vars, out)
     # strip monomial content so graded-lex is a well-order on what remains
     shift_div = div.min_exponents()
@@ -501,31 +537,29 @@ def _try_divide(num: SparsePoly, div: SparsePoly):
     return SparsePoly._raw(num.vars, out).shift(back)
 
 
-def _divide_two_term(nterms, dterms):
-    """Quotient of a term dict by a two-term divisor, by bucketed long division.
+def _divide_two_term(nterms, e0, c0, d, c1):
+    """Quotient of a term dict by c0*x^e0 + c1*x^(e0+d), by bucketed long division.
 
-    Write the divisor as c0*x^e0 + c1*x^e1 with e0 graded-lex below e1 and
-    d = e1 - e0.  Positions are taken relative to e0, so Laurent exponents need
-    no shift and the quotient term at position p has exponent p.  Because e0
-    precedes e1, some coordinate j has d_j > 0.  The numerator's terms go into
-    buckets by p_j, and the nonempty buckets are walked upward off a heap of
-    levels: each term p sets Q[p] = rem[p] / c0 and subtracts c1*Q[p] from
-    rem[p + d], d_j levels higher.  The division succeeds exactly when every
-    remainder left in the top d_j levels, where no quotient term can sit, is 0.
+    e0 is graded-lex below e0 + d.  Positions are taken relative to e0, so
+    Laurent exponents need no shift and the quotient term at position p has
+    exponent p.  Because e0 precedes e0 + d, some coordinate j has d_j > 0.
+    The numerator's terms go into buckets by p_j, and the nonempty buckets are
+    walked upward off a heap of levels: each term p sets Q[p] = rem[p] / c0 and
+    subtracts c1*Q[p] from rem[p + d], d_j levels higher.  The division
+    succeeds exactly when every remainder left in the top d_j levels, where no
+    quotient term can sit, is 0.
 
-    Most trial divisions fail, so when c0 = 1 and c1 = +-1 an integer
-    numerator is first evaluated modulo a prime p at a fixed point of the
-    divisor's zero set (_off_zero_set).  A multiple Q*(1 + c1*x^d) is 0 there:
-    with c0 = 1 the recursion makes Q's coefficients integer combinations of
-    the numerator's, so Q has a value modulo p too.  A nonzero value therefore
-    proves the division fails and no bucket is filled; a zero value or a
-    rational numerator proves nothing, and the long division decides as for
-    every other divisor.
+    A failing division could walk a remainder chain up to the numerator's top
+    level, so a line bound stops it early.  The divisor maps each line
+    {p + k*d} to itself, and on a line the quotient's top term sits d below
+    the numerator's top term; a line with no numerator term holds no quotient
+    term.  A position t that a chain creates has one predecessor, t - d, so its
+    remainder is final and nonzero: it must become a quotient term, or be left
+    over.  So when a chain creates a position in a level that holds no term
+    yet, the division fails if t_j lies above its line's top minus d_j, or if
+    its line holds no numerator term.  The map from each line to its top is
+    built on the first such event only.
     """
-    (e0, c0), (e1, c1) = sorted(dterms.items(), key=lambda t: _gl_key(t[0]))
-    d = tuple(map(sub, e1, e0))
-    if c0 == 1 and c1 in (1, -1) and _off_zero_set(nterms, d, c1):
-        return None
     j = next(i for i, v in enumerate(d) if v > 0)
     dj = d[j]
     if any(e0):
@@ -538,6 +572,7 @@ def _divide_two_term(nterms, dterms):
     top = max(buckets) - dj
     levels = sorted(buckets)  # ascending, so already a heap
     inv = None if c0 == 1 else Fraction(1, c0)
+    lines = None  # line key -> its numerator's top p_j, built on demand
     out = {}
     while levels and levels[0] <= top:
         level = heappop(levels)
@@ -548,6 +583,16 @@ def _divide_two_term(nterms, dterms):
                 t = tuple(map(add, p, d))
                 if t not in rem:
                     if level + dj not in buckets:
+                        if lines is None:
+                            lines = {}
+                            for e in nterms:
+                                q = tuple(map(sub, e, e0))
+                                key = _line_key(q, d, j)
+                                if lines.get(key, q[j]) <= q[j]:
+                                    lines[key] = q[j]
+                        line_top = lines.get(_line_key(t, d, j))
+                        if line_top is None or t[j] > line_top - dj:
+                            return None
                         heappush(levels, level + dj)
                     buckets.setdefault(level + dj, []).append(t)
                 rem[t] = rem.get(t, 0) - c1 * c
@@ -556,40 +601,99 @@ def _divide_two_term(nterms, dterms):
     return out
 
 
+def _line_key(p, d, j):
+    """The point of the line {p + k*d} whose coordinate j lies in [0, d_j)."""
+    k = p[j] // d[j]
+    return tuple(a - k * b for a, b in zip(p, d))
+
+
 # The pre-test's modulus, a Mersenne prime: 2 has order 61 modulo it, so
 # 2^k is 2^(k % 61) and a power of 2 is a bit shift.  Exponents that meet
 # modulo 61 can only hide a failed division from the pre-test, never fake one.
 _PRIME = (1 << 61) - 1
 
 
-def _off_zero_set(nterms, d, c1):
-    """True when the numerator provably is no multiple of 1 + c1*x^d (c1 = +-1).
+@cache
+def _test_point(d, c1):
+    """The pre-test's point for 1 + c1*x^d (c1 = +-1), or None where it has none.
 
-    The numerator is evaluated modulo _PRIME at x_i = 2^(w_i), with x_s
-    negated for c1 = 1 (s the first variable with d_s odd).  The weights
-    w_i = 3^i*d_j for i != j and w_j = -sum_(i != j) 3^i*d_i, with j the
-    first variable with d_j != 0, give w.d = 0, so x^d = -c1 and the divisor
-    vanishes at x.  False where no verdict is possible: for 1 + x^d with
-    every d_i even (x^d is a square and -1 is none modulo _PRIME), and for a
-    numerator with a rational coefficient, which the layer pipeline never
-    builds (its numerators are integer polynomials).
+    The point is x_i = 2^(w_i) modulo _PRIME, with x_s negated for c1 = 1 (s
+    the first variable with d_s odd), returned as (w, s); s is None for
+    c1 = -1.  The weights w_i = 3^i*d_j for i != j and
+    w_j = -sum_(i != j) 3^i*d_i, with j the first variable with d_j != 0, give
+    w.d = 0, so x^d = -c1 and the divisor vanishes at x.  There is no point for
+    1 + x^d with every d_i even: x^d is a square and -1 is none modulo _PRIME.
     """
     s = None
     if c1 == 1:
         s = next((i for i, v in enumerate(d) if v & 1), None)
         if s is None:
-            return False
+            return None
     j = next(i for i, v in enumerate(d) if v)
     w = [3**i * d[j] for i in range(len(d))]
     w[j] = -sum(3**i * v for i, v in enumerate(d) if i != j)
+    return tuple(w), s
+
+
+def _poly_value(poly, pt):
+    """poly at the test point pt modulo _PRIME, memoized on poly.
+
+    None when a coefficient is rational, which the layer pipeline never builds
+    (its numerators are integer polynomials).
+    """
+    values = poly._values
+    if values is None:
+        values = {}
+        object.__setattr__(poly, "_values", values)
+    elif pt in values:
+        return values[pt]
+    w, s = pt
     total = 0
-    for e, c in nterms.items():
+    for e, c in poly.terms.items():
         if type(c) is not int:
-            return False
+            total = None
+            break
         if s is not None and e[s] & 1:
             c = -c
         total += c << (sum(map(mul, w, e)) % 61)
-    return total % _PRIME != 0
+    values[pt] = value = None if total is None else total % _PRIME
+    return value
+
+
+def _monomial_value(exps, pt):
+    """x^exps at the test point pt, as an integer to be reduced modulo _PRIME."""
+    w, s = pt
+    value = 1 << (sum(map(mul, w, exps)) % 61)
+    return -value if s is not None and exps[s] & 1 else value
+
+
+def _carry(src, out, unit):
+    """Give out the value v*unit(pt) wherever src's value v and unit(pt) are known.
+
+    For out = src*u with u a scalar, a monomial or the inverse of a binomial,
+    and unit(pt) = phi(u) or None: evaluation at a test point is a ring
+    homomorphism, so no pass over out is needed.  Returns out.
+    """
+    if src._values:
+        known = {}
+        for pt, v in src._values.items():
+            u = None if v is None else unit(pt)
+            if u is not None:
+                known[pt] = v * u % _PRIME
+        _set_values(out, known)
+    return out
+
+
+def _set_values(poly, values):
+    """Store carried values on a polynomial that has none yet."""
+    if values:
+        object.__setattr__(poly, "_values", values)
+
+
+def _inverse_value(poly, pt):
+    """1 / phi(poly) modulo _PRIME, or None where phi(poly) is 0."""
+    u = _poly_value(poly, pt)
+    return pow(u, -1, _PRIME) if u else None
 
 
 def _divide_general(nterms, dterms):
@@ -633,9 +737,21 @@ class BinomialFactor:
     high_coeff: int
 
     def as_poly(self) -> SparsePoly:
+        return self._poly
+
+    @cached_property
+    def _poly(self):
+        # one polynomial per factor, so its memo keeps the factor's values
         return SparsePoly._raw(
             self.variables, {self.low: self.low_coeff, self.high: self.high_coeff}
         )
+
+    @cached_property
+    def _point(self):
+        """The pre-test's point for this factor, or None when it has none."""
+        if self.low_coeff != 1 or self.high_coeff not in (1, -1):
+            return None
+        return _test_point(tuple(map(sub, self.high, self.low)), self.high_coeff)
 
     def sort_key(self):
         return (_gl_key(self.high), self.high_coeff, _gl_key(self.low), self.low_coeff)
@@ -768,12 +884,12 @@ class FactoredFraction:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if isinstance(other, SparsePoly):
-            return FactoredFraction(self.num * other, self.den)
+            return FactoredFraction(_product(self.num, other, self.den), self.den)
         self.num._check_context(other.num)
         den = dict(self.den)
         for f, m in other.den.items():
             den[f] = den.get(f, 0) + m
-        return FactoredFraction(self.num * other.num, den)
+        return FactoredFraction(_product(self.num, other.num, den), den)
 
     __rmul__ = __mul__
 
@@ -867,23 +983,44 @@ class FactoredFraction:
         return f"FactoredFraction({poly_text(self.num)})"
 
 
+def _product(a, b, den):
+    """a*b, with its value at the test point of each factor of den.
+
+    phi(a*b) = phi(a)*phi(b): an operand's value comes from its memo or from a
+    pass over that operand, which is far smaller than the product.
+    """
+    out = a * b
+    if out.terms:
+        values = {}
+        for f in den:
+            pt = f._point
+            if pt is not None:
+                va = _poly_value(a, pt)
+                vb = None if va is None else _poly_value(b, pt)
+                if vb is not None:
+                    values[pt] = va * vb % _PRIME
+        _set_values(out, values)
+    return out
+
+
 def _cancel(num, den):
     """Divide out every denominator factor that exactly divides num.
 
     Afterwards no factor left in the denominator divides the numerator: a
     factor that failed still fails after later divisions, because each later
-    quotient divides the numerator it came from.
+    quotient divides the numerator it came from.  A quotient q = num / f has
+    the value v / phi(f) at every point where num's value v is known and
+    phi(f) is nonzero; at f's own point phi(f) = 0, so a second test of f
+    makes a fresh pass.
     """
     out = {}
     for f, m in sorted(den.items(), key=lambda fm: fm[0].sort_key()):
-        fp = None
+        fp = f.as_poly()
         while m > 0:
-            if fp is None:
-                fp = f.as_poly()
             q = _try_divide(num, fp)
             if q is None:
                 break
-            num = q
+            num = _carry(num, q, lambda pt: _inverse_value(fp, pt))
             m -= 1
         if m:
             out[f] = m
@@ -915,8 +1052,11 @@ def _lift_numerator(fr, common):
 def frac_sum(fracs, variables=None) -> FactoredFraction:
     """Sum fractions over the multiset-maximum common denominator.
 
-    Cancellation runs once on the final result, which keeps long summations
-    (partition sums, series recursions) from re-cancelling at every step.
+    Cancellation runs once, on the total, which keeps a long summation (a
+    series recursion) from re-cancelling at every step.  The partition sum
+    calls this pairwise, as a balanced tree, so that each node lifts reduced
+    children.  The total's pre-test values come from the summands'
+    (_sum_values).
     """
     fracs = list(fracs)
     if not fracs:
@@ -933,7 +1073,43 @@ def frac_sum(fracs, variables=None) -> FactoredFraction:
     total = SparsePoly.zero(variables)
     for fr in fracs:
         total = total + _lift_numerator(fr, common)
+    if total.terms:
+        _set_values(total, _sum_values(fracs, common))
     return FactoredFraction(total, common)
+
+
+def _sum_values(fracs, common):
+    """The values of the lifted sum at the test point of each factor f of common.
+
+    phi(total) = sum_i phi(N_i) * prod_g phi(g)^extra_i(g), where extra_i(g)
+    lifts N_i to the common denominator.  A summand whose lift holds a factor
+    that vanishes at the point adds 0 and is skipped; that includes every
+    summand that does not hold f at its top multiplicity.
+    """
+    lifts = [
+        (fr.num, {g: m - fr.den.get(g, 0) for g, m in common.items() if m > fr.den.get(g, 0)})
+        for fr in fracs
+    ]
+    values = {}
+    for f in common:
+        pt = f._point
+        if pt is None:
+            continue
+        acc = 0
+        for num, extra in lifts:
+            unit = 1
+            for g, k in extra.items():
+                unit = unit * pow(_poly_value(g.as_poly(), pt), k, _PRIME) % _PRIME
+                if not unit:
+                    break
+            if unit:
+                v = _poly_value(num, pt)
+                if v is None:
+                    break
+                acc += v * unit
+        else:
+            values[pt] = acc % _PRIME
+    return values
 
 
 def adams(fr: FactoredFraction, r: int, flavor: Flavor) -> FactoredFraction:

@@ -6,6 +6,9 @@ context.  The partition sum
 
     S(T) = sum over partitions  hook_term(flavor, partition, g) * T^weight
 
+is summed pairwise, as a balanced tree over the terms of each weight, so
+cancellation runs at every node and each node lifts reduced children; the log
+and the layer recursion sum flat and cancel once per coefficient.  The sum
 factors as an infinite product of plethystic exponentials, one per rank n:
 
     S(T) = prod_n exp( sum_r adams_r[ V_n ] * T^(n*r) / r )
@@ -66,13 +69,21 @@ class TruncatedSeries:
 
 
 def hook_sum_series(flavor: Flavor, g: int, order: int, start=None) -> TruncatedSeries:
-    """The partition sum truncated at T^order, continuing ``start``; S_0 = 1."""
+    """The partition sum truncated at T^order, continuing ``start``; S_0 = 1.
+
+    The hook terms of each weight are summed pairwise, in the order of
+    ``partitions_of``, until one fraction is left: each node of this balanced
+    tree cancels, so its parent lifts reduced children to a smaller common
+    denominator than the flat sum of all terms would.
+    """
     if order < 0:
         raise ValueError("order must be non-negative")
     coeffs = list(start.coeffs if start else ())
     for m in range(len(coeffs), order + 1):
         terms = [hook_term(flavor, p, g) for p in partitions_of(m)]
-        coeffs.append(frac_sum(terms, flavor.variables))
+        while len(terms) > 1:
+            terms = [frac_sum(terms[i:i + 2]) for i in range(0, len(terms), 2)]
+        coeffs.append(terms[0])
     return TruncatedSeries(flavor, tuple(coeffs))
 
 

@@ -4,12 +4,14 @@ Each digest is of ``document_bytes(polynomial_document(...))`` for one
 (kind, n, g): E, Hqt and PP at n <= 4 and Hxy at n <= 3, all at g = 0..3.
 They pin the canonical output, so a change to the hook terms, the layer
 extraction or the normalizations must reproduce every document byte for byte.
-Hxy at n = 4, g = 2 is pinned on its own: its three-variable exact divisions
-are the largest the tests run.  So is Hqt at n = 5, g = 3, the one case where
-hook terms and products run at partition size 5.  The JSON output and
-exit code of ``charvar check`` are pinned too, for every suite at six (n, g),
-so that a change to how the checks are assembled must reproduce every entry,
-detail and witness, and refuse the same suites.
+Hxy at n = 4, g = 2 is pinned on its own for its three-variable exact
+divisions, and so is Hqt at n = 5, g = 3, where hook terms and products run at
+partition size 5.  Two reach cases are the largest the tests run: Hqt at
+n = 7, g = 2 (about 2 s) and Hxy at n = 5, g = 2 (about 1.3 s), where the
+tree-shaped partition sum and the pre-test's carried values do the most work.
+The JSON output and exit code of ``charvar check`` are pinned too, for every
+suite at six (n, g), so that a change to how the checks are assembled must
+reproduce every entry, detail and witness, and refuse the same suites.
 """
 
 import hashlib
@@ -110,6 +112,18 @@ HQT_5_3 = "5166b081701043fcf80ec510b6b84f8066980810bcf58c76dbca83c9f9d96a7f"
 def test_hqt_5_3_matches_golden_digest():
     document = polynomial_document(compute_invariant("Hqt", 5, 3))
     assert hashlib.sha256(document_bytes(document)).hexdigest() == HQT_5_3
+
+
+REACH = {
+    ("Hqt", 7, 2): "fe59b066c4aabae027157fe78f4169b75ed71f7ba8613c1adb0f6d9c71d348d9",
+    ("Hxy", 5, 2): "8d4a694840116508b0e1dd61570ef4c9cf0b0712fee190bb17018f8c613ffca3",
+}
+
+
+@pytest.mark.parametrize("key", sorted(REACH))
+def test_reach_matches_golden_digest(key):
+    document = polynomial_document(compute_invariant(*key))
+    assert hashlib.sha256(document_bytes(document)).hexdigest() == REACH[key]
 
 
 NO_OUTPUT = hashlib.sha256(b"").hexdigest()

@@ -1,5 +1,6 @@
 """Unit and property tests for the exact sparse-polynomial kernel."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from charvar.polynomials import (
     normalize_factor,
     poly_text,
 )
+from charvar.polynomials import _cancel, _poly_value, _test_point
 
 Q = ("q",)
 QT = ("q", "t")
@@ -92,6 +94,15 @@ class TestDivideExact:
         div = p(Q, {(0,): 1, (1,): 1, (2,): 1})
         num = div * p(Q, {(0,): 2, (3,): -5})
         assert divide_exact(num, div) == p(Q, {(0,): 2, (3,): -5})
+
+    def test_sparse_failing_division_stops_at_the_line_bound(self):
+        """The chain from 1 would climb K levels; its line's top stops it at once."""
+        k = 200_000
+        num = p(QT, {(0, 0): 1, (k, k): 1})
+        start = time.perf_counter()
+        with pytest.raises(NotDivisible):
+            divide_exact(num, p(QT, {(0, 0): 2, (1, 2): -1}))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestFractions:
@@ -506,3 +517,92 @@ def test_frac_sum_matches_pairwise_addition(items):
     for item in items[1:]:
         total = total + item
     assert frac_sum(items, QT) == total
+
+
+# -- the pre-test's carried values ---------------------------------------------
+
+_factors = [normalize_factor(b)[0] for b in _denominator_pool]
+# test points of the pool's factors, and of directions no factor here has
+_points = [f._point for f in _factors] + [
+    _test_point((2, -1), 1), _test_point((0, 3), -1), _test_point((1, 2), 1)
+]
+
+
+def _seed(poly):
+    """Give poly a value at every test point, by passes over its terms."""
+    for pt in _points:
+        _poly_value(poly, pt)
+    return poly
+
+
+def _assert_memo_is_fresh(poly):
+    """Every memoized value equals a pass over a fresh copy of the terms."""
+    fresh = SparsePoly(poly.vars, dict(poly.terms))
+    for pt, value in (poly._values or {}).items():
+        assert value == _poly_value(fresh, pt), (poly, pt)
+
+
+def _tree_sum(items):
+    while len(items) > 1:
+        items = [frac_sum(items[i:i + 2]) for i in range(0, len(items), 2)]
+    return items[0]
+
+
+_OPS = ["neg", "scale", "shift", "mul", "mul_poly", "flat_sum", "tree_sum", "cancel"]
+
+
+@given(fractions(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_carried_values_equal_a_fresh_pass(start, data):
+    """Values carried through the operations that build numerators are exact.
+
+    Negation, an int scale and a shift carry a scalar; a product multiplies
+    its operands' values; a sum lifts its summands' values; a quotient divides
+    by the factor's value.  Each result's memo must equal a fresh pass.
+    """
+    out = start
+    _seed(out.num)
+    _assert_memo_is_fresh(out.num)
+    for op in data.draw(st.lists(st.sampled_from(_OPS), min_size=1, max_size=4)):
+        if op == "neg":
+            out = -out
+        elif op == "scale":
+            out = out.scale(data.draw(st.integers(-5, 5).filter(bool)))
+        elif op == "shift":
+            out = out.shift(data.draw(_exps_qt))
+        elif op == "mul":
+            out = out * data.draw(fractions())
+        elif op == "mul_poly":
+            out = out * data.draw(sparse_polys())
+        elif op in ("flat_sum", "tree_sum"):
+            items = [out] + data.draw(st.lists(fractions(), min_size=1, max_size=4))
+            for item in items:
+                _seed(item.num)
+            out = frac_sum(items) if op == "flat_sum" else _tree_sum(items)
+        else:
+            factor = data.draw(st.sampled_from(_factors))
+            k = data.draw(st.integers(1, 2))
+            num = _seed(out.num * factor.as_poly() ** k)
+            den = dict(out.den)
+            den[factor] = den.get(factor, 0) + k + data.draw(st.integers(0, 1))
+            num, den = _cancel(num, den)
+            out = FactoredFraction._reduced(num, den)
+        _assert_memo_is_fresh(out.num)
+    for factor, _ in out.denominator_factors():
+        with pytest.raises(NotDivisible):
+            divide_exact(out.num, factor.as_poly())
+
+
+def test_rational_coefficient_has_no_value_and_the_division_decides():
+    b = p(QT, {(0, 0): 1, (1, 1): -1})
+    a = p(QT, {(0, 0): Fraction(1, 2), (2, 0): 3})
+    pt = normalize_factor(b)[0]._point
+    assert _poly_value(a * b, pt) is None
+    assert divide_exact(a * b, b) == a
+    with pytest.raises(NotDivisible):
+        divide_exact(a * b + p(QT, {(1, 0): 1}), b)
+    # a rational polynomial scaled to integers gets its value from a pass
+    halves = _seed(p(QT, {(1, 0): Fraction(1, 2), (0, 3): Fraction(-3, 2)}))
+    doubled = halves.scale(2)
+    assert _poly_value(halves, pt) is None
+    assert _poly_value(doubled, pt) == _poly_value(p(QT, doubled.terms), pt) is not None

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import h2_g3_poly
 from charvar.errors import ConstantTermNotOne, NonIntegerCoefficient, NotPolynomial
-from charvar.partitions import Partition, hook_term
+from charvar.partitions import Partition, hook_term, partitions_of
 from charvar.polynomials import (
     FLAVOR_E,
     FLAVOR_PURE,
@@ -18,6 +18,7 @@ from charvar.polynomials import (
     SparsePoly,
     adams,
     adams_poly,
+    frac_sum,
     normalize_factor,
 )
 from charvar.series import (
@@ -59,6 +60,15 @@ class TestHookSumSeries:
         h2 = SparsePoly(Q, {(0,): 1, (2,): -1}) * SparsePoly(Q, {(0,): 1, (1,): -1})
         h11 = h2.shift((-1,))
         assert s.coeffs[2] == FactoredFraction.from_poly(h2 * h2 + h11 * h11)
+
+    @pytest.mark.parametrize("flavor", FLAVORS, ids=lambda f: f.name)
+    def test_tree_sum_equals_flat_sum(self, flavor):
+        """The pairwise tree of hook terms has the value of their flat sum."""
+        g = 2
+        s = hook_sum_series(flavor, g, 5)
+        for m in range(6):
+            flat = frac_sum([hook_term(flavor, p, g) for p in partitions_of(m)])
+            assert s.coeffs[m].equals(flat), m
 
 
 class TestSeriesLog:
