@@ -3,8 +3,9 @@
 Groups are fully enumerated as tuples (a, b, c, d) for 2x2 matrices over F_p,
 with a multiplication table built once on demand; everything downstream
 (conjugacy classes, class-multiplication coefficients, commutator counts)
-works with element indices into that table.  The sizes here are desk scale:
-|GL(2,5)| = 480 is the stretch target and the default element bound is 500.
+works with element indices into that table.  Every group is enumerated in
+full, so build_group refuses one with more than max_order elements; the
+default bound of 500 admits |GL(2,5)| = 480.
 
 The brute-force side is organized as the |G|^2 commutator distribution
 c(z) = #{(A,B) : A B A^-1 B^-1 = z} followed by class-algebra convolution, so
@@ -21,7 +22,6 @@ from math import lcm
 from .errors import CentralElementUnavailable, GroupTooLarge
 
 DEFAULT_MAX_ORDER = 500
-DESK_SCALE_Q = 7
 
 
 def _is_prime(n: int) -> bool:
@@ -143,22 +143,23 @@ class MatrixGroup:
 
 
 def build_group(family: str, dim: int = 2, q: int = 3, *, max_order: int = DEFAULT_MAX_ORDER) -> MatrixGroup:
-    """Enumerate GL(2,q) or SL(2,q) for prime q at desk scale."""
+    """Enumerate GL(2,q) or SL(2,q) for prime q, up to max_order elements.
+
+    The order bound comes before the primality test, whose trial division
+    takes about sqrt(q) steps.
+    """
     family = family.upper()
     if family not in ("GL", "SL"):
         raise ValueError(f"family must be GL or SL, got {family!r}")
     if dim != 2:
         raise ValueError("only 2x2 matrix groups are enumerated here")
-    field = PrimeField(q)
-    if q > DESK_SCALE_Q:
-        raise GroupTooLarge(f"desk scale stops at q = {DESK_SCALE_Q}, got q = {q}")
-    expected = (q * q - 1) * (q * q - q)
-    if family == "SL":
-        expected //= q - 1
-    if expected > max_order:
+    expected = q * (q * q - 1) * (q - 1 if family == "GL" else 1)
+    # below 2 this is no group order, and PrimeField refuses q
+    if q > 1 and expected > max_order:
         raise GroupTooLarge(
             f"|{family}(2,{q})| = {expected} exceeds the bound {max_order}"
         )
+    field = PrimeField(q)
     want = 1 if family == "SL" else None
     elements = []
     for a, b, c, d in product(range(q), repeat=4):

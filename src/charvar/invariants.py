@@ -730,7 +730,6 @@ class InvariantCache:
         return sorted(out, key=lambda kng: (kng[0].value, kng[1], kng[2]))
 
     def clear(self):
-        if not self.root.is_dir():
-            return
-        for path in self.root.glob("*.json"):
-            path.unlink()
+        """Delete the cached documents: exactly the files that entries() lists."""
+        for key in self.entries():
+            self._path(*key).unlink()

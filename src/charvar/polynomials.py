@@ -15,16 +15,17 @@ On top of the polynomials sits FactoredFraction: a numerator polynomial
 divided by a multiset of normalized two-term factors ("binomials" such as
 1 - q^3*t^4).  Every denominator produced by the generating functions in this
 package is a product of such factors, so exact division by binomials replaces
-general multivariate gcd computation.  Most trial divisions fail, so
-``_try_divide`` gives a binomial 1 + c*x^d with c = +-1 a pre-test that can
-only reject: an integer numerator is evaluated modulo the prime 2^61 - 1 at a
-fixed point where x^d = -c, i.e. on the binomial's zero set.  A multiple of
-the binomial vanishes there (its quotient has integer coefficients too), so a
-nonzero value proves the division fails.  A zero value, or a numerator with a
-rational coefficient, gives no verdict, and the exact division decides: a
-long division whose terms are kept in buckets by one exponent that the
-binomial's direction raises, walked upward, with Laurent exponents taken as
-they are.
+general multivariate gcd computation, and a BinomialFactor is the only divisor:
+``divide_exact`` takes a two-term divisor and divides by its normalized
+factor.  Most trial divisions fail, so ``_divide_by_factor`` gives a factor
+1 + c*x^d with c = +-1 a pre-test that can only reject: an integer numerator
+is evaluated modulo the prime 2^61 - 1 at a fixed point where x^d = -c, i.e.
+on the binomial's zero set.  A multiple of the binomial vanishes there (its
+quotient has integer coefficients too), so a nonzero value proves the
+division fails.  A zero value, or a numerator with a rational coefficient,
+gives no verdict, and the exact division decides: a long division whose terms
+are kept in buckets by one exponent that the binomial's direction raises,
+walked upward, with Laurent exponents taken as they are.
 
 Evaluation at a test point is a ring homomorphism from the integer Laurent
 polynomials to the integers modulo the prime, so a value is memoized on its
@@ -486,55 +487,41 @@ def adams_poly(p: SparsePoly, r: int, flavor: Flavor) -> SparsePoly:
 
 
 def divide_exact(num: SparsePoly, div: SparsePoly) -> SparsePoly:
-    """Exact quotient num / div, raising NotDivisible when none exists."""
+    """Exact quotient num / div by a two-term div, raising NotDivisible when none exists.
+
+    normalize_factor splits div as scale * x^shift * f with f a
+    BinomialFactor (a ValueError for one term or more than two).  The scale
+    and the monomial are units of the Laurent ring, so the quotient is
+    num / f shifted by -shift and divided by scale.
+    """
     num._check_context(div)
     if div.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    if num.is_zero():
-        return num
-    q = _try_divide(num, div)
+    f, shift, scale = normalize_factor(div)
+    q = _divide_by_factor(num, f)
     if q is None:
         raise NotDivisible(f"({poly_text(div)}) does not divide ({poly_text(num)})")
-    return q
+    return q.shift(tuple(-k for k in shift)).scale(Fraction(1) / scale)
 
 
-def _try_divide(num: SparsePoly, div: SparsePoly):
-    """Exact quotient as SparsePoly, or None.  Handles Laurent inputs.
+def _divide_by_factor(num: SparsePoly, f: BinomialFactor):
+    """Exact quotient num / f as SparsePoly, or None.  Handles Laurent inputs.
 
-    Most trial divisions fail, so a divisor x^e0*(1 + c1*x^d) with c1 = +-1
-    first gets the pre-test: the numerator's value at the divisor's test
-    point.  A multiple Q*(1 + c1*x^d) has value 0 there: the long division
-    makes Q's coefficients integer combinations of the numerator's, so Q has
-    a value too.  A nonzero value therefore proves the division fails; a zero
-    or unknown value (a rational numerator, or no test point) proves nothing,
+    Most trial divisions fail, so a factor 1 + c1*x^d with c1 = +-1 first
+    gets the pre-test: the numerator's value at the factor's test point.  A
+    multiple Q*(1 + c1*x^d) has value 0 there: the long division makes Q's
+    coefficients integer combinations of the numerator's, so Q has a value
+    too.  A nonzero value therefore proves the division fails; a zero or
+    unknown value (a rational numerator, or no test point) proves nothing,
     and the long division decides every success.
     """
     if num.is_zero():
         return num
-    nd = len(div.terms)
-    if nd == 1:
-        ((e, c),) = div.terms.items()
-        inv = Fraction(1, c) if c != 1 else 1
-        return num.shift(tuple(-k for k in e)).scale(inv)
-    if nd == 2:
-        (e0, c0), (e1, c1) = sorted(div.terms.items(), key=lambda t: _gl_key(t[0]))
-        d = tuple(map(sub, e1, e0))
-        if c0 == 1 and c1 in (1, -1):
-            pt = _test_point(d, c1)
-            if pt is not None and _poly_value(num, pt):
-                return None
-        out = _divide_two_term(num.terms, e0, c0, d, c1)
-        return None if out is None else SparsePoly._raw(num.vars, out)
-    # strip monomial content so graded-lex is a well-order on what remains
-    shift_div = div.min_exponents()
-    shift_num = num.min_exponents()
-    dterms = {tuple(a - b for a, b in zip(e, shift_div)): c for e, c in div.terms.items()}
-    nterms = {tuple(a - b for a, b in zip(e, shift_num)): c for e, c in num.terms.items()}
-    out = _divide_general(nterms, dterms)
-    if out is None:
+    pt = f._point
+    if pt is not None and _poly_value(num, pt):
         return None
-    back = tuple(a - b for a, b in zip(shift_num, shift_div))
-    return SparsePoly._raw(num.vars, out).shift(back)
+    out = _divide_two_term(num.terms, f.low, f.low_coeff, f._direction, f.high_coeff)
+    return None if out is None else SparsePoly._raw(num.vars, out)
 
 
 def _divide_two_term(nterms, e0, c0, d, c1):
@@ -696,28 +683,6 @@ def _inverse_value(poly, pt):
     return pow(u, -1, _PRIME) if u else None
 
 
-def _divide_general(nterms, dterms):
-    """Long division by an arbitrary divisor (non-negative exponents only)."""
-    rem = dict(nterms)
-    lead_e, lead_c = max(dterms.items(), key=lambda t: _gl_key(t[0]))
-    out = {}
-    while rem:
-        e, c = max(rem.items(), key=lambda t: _gl_key(t[0]))
-        qe = tuple(a - b for a, b in zip(e, lead_e))
-        if any(k < 0 for k in qe):
-            return None
-        qc = _as_coeff(Fraction(c, lead_c)) if lead_c != 1 else c
-        out[qe] = qc
-        for de, dc in dterms.items():
-            key = tuple(a + b for a, b in zip(qe, de))
-            v = rem.get(key, 0) - qc * dc
-            if v:
-                rem[key] = _as_coeff(v)
-            elif key in rem:
-                del rem[key]
-    return out
-
-
 # -- normalized binomial factors ---------------------------------------------
 
 
@@ -747,11 +712,16 @@ class BinomialFactor:
         )
 
     @cached_property
+    def _direction(self):
+        """high - low, the step of the long division."""
+        return tuple(map(sub, self.high, self.low))
+
+    @cached_property
     def _point(self):
         """The pre-test's point for this factor, or None when it has none."""
         if self.low_coeff != 1 or self.high_coeff not in (1, -1):
             return None
-        return _test_point(tuple(map(sub, self.high, self.low)), self.high_coeff)
+        return _test_point(self._direction, self.high_coeff)
 
     def sort_key(self):
         return (_gl_key(self.high), self.high_coeff, _gl_key(self.low), self.low_coeff)
@@ -1006,18 +976,19 @@ def _product(a, b, den):
 def _cancel(num, den):
     """Divide out every denominator factor that exactly divides num.
 
-    Afterwards no factor left in the denominator divides the numerator: a
-    factor that failed still fails after later divisions, because each later
-    quotient divides the numerator it came from.  A quotient q = num / f has
-    the value v / phi(f) at every point where num's value v is known and
-    phi(f) is nonzero; at f's own point phi(f) = 0, so a second test of f
-    makes a fresh pass.
+    Each trial division is by the BinomialFactor itself (_divide_by_factor),
+    whose direction and test point are cached on it.  Afterwards no factor
+    left in the denominator divides the numerator: a factor that failed still
+    fails after later divisions, because each later quotient divides the
+    numerator it came from.  A quotient q = num / f has the value v / phi(f)
+    at every point where num's value v is known and phi(f) is nonzero; at
+    f's own point phi(f) = 0, so a second test of f makes a fresh pass.
     """
     out = {}
     for f, m in sorted(den.items(), key=lambda fm: fm[0].sort_key()):
         fp = f.as_poly()
         while m > 0:
-            q = _try_divide(num, fp)
+            q = _divide_by_factor(num, f)
             if q is None:
                 break
             num = _carry(num, q, lambda pt: _inverse_value(fp, pt))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -229,6 +230,15 @@ class TestCount:
         )
         assert code == 2
 
+    def test_huge_q_meets_the_order_bound_before_the_primality_test(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run(
+            capsys, "count", "--family", "gl", "--q", "1000000000000000003", "--g", "1",
+            "--zeta-order", "2",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and "exceeds the bound 500" in err
+
     def test_character_assertion_failure_exits_3(self, capsys, monkeypatch):
         from charvar.errors import LiftFailure
 
@@ -273,6 +283,14 @@ class TestCache:
         assert run(capsys, "cache", "--clear")[0] == 0
         code, out, _ = run(capsys, "cache", "--list")
         assert code == 0 and out == ""
+
+    def test_clear_deletes_only_cached_documents(self, capsys, isolated_cache):
+        run(capsys, "compute", "--kind", "E", "--n", "2", "--g", "2")
+        foreign = {"notes.json": b"{}", "E_n02_g2.json": b"{}"}
+        for name, content in foreign.items():
+            (isolated_cache / name).write_bytes(content)
+        assert run(capsys, "cache", "--clear")[0] == 0
+        assert sorted(p.name for p in isolated_cache.iterdir()) == sorted(foreign)
 
     @pytest.mark.parametrize(
         "command, kind, file_name, content",

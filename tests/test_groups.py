@@ -38,7 +38,12 @@ class TestBuildGroup:
         with pytest.raises(GroupTooLarge):
             build_group("GL", 2, 7)  # order 2016 > 500
         with pytest.raises(GroupTooLarge):
-            build_group("GL", 2, 11)  # q beyond desk scale
+            build_group("GL", 2, 11)  # order 13200 > 500
+
+    @pytest.mark.parametrize("family, q", [("SL", 1), ("GL", 0), ("GL", -5), ("SL", 4)])
+    def test_q_that_is_not_prime(self, family, q):
+        with pytest.raises(ValueError, match="not prime"):
+            build_group(family, 2, q)
 
     def test_configurable_bound(self):
         with pytest.raises(GroupTooLarge):

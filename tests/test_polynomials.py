@@ -90,10 +90,14 @@ class TestDivideExact:
         div = p(Q, {(0,): 1, (1,): -1})
         assert divide_exact(num, div) == p(Q, {(-1,): 1, (0,): 1})
 
-    def test_three_term_divisor(self):
-        div = p(Q, {(0,): 1, (1,): 1, (2,): 1})
-        num = div * p(Q, {(0,): 2, (3,): -5})
-        assert divide_exact(num, div) == p(Q, {(0,): 2, (3,): -5})
+    @pytest.mark.parametrize(
+        "div",
+        [p(Q, {(2,): 3}), p(Q, {(0,): 1, (1,): 1, (2,): 1})],
+        ids=["one-term", "three-term"],
+    )
+    def test_divisor_that_is_not_a_binomial_is_refused(self, div):
+        with pytest.raises(ValueError, match="unit monomial|not a binomial"):
+            divide_exact(div * p(Q, {(0,): 2, (3,): -5}), div)
 
     def test_sparse_failing_division_stops_at_the_line_bound(self):
         """The chain from 1 would climb K levels; its line's top stops it at once."""
@@ -439,9 +443,10 @@ def test_divide_exact_inverts_multiplication(a, idx):
 # a plus sign, three variables, 1 + q^2 (every exponent even, so the modular
 # pre-test has no point to evaluate at), a coefficient that is not a unit,
 # q - t^2 (direction (-1, 2): the exponent the long division buckets by is not
-# the first), 2*q*t - 3 (a negative, non-unit low coefficient) and the Laurent
-# t^-1 - q.  The coefficient 1/(2^61 - 1) has no value modulo the pre-test's
-# prime.
+# the first), 2*q*t - 3 (a negative, non-unit low coefficient), the Laurent
+# t^-1 - q, and three that normalization rewrites: -1 + q (a negative low
+# coefficient), q^-2 - q^-1*t (a monomial shift) and 2 - 4*q*t (a content of
+# 2).  The coefficient 1/(2^61 - 1) has no value modulo the pre-test's prime.
 _wide_divisors = [
     SparsePoly(QT, {(0, 1): 1, (1, 0): -1}),
     SparsePoly(QT, {(0, 0): 1, (1, 2): 1}),
@@ -451,6 +456,9 @@ _wide_divisors = [
     SparsePoly(QT, {(1, 0): 1, (0, 2): -1}),
     SparsePoly(QT, {(1, 1): 2, (0, 0): -3}),
     SparsePoly(QT, {(0, -1): 1, (1, 0): -1}),
+    SparsePoly(Q, {(0,): -1, (1,): 1}),
+    SparsePoly(QT, {(-2, 0): 1, (-1, 1): -1}),
+    SparsePoly(QT, {(0, 0): 2, (1, 1): -4}),
 ]
 _rationals = st.one_of(
     _coeffs,
