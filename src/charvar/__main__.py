@@ -1,0 +1,6 @@
+"""``python -m charvar``: the command line of charvar.cli."""
+
+from .cli import console_main
+
+if __name__ == "__main__":
+    console_main()

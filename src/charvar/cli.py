@@ -229,8 +229,9 @@ def cmd_cache(args) -> int:
     cache = _cache_from(args)
     if args.do_clear:
         try:
-            cache.root.mkdir(parents=True, exist_ok=True)
-            cache.clear()
+            if cache.root.exists():  # a missing directory has nothing to clear
+                cache.root.mkdir(exist_ok=True)  # FileExistsError if not a directory
+                cache.clear()
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE

@@ -17,7 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .polynomials import FactoredFraction, Flavor, SparsePoly, _fold_factor
+from .polynomials import (
+    FactoredFraction,
+    Flavor,
+    SparsePoly,
+    _fold_factor,
+    _set_power_jets,
+)
 
 
 @dataclass(frozen=True)
@@ -118,6 +124,9 @@ def hook_term(flavor: Flavor, partition: Partition, g: int) -> FactoredFraction:
 
     Built once, so cancelled once: the numerator is the product of the positive
     binomial powers, the denominator the normalize_factor multiset of the rest.
+    The numerator gets its pre-test jets (value and first derivative) at the
+    denominator's points from its binomial powers, so no pass reads it; the
+    folds' monomial unit then carries them.
     """
     if g < 0:
         raise ValueError("genus must be non-negative")
@@ -125,16 +134,22 @@ def hook_term(flavor: Flavor, partition: Partition, g: int) -> FactoredFraction:
     variables = flavor.variables
     zero = (0,) * len(variables)
     num = SparsePoly.one(variables)
+    unit = SparsePoly.one(variables)  # the monomial the folds leave
     den = {}
+    powers = []
     for cell in stats.cells:
         if flavor.armless_only and cell.arm:
             continue
         for c, exps, power in flavor.cell_factors:
             k = power(g)
-            binom = SparsePoly(variables, {zero: 1, exps(cell.hook, cell.leg): c})
+            e = exps(cell.hook, cell.leg)
+            binom = SparsePoly(variables, {zero: 1, e: c})
             if k > 0:
                 num = num * binom**k
+                powers.append((c, e, k))
             elif k < 0:
-                num = _fold_factor(num, den, binom, -k)
-    out = FactoredFraction(num, den)
+                unit = _fold_factor(unit, den, binom, -k)
+    _set_power_jets(num, powers, den)
+    ((shift, scale),) = unit.terms.items()
+    out = FactoredFraction(num.shift(shift).scale(scale), den)
     return out.shift(tuple(s * (1 - g) * stats.leg_sum for s in flavor.leg_shift))

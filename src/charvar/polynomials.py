@@ -28,19 +28,29 @@ are kept in buckets by one exponent that the binomial's direction raises,
 walked upward, with Laurent exponents taken as they are.
 
 Evaluation at a test point is a ring homomorphism from the integer Laurent
-polynomials to the integers modulo the prime, so a value is memoized on its
+polynomials to the integers modulo the prime, and so is evaluation at the
+point moved to first order along one coordinate x_j: the map takes N to its
+jet (phi(N), phi(D*N)), with D = x_j*d/dx_j, and multiplies jets as
+(a0, a1)*(b0, b1) = (a0*b0, a0*b1 + a1*b0).  A jet is memoized on its
 polynomial and carried into the results of the operations that build
 numerators, without a pass over the result: negation, an integer scale and a
-monomial shift; a fraction product (from the values of its factors); a
-fraction sum (from the summands' values and the lifting factors' values); and
-an exact quotient by a binomial (the value divided by the binomial's value,
-wherever that is nonzero).  A value that is not known is computed by one pass
-over the terms when a pre-test asks for it.
+monomial shift; a fraction product (the Leibniz rule on its factors' jets); a
+fraction sum (from the summands' jets and the lifting factors' jets); an exact
+quotient by a binomial f (the quotient rule where phi(f) is nonzero, and
+phi(D*N)/phi(D*f) on f's own zero set, where the derivative of the quotient is
+unknown); and a hook term's numerator (from its binomial powers, in
+``partitions.hook_term``).  A derivative may be unknown, never guessed; the
+pre-test reads only the value, and a value that is not known is computed, with
+its derivative, by one pass over the terms.  Passes are left where a value
+was lost, in the second test of a quotient whose numerator's derivative was
+unknown (a third test of one factor, or a product in the logarithm whose
+operand lost its derivative), and where no rule builds the numerator: a
+factor that a layer's normalization or an Adams substitution brings in.
 
 The monomial order used for canonical output, leading terms, and division is
 graded lexicographic, ascending, with the variable order of the context.
 All values are immutable after construction (a polynomial's memo of
-pre-test values only caches what its terms determine); every operation is a
+pre-test jets only caches what its terms determine); every operation is a
 pure function, safe for concurrent use.
 """
 
@@ -147,8 +157,8 @@ FLAVOR_PURE = Flavor(
 class SparsePoly:
     """Immutable sparse Laurent polynomial in a fixed variable context.
 
-    ``_values`` is a private memo of the pre-test's values, {point: value or
-    None}, or None before the first value (see _poly_value).
+    ``_values`` is a private memo of the pre-test's jets, {point: (value,
+    derivative)}, or None before the first jet (see _jet).
     """
 
     __slots__ = ("vars", "terms", "_values")
@@ -278,7 +288,7 @@ class SparsePoly:
 
     def __neg__(self):
         out = SparsePoly._raw(self.vars, {e: -c for e, c in self.terms.items()})
-        return _carry(self, out, lambda pt: -1)
+        return _carry(self, out, lambda pt: (-1, 0))
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -327,7 +337,7 @@ class SparsePoly:
         out = SparsePoly._raw(
             self.vars, {e: _as_coeff(v * c) for e, v in self.terms.items()}
         )
-        return _carry(self, out, lambda pt: c) if type(c) is int else out
+        return _carry(self, out, lambda pt: (c, 0)) if type(c) is int else out
 
     def shift(self, exps):
         """Multiply by the (Laurent) monomial with the given exponents."""
@@ -338,7 +348,7 @@ class SparsePoly:
             self.vars,
             {tuple(map(add, e, exps)): c for e, c in self.terms.items()},
         )
-        return _carry(self, out, lambda pt: _monomial_value(exps, pt))
+        return _carry(self, out, lambda pt: _monomial_jet(exps, pt))
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -518,7 +528,7 @@ def _divide_by_factor(num: SparsePoly, f: BinomialFactor):
     if num.is_zero():
         return num
     pt = f._point
-    if pt is not None and _poly_value(num, pt):
+    if pt is not None and _jet(num, pt)[0]:
         return None
     out = _divide_two_term(num.terms, f.low, f.low_coeff, f._direction, f.high_coeff)
     return None if out is None else SparsePoly._raw(num.vars, out)
@@ -605,11 +615,13 @@ def _test_point(d, c1):
     """The pre-test's point for 1 + c1*x^d (c1 = +-1), or None where it has none.
 
     The point is x_i = 2^(w_i) modulo _PRIME, with x_s negated for c1 = 1 (s
-    the first variable with d_s odd), returned as (w, s); s is None for
-    c1 = -1.  The weights w_i = 3^i*d_j for i != j and
-    w_j = -sum_(i != j) 3^i*d_i, with j the first variable with d_j != 0, give
-    w.d = 0, so x^d = -c1 and the divisor vanishes at x.  There is no point for
-    1 + x^d with every d_i even: x^d is a square and -1 is none modulo _PRIME.
+    the first variable with d_s odd), returned as (w, s, j); s is None for
+    c1 = -1, and j, the first variable with d_j != 0, is the coordinate of
+    the jets' derivative D = x_j*d/dx_j.  The weights w_i = 3^i*d_j for
+    i != j and w_j = -sum_(i != j) 3^i*d_i give w.d = 0, so x^d = -c1 and the
+    divisor vanishes at x; there D(1 + c1*x^d) = -d_j != 0.  There is no point
+    for 1 + x^d with every d_i even: x^d is a square and -1 is none modulo
+    _PRIME.
     """
     s = None
     if c1 == 1:
@@ -619,14 +631,14 @@ def _test_point(d, c1):
     j = next(i for i, v in enumerate(d) if v)
     w = [3**i * d[j] for i in range(len(d))]
     w[j] = -sum(3**i * v for i, v in enumerate(d) if i != j)
-    return tuple(w), s
+    return tuple(w), s, j
 
 
-def _poly_value(poly, pt):
-    """poly at the test point pt modulo _PRIME, memoized on poly.
+def _jet(poly, pt):
+    """poly's jet (phi(poly), phi(D*poly)) at the test point pt, memoized on poly.
 
-    None when a coefficient is rational, which the layer pipeline never builds
-    (its numerators are integer polynomials).
+    A memoized derivative may be None (unknown).  A jet not yet memoized
+    costs one pass over the terms (_pass).
     """
     values = poly._values
     if values is None:
@@ -634,53 +646,89 @@ def _poly_value(poly, pt):
         object.__setattr__(poly, "_values", values)
     elif pt in values:
         return values[pt]
-    w, s = pt
-    total = 0
+    values[pt] = jet = _pass(poly, pt)
+    return jet
+
+
+def _pass(poly, pt):
+    """The jet of poly at pt from its terms, both sums in one loop.
+
+    (None, None) when a coefficient is rational, which the layer pipeline
+    never builds (its numerators are integer polynomials).
+    """
+    w, s, j = pt
+    value = deriv = 0
     for e, c in poly.terms.items():
         if type(c) is not int:
-            total = None
-            break
+            return None, None
         if s is not None and e[s] & 1:
             c = -c
-        total += c << (sum(map(mul, w, e)) % 61)
-    values[pt] = value = None if total is None else total % _PRIME
-    return value
+        c <<= sum(map(mul, w, e)) % 61
+        value += c
+        deriv += e[j] * c
+    return value % _PRIME, deriv % _PRIME
 
 
-def _monomial_value(exps, pt):
-    """x^exps at the test point pt, as an integer to be reduced modulo _PRIME."""
-    w, s = pt
-    value = 1 << (sum(map(mul, w, exps)) % 61)
-    return -value if s is not None and exps[s] & 1 else value
+def _monomial_jet(exps, pt):
+    """The jet of x^exps at pt: (m, exps_j*m) with m its value."""
+    w, s, j = pt
+    m = 1 << (sum(map(mul, w, exps)) % 61)
+    if s is not None and exps[s] & 1:
+        m = -m
+    return m, exps[j] * m
+
+
+def _jet_mul(a, b):
+    """The jet of a product, (a0*b0, a0*b1 + a1*b0), unknown where a1 or b1 is."""
+    (a0, a1), (b0, b1) = a, b
+    deriv = None if a1 is None or b1 is None else (a0 * b1 + a1 * b0) % _PRIME
+    return a0 * b0 % _PRIME, deriv
+
+
+def _jet_pow(jet, k):
+    """The k-th power (k >= 1) of a known jet: (b0^k, k*b0^(k-1)*b1)."""
+    b0, b1 = jet
+    power = pow(b0, k - 1, _PRIME)
+    return power * b0 % _PRIME, k * power * b1 % _PRIME
 
 
 def _carry(src, out, unit):
-    """Give out the value v*unit(pt) wherever src's value v and unit(pt) are known.
+    """Give out = src*u the jets of src times unit(pt), the jet of u.
 
-    For out = src*u with u a scalar, a monomial or the inverse of a binomial,
-    and unit(pt) = phi(u) or None: evaluation at a test point is a ring
+    u is a scalar or a monomial, and a jet is carried wherever src's value
+    is known: evaluation at a test point to first order is a ring
     homomorphism, so no pass over out is needed.  Returns out.
     """
     if src._values:
-        known = {}
-        for pt, v in src._values.items():
-            u = None if v is None else unit(pt)
-            if u is not None:
-                known[pt] = v * u % _PRIME
-        _set_values(out, known)
+        _set_values(out, {
+            pt: _jet_mul(jet, unit(pt))
+            for pt, jet in src._values.items() if jet[0] is not None
+        })
     return out
 
 
 def _set_values(poly, values):
-    """Store carried values on a polynomial that has none yet."""
+    """Store carried jets on a polynomial that has none yet."""
     if values:
         object.__setattr__(poly, "_values", values)
 
 
-def _inverse_value(poly, pt):
-    """1 / phi(poly) modulo _PRIME, or None where phi(poly) is 0."""
-    u = _poly_value(poly, pt)
-    return pow(u, -1, _PRIME) if u else None
+def _set_power_jets(num, powers, den):
+    """Give num = prod (1 + c*x^e)^k over (c, e, k) in powers its jets at den's points.
+
+    Each binomial's jet comes from its monomial's, (1 + c*m0, c*m1), so no
+    pass reads num.
+    """
+    values = {}
+    for f in den:
+        pt = f._point
+        if pt is not None:
+            jet = (1, 0)
+            for c, e, k in powers:
+                m0, m1 = _monomial_jet(e, pt)
+                jet = _jet_mul(jet, _jet_pow((1 + c * m0, c * m1), k))
+            values[pt] = jet
+    _set_values(num, values)
 
 
 # -- normalized binomial factors ---------------------------------------------
@@ -954,10 +1002,11 @@ class FactoredFraction:
 
 
 def _product(a, b, den):
-    """a*b, with its value at the test point of each factor of den.
+    """a*b, with its jet at the test point of each factor of den.
 
-    phi(a*b) = phi(a)*phi(b): an operand's value comes from its memo or from a
-    pass over that operand, which is far smaller than the product.
+    The Leibniz rule gives the product's jet from its operands': an operand's
+    jet comes from its memo or from a pass over that operand, which is far
+    smaller than the product.
     """
     out = a * b
     if out.terms:
@@ -965,10 +1014,10 @@ def _product(a, b, den):
         for f in den:
             pt = f._point
             if pt is not None:
-                va = _poly_value(a, pt)
-                vb = None if va is None else _poly_value(b, pt)
-                if vb is not None:
-                    values[pt] = va * vb % _PRIME
+                ja = _jet(a, pt)
+                jb = None if ja[0] is None else _jet(b, pt)
+                if jb is not None and jb[0] is not None:
+                    values[pt] = _jet_mul(ja, jb)
         _set_values(out, values)
     return out
 
@@ -980,24 +1029,46 @@ def _cancel(num, den):
     whose direction and test point are cached on it.  Afterwards no factor
     left in the denominator divides the numerator: a factor that failed still
     fails after later divisions, because each later quotient divides the
-    numerator it came from.  A quotient q = num / f has the value v / phi(f)
-    at every point where num's value v is known and phi(f) is nonzero; at
-    f's own point phi(f) = 0, so a second test of f makes a fresh pass.
+    numerator it came from.  Each quotient carries its jets (_quotient_jets),
+    so a second test of the same factor reads a carried value; only a third
+    test of one factor, whose quotient's derivative was unknown, makes a pass.
     """
     out = {}
     for f, m in sorted(den.items(), key=lambda fm: fm[0].sort_key()):
-        fp = f.as_poly()
         while m > 0:
             q = _divide_by_factor(num, f)
             if q is None:
                 break
-            num = _carry(num, q, lambda pt: _inverse_value(fp, pt))
+            _set_values(q, _quotient_jets(num, f.as_poly()))
+            num = q
             m -= 1
         if m:
             out[f] = m
     if num.is_zero():
         return num, {}
     return num, out
+
+
+def _quotient_jets(num, fp):
+    """The jets of q = num / fp wherever num's value is known.
+
+    From num = q*fp: where phi(fp) != 0, the quotient rule
+    q0 = n0 / f0 and q1 = (n1 - q0*f1) / f0; where phi(fp) = 0, such as on
+    fp's own zero set, n1 = q0*f1 gives q0 = n1 / f1 when f1 != 0, and q1
+    stays unknown.
+    """
+    known = {}
+    for pt, (n0, n1) in (num._values or {}).items():
+        if n0 is None:
+            continue
+        f0, f1 = _jet(fp, pt)
+        if f0:
+            inv = pow(f0, -1, _PRIME)
+            q0 = n0 * inv % _PRIME
+            known[pt] = q0, None if n1 is None else (n1 - q0 * f1) * inv % _PRIME
+        elif n1 is not None and f1:
+            known[pt] = n1 * pow(f1, -1, _PRIME) % _PRIME, None
+    return known
 
 
 def _common_denominator(fracs):
@@ -1050,12 +1121,15 @@ def frac_sum(fracs, variables=None) -> FactoredFraction:
 
 
 def _sum_values(fracs, common):
-    """The values of the lifted sum at the test point of each factor f of common.
+    """The jets of the lifted sum at the test point of each factor f of common.
 
-    phi(total) = sum_i phi(N_i) * prod_g phi(g)^extra_i(g), where extra_i(g)
-    lifts N_i to the common denominator.  A summand whose lift holds a factor
-    that vanishes at the point adds 0 and is skipped; that includes every
-    summand that does not hold f at its top multiplicity.
+    The total is sum_i N_i * L_i, where L_i = prod_g g^extra_i(g) lifts N_i
+    to the common denominator, so its jet is sum_i jet(N_i) * jet(L_i).  A
+    lift that vanishes at the point (every summand that does not hold f at
+    its top multiplicity) adds nothing to the value, and to the derivative
+    only n0*l1 when it vanishes to first order: that needs N_i's value, which
+    is read from its memo and never by a pass.  Where it is not memoized, the
+    derivative is unknown.
     """
     lifts = [
         (fr.num, {g: m - fr.den.get(g, 0) for g, m in common.items() if m > fr.den.get(g, 0)})
@@ -1066,20 +1140,26 @@ def _sum_values(fracs, common):
         pt = f._point
         if pt is None:
             continue
-        acc = 0
+        acc0 = acc1 = 0
         for num, extra in lifts:
-            unit = 1
+            lift = (1, 0)
             for g, k in extra.items():
-                unit = unit * pow(_poly_value(g.as_poly(), pt), k, _PRIME) % _PRIME
-                if not unit:
+                lift = _jet_mul(lift, _jet_pow(_jet(g.as_poly(), pt), k))
+                if lift == (0, 0):
                     break
-            if unit:
-                v = _poly_value(num, pt)
-                if v is None:
+            l0, l1 = lift
+            if l0:
+                n0, n1 = _jet(num, pt)
+                if n0 is None:
                     break
-                acc += v * unit
+                acc0 += n0 * l0
+                if acc1 is not None:
+                    acc1 = None if n1 is None else acc1 + n1 * l0 + n0 * l1
+            elif l1 and acc1 is not None:
+                n0 = (num._values or {}).get(pt, (None,))[0]
+                acc1 = None if n0 is None else acc1 + n0 * l1
         else:
-            values[pt] = acc % _PRIME
+            values[pt] = acc0 % _PRIME, None if acc1 is None else acc1 % _PRIME
     return values
 
 

@@ -292,6 +292,18 @@ class TestCache:
         assert run(capsys, "cache", "--clear")[0] == 0
         assert sorted(p.name for p in isolated_cache.iterdir()) == sorted(foreign)
 
+    def test_clear_of_a_missing_directory_creates_nothing(self, capsys, tmp_path):
+        missing = tmp_path / "a" / "b"
+        assert run(capsys, "cache", "--clear", "--cache-dir", str(missing)) == (0, "", "")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_clear_of_a_file_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "not-a-directory"
+        path.write_bytes(b"kept")
+        code, out, err = run(capsys, "cache", "--clear", "--cache-dir", str(path))
+        assert (code, out) == (2, "") and err.startswith("error: ")
+        assert path.read_bytes() == b"kept"
+
     @pytest.mark.parametrize(
         "command, kind, file_name, content",
         [
@@ -432,3 +444,15 @@ def test_in_process_calls_match_fresh_processes(capsys, monkeypatch):
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
         assert code == expected and "Traceback" not in err, argv
     assert cli._shared_parser() is parser
+
+
+def test_python_dash_m_runs_the_cli(capsys, monkeypatch):
+    """`python -m charvar` gives the exit code, stdout and stderr of main()."""
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    for argv, expected in IN_PROCESS_TABLE[:5]:
+        code, out, err = run(capsys, *argv)
+        module = subprocess.run([sys.executable, "-m", "charvar", *argv], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert (code, out, err) == (module.returncode, module.stdout, module.stderr), argv
+        assert code == expected, argv

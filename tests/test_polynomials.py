@@ -26,7 +26,8 @@ from charvar.polynomials import (
     normalize_factor,
     poly_text,
 )
-from charvar.polynomials import _cancel, _poly_value, _test_point
+import charvar.polynomials as polynomials
+from charvar.polynomials import _cancel, _jet, _test_point
 
 Q = ("q",)
 QT = ("q", "t")
@@ -527,7 +528,7 @@ def test_frac_sum_matches_pairwise_addition(items):
     assert frac_sum(items, QT) == total
 
 
-# -- the pre-test's carried values ---------------------------------------------
+# -- the pre-test's carried jets -----------------------------------------------
 
 _factors = [normalize_factor(b)[0] for b in _denominator_pool]
 # test points of the pool's factors, and of directions no factor here has
@@ -537,17 +538,22 @@ _points = [f._point for f in _factors] + [
 
 
 def _seed(poly):
-    """Give poly a value at every test point, by passes over its terms."""
+    """Give poly a jet at every test point, by passes over its terms."""
     for pt in _points:
-        _poly_value(poly, pt)
+        _jet(poly, pt)
     return poly
 
 
 def _assert_memo_is_fresh(poly):
-    """Every memoized value equals a pass over a fresh copy of the terms."""
+    """Every memoized jet equals a pass over a fresh copy of the terms.
+
+    The value must be equal; the derivative too, wherever it is known.
+    """
     fresh = SparsePoly(poly.vars, dict(poly.terms))
-    for pt, value in (poly._values or {}).items():
-        assert value == _poly_value(fresh, pt), (poly, pt)
+    for pt, (value, deriv) in (poly._values or {}).items():
+        fresh_value, fresh_deriv = _jet(fresh, pt)
+        assert value == fresh_value, (poly, pt)
+        assert deriv is None or deriv == fresh_deriv, (poly, pt)
 
 
 def _tree_sum(items):
@@ -562,11 +568,12 @@ _OPS = ["neg", "scale", "shift", "mul", "mul_poly", "flat_sum", "tree_sum", "can
 @given(fractions(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_carried_values_equal_a_fresh_pass(start, data):
-    """Values carried through the operations that build numerators are exact.
+    """Jets carried through the operations that build numerators are exact.
 
-    Negation, an int scale and a shift carry a scalar; a product multiplies
-    its operands' values; a sum lifts its summands' values; a quotient divides
-    by the factor's value.  Each result's memo must equal a fresh pass.
+    Negation and an int scale carry a scalar, a shift a monomial's jet; a
+    product takes the Leibniz rule; a sum lifts its summands' jets; a
+    quotient takes the quotient rule, or phi(D*N)/phi(D*f) where f vanishes.
+    Each result's memo must equal a fresh pass, derivatives where known.
     """
     out = start
     _seed(out.num)
@@ -605,12 +612,100 @@ def test_rational_coefficient_has_no_value_and_the_division_decides():
     b = p(QT, {(0, 0): 1, (1, 1): -1})
     a = p(QT, {(0, 0): Fraction(1, 2), (2, 0): 3})
     pt = normalize_factor(b)[0]._point
-    assert _poly_value(a * b, pt) is None
+    assert _jet(a * b, pt) == (None, None)
     assert divide_exact(a * b, b) == a
     with pytest.raises(NotDivisible):
         divide_exact(a * b + p(QT, {(1, 0): 1}), b)
-    # a rational polynomial scaled to integers gets its value from a pass
+    # a rational polynomial scaled to integers gets its jet from a pass
     halves = _seed(p(QT, {(1, 0): Fraction(1, 2), (0, 3): Fraction(-3, 2)}))
     doubled = halves.scale(2)
-    assert _poly_value(halves, pt) is None
-    assert _poly_value(doubled, pt) == _poly_value(p(QT, doubled.terms), pt) is not None
+    assert _jet(halves, pt) == (None, None)
+    assert _jet(doubled, pt) == _jet(p(QT, doubled.terms), pt)
+    assert _jet(doubled, pt)[1] is not None
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """The polynomials that pre-test passes read, in order."""
+    read = []
+    real = polynomials._pass
+
+    def counted(poly, pt):
+        read.append(poly)
+        return real(poly, pt)
+
+    monkeypatch.setattr(polynomials, "_pass", counted)
+    return read
+
+
+_F = normalize_factor(p(QT, {(0, 0): 1, (1, 1): -1}))[0]  # 1 - q*t
+_A = p(QT, {(0, 0): 1, (1, 0): 2, (0, 2): -3, (2, 1): 5})
+
+
+def test_a_shift_carries_the_monomials_jet():
+    """x^s*N has the jet (m*n0, m*n1 + s_j*m*n0), with m the value of x^s."""
+    shifted = _seed(p(QT, dict(_A.terms))).shift((2, -1))
+    assert all(deriv is not None for _, deriv in shifted._values.values())
+    _assert_memo_is_fresh(shifted)
+
+
+def test_a_quotient_is_retested_at_its_own_point_without_a_pass(passes):
+    """(A*f^2) / f^2: the second test reads phi(D*N)/phi(D*f), carried."""
+    fp = _F.as_poly()
+    num = _A * fp**2
+    q, den = _cancel(num, {_F: 2})
+    assert (q, den) == (_A, {})
+    assert [poly for poly in passes if poly is not fp] == [num]
+    _assert_memo_is_fresh(q)
+
+
+def test_a_quotient_is_rejected_on_the_retest_without_a_pass(passes, monkeypatch):
+    """(A*f) / f^2 with f not dividing A: the carried value rejects the second test."""
+    fp = _F.as_poly()
+    a_value = polynomials._pass(_A, _F._point)[0]
+    assert a_value != 0
+    divisions = []
+    real = polynomials._divide_two_term
+    monkeypatch.setattr(
+        polynomials, "_divide_two_term", lambda *a: divisions.append(a) or real(*a)
+    )
+    del passes[:]
+    num = _A * fp
+    q, den = _cancel(num, {_F: 2})
+    assert (q, den) == (_A, {_F: 1})
+    assert [poly for poly in passes if poly is not fp] == [num]
+    assert len(divisions) == 1
+    assert q._values[_F._point][0] == a_value
+    _assert_memo_is_fresh(q)
+
+
+def test_a_factor_that_vanishes_at_another_factors_point(passes):
+    """1 - q^2*t^2 vanishes at the point of 1 - q*t, to first order, and back."""
+    g = normalize_factor(p(QT, {(0, 0): 1, (2, 2): -1}))[0]
+    points = (_F._point, g._point)
+    for a, b in ((_F, g), (g, _F)):
+        assert _jet(a.as_poly(), b._point)[0] == 0
+        assert _jet(a.as_poly(), b._point)[1] != 0
+    # a quotient by f at g's point, where phi(f) = 0, takes phi(D*N)/phi(D*f)
+    num = _seed(_A * _F.as_poly())
+    q, den = _cancel(num, {_F: 1, g: 1})
+    assert (q, den) == (_A, {g: 1})
+    assert all(q._values[pt][0] is not None for pt in points)
+    _assert_memo_is_fresh(q)
+    # in q/f + b/g each lift vanishes to first order at both points, so the
+    # sum's jets come from the memoized values alone
+    b = _seed(p(QT, {(1, 0): 1, (0, 1): -4}))
+    common = {_F: 1, g: 1}
+    lifted = q * g.as_poly() + b * _F.as_poly()
+    fracs = [FactoredFraction._reduced(q, {_F: 1}), FactoredFraction._reduced(b, {g: 1})]
+    del passes[:]
+    jets = polynomials._sum_values(fracs, common)
+    assert not any(poly is q or poly is b for poly in passes)
+    assert jets == {pt: polynomials._pass(lifted, pt) for pt in points}
+    # a summand with no memoized value there leaves the derivative unknown
+    fresh_b = p(QT, dict(b.terms))
+    fracs[1] = FactoredFraction._reduced(fresh_b, {g: 1})
+    del passes[:]
+    jets = polynomials._sum_values(fracs, common)
+    assert passes == [] and fresh_b._values is None  # the factors' jets are memoized
+    assert jets == {pt: (polynomials._pass(lifted, pt)[0], None) for pt in points}
