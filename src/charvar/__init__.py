@@ -34,6 +34,7 @@ from .polynomials import (
     SparsePoly,
     adams,
     adams_poly,
+    binomial_product,
     divide_exact,
     frac_sum,
     poly_text,

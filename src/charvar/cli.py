@@ -251,6 +251,8 @@ _shared_parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # a count at large genus has thousands of digits
     try:
         args = _shared_parser().parse_args(argv)
     except SystemExit as exc:

@@ -45,6 +45,7 @@ from .polynomials import (
     FactoredFraction,
     SparsePoly,
     _gl_key,
+    binomial_product,
     frac_sum,
     poly_text,
 )
@@ -354,162 +355,101 @@ def specialize_invariant(result: InvariantResult, target: str) -> SparsePoly:
 
 
 # -- printed closed forms --------------------------------------------------------
+#
+# Each printed term is one row (scalar, mono, factors): the scalar times
+# x^(mono*(g-1)) times the binomial_product of (1 + c*x^e)^(a*g + b) over the
+# (c, e, (a, b)) of factors.  A printed denominator q^a*t^b - 1 is written
+# -(1 - q^a*t^b), so each one flips the sign of its row's scalar.  The printed
+# trinomials are ratios of binomials:
+#
+#   q^2t^2 - qt + 1 = (1 + q^3t^3) / (1 + qt)    q^2 + q + 1 = (1 - q^3) / (1 - q)
+#   q^2t^4 + qt^2 + 1 = (1 - q^3t^6) / (1 - qt^2)  t^4 + t^2 + 1 = (1 - t^6) / (1 - t^2)
 
-_QT = FLAVOR_QT.variables
-_Q = FLAVOR_E.variables
-_T = FLAVOR_PURE.variables
+
+def _ratio(num, den):
+    """The factors of prod (1 + x^e)^(2g) over num, over prod (1 - x^e) over den."""
+    return tuple((1, e, (2, 0)) for e in num) + tuple((-1, e, (0, -1)) for e in den)
+
+
+# closed form -> (its variables, its rows)
+_FORM_ROWS = {
+    "E2": (FLAVOR_E.variables, (  # (q^2 - 1)^(2g-2) = (1 - q^2)^(2g-2), and so on
+        (1, (0,), ((-1, (2,), (2, -2)),)),
+        (1, (2,), ((-1, (2,), (2, -2)),)),
+        (Fraction(-1, 2), (2,), ((-1, (1,), (2, -2)),)),
+        (Fraction(-1, 2), (2,), ((1, (1,), (2, -2)),)),
+    )),
+    "H2": (FLAVOR_QT.variables, (
+        (1, (0, 0), _ratio([(2, 3)], [(2, 2), (2, 4)])),
+        (1, (2, 4), _ratio([(2, 1)], [(2, 0), (2, 2)])),
+        (Fraction(-1, 2), (2, 4), _ratio([(1, 1)], [(1, 2), (1, 0)])),
+        (Fraction(-1, 2), (2, 4),
+         ((-1, (1, 1), (2, 0)), (1, (1, 0), (0, -1)), (1, (1, 2), (0, -1)))),
+    )),
+    "H3": (FLAVOR_QT.variables, (
+        (1, (0, 0), _ratio([(3, 5), (2, 3)], [(3, 6), (3, 4), (2, 4), (2, 2)])),
+        (1, (6, 12), _ratio([(3, 1), (2, 1)], [(3, 2), (3, 0), (2, 2), (2, 0)])),
+        (1, (4, 8), _ratio([(3, 3), (1, 1)], [(3, 4), (3, 2), (1, 2), (1, 0)])),
+        (Fraction(1, 3), (6, 12), _ratio([(1, 1), (1, 1)], [(1, 2), (1, 2), (1, 0), (1, 0)])),
+        # (q^2t^2 - qt + 1)^(2g) / ((q^2t^4 + qt^2 + 1)(q^2 + q + 1))
+        (Fraction(-1, 3), (6, 12), _ratio([(3, 3)], [(3, 6), (3, 0)])
+         + ((1, (1, 1), (-2, 0)), (-1, (1, 2), (0, 1)), (-1, (1, 0), (0, 1)))),
+        (-1, (4, 8), _ratio([(2, 3), (1, 1)], [(2, 4), (2, 2), (1, 2), (1, 0)])),
+        (-1, (6, 12), _ratio([(2, 1), (1, 1)], [(2, 2), (2, 0), (1, 2), (1, 0)])),
+    )),
+    "PP3": (FLAVOR_PURE.variables, (
+        (1, (0,), _ratio([], [(6,), (4,)])),
+        (1, (12,), ()),
+        (1, (8,), _ratio([], [(2,)])),
+        (Fraction(1, 3), (12,), _ratio([], [(2,), (2,)])),
+        (Fraction(-1, 3), (12,), ((-1, (6,), (0, -1)), (-1, (2,), (0, 1)))),  # 1/(t^4+t^2+1)
+        (-1, (8,), _ratio([], [(4,), (2,)])),
+        (-1, (12,), _ratio([], [(2,)])),
+    )),
+}
+
+
+def _ygenus_rows(n: int, g: int):
+    """The y-genus's rows: one for each squarefree m dividing n, with k = n/m,
+
+        mu(m)/m * [ (1 - (-y)^n)/(1 + y) * m*(-y)^(n(n-k)) prod_(0<i<k) (1 - (-y)^(mi))^2 ]^(g-1)
+    """
+    rows = []
+    for m in range(1, n + 1):
+        mu = 0 if n % m else moebius(m)
+        if mu:
+            k = n // m
+            scalar = Fraction(mu, m) * ((-1) ** (n * (n - k)) * m) ** (g - 1)
+            factors = [(-((-1) ** n), (n,), (1, -1)), (1, (1,), (-1, 1))]
+            factors += [(-((-1) ** (m * i)), (m * i,), (2, -2)) for i in range(1, k)]
+            rows.append((scalar, (n * (n - k),), factors))
+    return rows
 
 
 def closed_form(which: str, g: int, n: int | None = None) -> FactoredFraction:
-    """Closed forms transcribed term by term: E2, H2, H3, PP3, ygenus(n).
+    """A printed closed form, the sum of its rows: E2, H2, H3, PP3, ygenus(n).
 
-    ygenus wants g >= 2, the others g >= 1 (UnsupportedGenus otherwise).
-    The two trinomial denominator factors appearing in the printed H3/PP3
-    (q^2 t^4 + q t^2 + 1 and its t-only shadow) are cleared against
-    (1 - q^3 t^6) = (1 - q t^2)(q^2 t^4 + q t^2 + 1) so that denominators stay
-    binomial; the values are unchanged.
+    ygenus wants g >= 2 (UnsupportedGenus otherwise) and n >= 1 (ValueError),
+    the others g >= 1.
     """
-    build = _CLOSED_FORMS.get(which)
-    if build is None:
+    if which not in _FORM_ROWS and which != "ygenus":
         raise KindMismatch(f"unknown closed form {which!r}")
     minimum = 2 if which == "ygenus" else 1
     if g < minimum:
         raise UnsupportedGenus(f"closed form {which} wants g >= {minimum}, got {g}")
-    return build(g, n) if which == "ygenus" else build(g)
-
-
-def _closed_e2(g) -> FactoredFraction:
-    one = SparsePoly.one(_Q)
-    q = SparsePoly.variable(_Q, "q")
-    q2 = (q * q - one) ** (2 * g - 2)
-    qpow = SparsePoly.monomial(_Q, (2 * g - 2,))
-    total = (
-        q2
-        + qpow * q2
-        - (qpow * (q - one) ** (2 * g - 2)).scale(Fraction(1, 2))
-        - (qpow * (q + one) ** (2 * g - 2)).scale(Fraction(1, 2))
-    )
-    return FactoredFraction.from_poly(total)
-
-
-def _b2(qe, te, c=1):
-    return SparsePoly(_QT, {(0, 0): 1, (qe, te): c})
-
-
-def _minus(qe, te):
-    # q^qe t^te - 1 (the printed denominators' sign convention)
-    return SparsePoly(_QT, {(qe, te): 1, (0, 0): -1})
-
-
-def _closed_h2(g) -> FactoredFraction:
-    t1 = FactoredFraction.from_poly(_b2(2, 3) ** (2 * g))
-    t1 = t1.divided_by_poly(_minus(2, 2)).divided_by_poly(_minus(2, 4))
-    t2 = FactoredFraction.from_poly(_b2(2, 1) ** (2 * g)).shift((2 * g - 2, 4 * g - 4))
-    t2 = t2.divided_by_poly(_minus(2, 0)).divided_by_poly(_minus(2, 2))
-    t3 = FactoredFraction.from_poly(_b2(1, 1) ** (2 * g)).shift((2 * g - 2, 4 * g - 4))
-    t3 = t3.scale(Fraction(-1, 2))
-    t3 = t3.divided_by_poly(_minus(1, 2)).divided_by_poly(_minus(1, 0))
-    t4 = FactoredFraction.from_poly(_b2(1, 1, -1) ** (2 * g)).shift((2 * g - 2, 4 * g - 4))
-    t4 = t4.scale(Fraction(-1, 2))
-    t4 = t4.divided_by_poly(_b2(1, 0)).divided_by_poly(_b2(1, 2))
-    return frac_sum([t1, t2, t3, t4], _QT)
-
-
-def _closed_h3(g) -> FactoredFraction:
-    terms = []
-    f = FactoredFraction.from_poly(_b2(3, 5) ** (2 * g) * _b2(2, 3) ** (2 * g))
-    for d in ((3, 6), (3, 4), (2, 4), (2, 2)):
-        f = f.divided_by_poly(_minus(*d))
-    terms.append(f)
-    f = FactoredFraction.from_poly(_b2(3, 1) ** (2 * g) * _b2(2, 1) ** (2 * g))
-    f = f.shift((6 * g - 6, 12 * g - 12))
-    for d in ((3, 2), (3, 0), (2, 2), (2, 0)):
-        f = f.divided_by_poly(_minus(*d))
-    terms.append(f)
-    f = FactoredFraction.from_poly(_b2(3, 3) ** (2 * g) * _b2(1, 1) ** (2 * g))
-    f = f.shift((4 * g - 4, 8 * g - 8))
-    for d in ((3, 4), (3, 2), (1, 2), (1, 0)):
-        f = f.divided_by_poly(_minus(*d))
-    terms.append(f)
-    f = FactoredFraction.from_poly(_b2(1, 1) ** (4 * g)).shift((6 * g - 6, 12 * g - 12))
-    f = f.scale(Fraction(1, 3))
-    f = f.divided_by_poly(_minus(1, 2), 2).divided_by_poly(_minus(1, 0), 2)
-    terms.append(f)
-    # -(1/3) q^{6g-6} t^{12g-12} (q^2t^2-qt+1)^{2g} / ((q^2t^4+qt^2+1)(q^2+q+1)),
-    # trinomials cleared against (1-q^3t^6) and (1-q^3)
-    num = SparsePoly(_QT, {(2, 2): 1, (1, 1): -1, (0, 0): 1}) ** (2 * g)
-    num = num * _b2(1, 2, -1) * _b2(1, 0, -1)
-    f = FactoredFraction.from_poly(num).shift((6 * g - 6, 12 * g - 12))
-    f = f.scale(Fraction(-1, 3))
-    f = f.divided_by_poly(_b2(3, 6, -1)).divided_by_poly(_b2(3, 0, -1))
-    terms.append(f)
-    f = FactoredFraction.from_poly(_b2(2, 3) ** (2 * g) * _b2(1, 1) ** (2 * g))
-    f = f.shift((4 * g - 4, 8 * g - 8)).scale(-1)
-    for d in ((2, 4), (2, 2), (1, 2), (1, 0)):
-        f = f.divided_by_poly(_minus(*d))
-    terms.append(f)
-    f = FactoredFraction.from_poly(_b2(2, 1) ** (2 * g) * _b2(1, 1) ** (2 * g))
-    f = f.shift((6 * g - 6, 12 * g - 12)).scale(-1)
-    for d in ((2, 2), (2, 0), (1, 2), (1, 0)):
-        f = f.divided_by_poly(_minus(*d))
-    terms.append(f)
-    return frac_sum(terms, _QT)
-
-
-def _closed_pp3(g) -> FactoredFraction:
-    def tmono(e, c=1):
-        return SparsePoly.monomial(_T, (e,), c)
-
-    def tminus(e):
-        return SparsePoly(_T, {(e,): 1, (0,): -1})
-
+    if which == "ygenus":
+        if n is None or n < 1:
+            raise ValueError(f"ygenus closed form needs n >= 1, got {n}")
+        variables, rows = ("y",), _ygenus_rows(n, g)
+    else:
+        variables, rows = _FORM_ROWS[which]
     terms = [
-        FactoredFraction.one(_T).divided_by_poly(tminus(6)).divided_by_poly(tminus(4)),
-        FactoredFraction.from_poly(tmono(12 * g - 12)),
-        FactoredFraction.from_poly(tmono(8 * g - 8, -1)).divided_by_poly(tminus(2)),
-        FactoredFraction.from_poly(tmono(12 * g - 12, Fraction(1, 3))).divided_by_poly(
-            tminus(2), 2
-        ),
-        # -(1/3) t^{12g-12} / (t^4+t^2+1), trinomial cleared against (1-t^6)
-        FactoredFraction.from_poly(
-            tmono(12 * g - 12, Fraction(-1, 3)) * SparsePoly(_T, {(0,): 1, (2,): -1})
-        ).divided_by_poly(SparsePoly(_T, {(0,): 1, (6,): -1})),
-        FactoredFraction.from_poly(tmono(8 * g - 8, -1))
-        .divided_by_poly(tminus(4))
-        .divided_by_poly(tminus(2)),
-        FactoredFraction.from_poly(tmono(12 * g - 12)).divided_by_poly(tminus(2)),
+        binomial_product(variables, [(c, e, a * g + b) for c, e, (a, b) in factors])
+        .shift(tuple(k * (g - 1) for k in mono))
+        .scale(scalar)
+        for scalar, mono, factors in rows
     ]
-    return frac_sum(terms, _T)
-
-
-def _closed_ygenus(g: int, n: int | None) -> FactoredFraction:
-    if n is None:
-        raise ValueError("ygenus closed form needs n")
-    yvars = ("y",)
-    front = SparsePoly(yvars, {(k,): (-1) ** k for k in range(n)}) ** (g - 1)
-    total = SparsePoly.zero(yvars)
-    for m in range(1, n + 1):
-        if n % m:
-            continue
-        mu = moebius(m)
-        if mu == 0:
-            continue
-        k = n // m
-        inner = SparsePoly.monomial(yvars, (n * (n - k),), (-1) ** (n * (n - k)) * m)
-        for i in range(1, k):
-            inner = inner * SparsePoly(yvars, {(0,): 1, (m * i,): -((-1) ** (m * i))}) ** 2
-        total = total + (front * inner ** (g - 1)).scale(Fraction(mu, m))
-    return FactoredFraction.from_poly(total)
-
-
-# closed form -> its builder, called with g (and n, for ygenus)
-_CLOSED_FORMS = {
-    "E2": _closed_e2,
-    "H2": _closed_h2,
-    "H3": _closed_h3,
-    "PP3": _closed_pp3,
-    "ygenus": _closed_ygenus,
-}
+    return frac_sum(terms, variables)
 
 
 # -- cross-invariant checks and the check suites -----------------------------------

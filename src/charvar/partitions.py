@@ -8,8 +8,10 @@ for (5,5,4,3,1) the cell z = (-1,1) has a(z) = 3 and l(z) = 2.
 
 ``hook_term`` builds the exact FactoredFraction a partition contributes at
 genus g to a generating function, reading the formula from the flavor's
-``Flavor`` spec (the table of all four is in its docstring).  For g = 0 the E
-terms are genuine fractions.  All functions here are pure.
+``Flavor`` spec (the table of all four is in its docstring): its cells'
+binomial powers go to ``polynomials.binomial_product``, and the leg shift
+multiplies the result.  For g = 0 the E terms are genuine fractions.  All
+functions here are pure.
 """
 
 from __future__ import annotations
@@ -17,13 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .polynomials import (
-    FactoredFraction,
-    Flavor,
-    SparsePoly,
-    _fold_factor,
-    _set_power_jets,
-)
+from .polynomials import FactoredFraction, Flavor, binomial_product
 
 
 @dataclass(frozen=True)
@@ -122,34 +118,18 @@ def cell_stats(partition: Partition) -> DiagramStats:
 def hook_term(flavor: Flavor, partition: Partition, g: int) -> FactoredFraction:
     """The generating-function term attached to one partition at genus g.
 
-    Built once, so cancelled once: the numerator is the product of the positive
-    binomial powers, the denominator the normalize_factor multiset of the rest.
-    The numerator gets its pre-test jets (value and first derivative) at the
-    denominator's points from its binomial powers, so no pass reads it; the
-    folds' monomial unit then carries them.
+    Its cells' binomial powers, cell by cell in the order of
+    ``flavor.cell_factors``, make one ``binomial_product``, cancelled once;
+    the leg shift multiplies the result.
     """
     if g < 0:
         raise ValueError("genus must be non-negative")
     stats = cell_stats(partition)
-    variables = flavor.variables
-    zero = (0,) * len(variables)
-    num = SparsePoly.one(variables)
-    unit = SparsePoly.one(variables)  # the monomial the folds leave
-    den = {}
-    powers = []
-    for cell in stats.cells:
-        if flavor.armless_only and cell.arm:
-            continue
-        for c, exps, power in flavor.cell_factors:
-            k = power(g)
-            e = exps(cell.hook, cell.leg)
-            binom = SparsePoly(variables, {zero: 1, e: c})
-            if k > 0:
-                num = num * binom**k
-                powers.append((c, e, k))
-            elif k < 0:
-                unit = _fold_factor(unit, den, binom, -k)
-    _set_power_jets(num, powers, den)
-    ((shift, scale),) = unit.terms.items()
-    out = FactoredFraction(num.shift(shift).scale(scale), den)
+    factors = [
+        (c, exps(cell.hook, cell.leg), power(g))
+        for cell in stats.cells
+        if not (flavor.armless_only and cell.arm)
+        for c, exps, power in flavor.cell_factors
+    ]
+    out = binomial_product(flavor.variables, factors)
     return out.shift(tuple(s * (1 - g) * stats.leg_sum for s in flavor.leg_shift))

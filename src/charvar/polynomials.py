@@ -38,14 +38,15 @@ monomial shift; a fraction product (the Leibniz rule on its factors' jets); a
 fraction sum (from the summands' jets and the lifting factors' jets); an exact
 quotient by a binomial f (the quotient rule where phi(f) is nonzero, and
 phi(D*N)/phi(D*f) on f's own zero set, where the derivative of the quotient is
-unknown); and a hook term's numerator (from its binomial powers, in
-``partitions.hook_term``).  A derivative may be unknown, never guessed; the
-pre-test reads only the value, and a value that is not known is computed, with
-its derivative, by one pass over the terms.  Passes are left where a value
-was lost, in the second test of a quotient whose numerator's derivative was
-unknown (a third test of one factor, or a product in the logarithm whose
-operand lost its derivative), and where no rule builds the numerator: a
-factor that a layer's normalization or an Adams substitution brings in.
+unknown); and the numerator of a product of binomial powers (from its powers,
+in ``binomial_product``, which builds every hook term).  A derivative may be
+unknown, never guessed; the pre-test reads only the value, and a value that is
+not known is computed, with its derivative, by one pass over the terms.
+Passes are left where a value was lost, in the second test of a quotient whose
+numerator's derivative was unknown (a third test of one factor, or a product
+in the logarithm whose operand lost its derivative), and where no rule builds
+the numerator: a factor that a layer's normalization or an Adams substitution
+brings in.
 
 The monomial order used for canonical output, leading terms, and division is
 graded lexicographic, ascending, with the variable order of the context.
@@ -713,24 +714,6 @@ def _set_values(poly, values):
         object.__setattr__(poly, "_values", values)
 
 
-def _set_power_jets(num, powers, den):
-    """Give num = prod (1 + c*x^e)^k over (c, e, k) in powers its jets at den's points.
-
-    Each binomial's jet comes from its monomial's, (1 + c*m0, c*m1), so no
-    pass reads num.
-    """
-    values = {}
-    for f in den:
-        pt = f._point
-        if pt is not None:
-            jet = (1, 0)
-            for c, e, k in powers:
-                m0, m1 = _monomial_jet(e, pt)
-                jet = _jet_mul(jet, _jet_pow((1 + c * m0, c * m1), k))
-            values[pt] = jet
-    _set_values(num, values)
-
-
 # -- normalized binomial factors ---------------------------------------------
 
 
@@ -999,6 +982,42 @@ class FactoredFraction:
         if den:
             return f"FactoredFraction(({poly_text(self.num)}) / {den})"
         return f"FactoredFraction({poly_text(self.num)})"
+
+
+def binomial_product(variables, factors) -> FactoredFraction:
+    """The product of (1 + c*x^e)^k over the (c, e, k) triples of factors.
+
+    Built once, so cancelled once: a power k > 0 multiplies the numerator, a
+    power k < 0 folds the factor into the denominator (_fold_factor), and
+    k = 0 is skipped.  The numerator gets its pre-test jets at the
+    denominator's points from its binomial powers, each binomial's from its
+    monomial's, (1 + c*m0, c*m1), so no pass reads it; the folds' monomial
+    unit then carries them.
+    """
+    zero = (0,) * len(variables)
+    num = SparsePoly.one(variables)
+    unit = SparsePoly.one(variables)  # the monomial the folds leave
+    den = {}
+    powers = []
+    for c, e, k in factors:
+        binom = SparsePoly(variables, {zero: 1, e: c})
+        if k > 0:
+            num = num * binom**k
+            powers.append((c, e, k))
+        elif k < 0:
+            unit = _fold_factor(unit, den, binom, -k)
+    values = {}
+    for f in den:
+        pt = f._point
+        if pt is not None:
+            jet = (1, 0)
+            for c, e, k in powers:
+                m0, m1 = _monomial_jet(e, pt)
+                jet = _jet_mul(jet, _jet_pow((1 + c * m0, c * m1), k))
+            values[pt] = jet
+    _set_values(num, values)
+    ((shift, scale),) = unit.terms.items()
+    return FactoredFraction(num.shift(shift).scale(scale), den)
 
 
 def _product(a, b, den):

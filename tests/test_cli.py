@@ -270,6 +270,25 @@ class TestCount:
         assert doc["agreement"] is True
         assert doc["brute_tuples"] == doc["character_tuples"]
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_large_genus_prints_every_digit(self, capsys, fmt):
+        """The counts at g = 1300 run past Python's default 4,300-digit limit."""
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        try:
+            code, out, _ = run(
+                capsys, "count", "--family", "gl", "--q", "3", "--g", "1300",
+                "--zeta-order", "2", "--format", fmt,
+            )
+            assert code == 0
+            if fmt == "json":
+                doc = json.loads(out)
+                assert doc["agreement"] is True and len(str(doc["brute_tuples"])) > 4300
+            else:
+                assert "agreement: True" in out
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+
 
 class TestCache:
     def test_list_empty(self, capsys):

@@ -12,6 +12,8 @@ tree-shaped partition sum and the pre-test's carried values do the most work.
 The JSON output and exit code of ``charvar check`` are pinned too, for every
 suite at six (n, g), so that a change to how the checks are assembled must
 reproduce every entry, detail and witness, and refuse the same suites.
+The printed closed forms are pinned by the digest of their ``poly_text``:
+E2, H2, H3 and PP3 at g = 1..6 and the y-genus at n = 1..7, g = 2..6.
 """
 
 import hashlib
@@ -19,7 +21,13 @@ import hashlib
 import pytest
 
 from charvar import cli
-from charvar.invariants import compute_invariant, document_bytes, polynomial_document
+from charvar.invariants import (
+    closed_form,
+    compute_invariant,
+    document_bytes,
+    polynomial_document,
+)
+from charvar.polynomials import poly_text
 
 GOLDEN = {
     ("E", 1, 0): "82a042fce275d085f9fa14dd887f1a69f249d46ece0862f73557e94c9d7bc550",
@@ -182,3 +190,77 @@ def test_check_all_json_matches_golden_digest(n, g, tmp_path, capsys):
         out = capsys.readouterr().out
         got[suite] = (code, hashlib.sha256(out.encode()).hexdigest())
     assert got == expected
+
+
+# closed_form(*key): the printed E2, H2, H3 and PP3 at g = 1..6, and the
+# y-genus at n = 1..7, g = 2..6, as SHA-256 of poly_text of the polynomial
+CLOSED_FORMS = {
+    ("E2", 1): "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+    ("E2", 2): "9b2964b556892b68bfe842cf74c0f285af81d91d3270d02faeaf7076a8220834",
+    ("E2", 3): "22c3878696ae909cc8ff3d6f79548c02cf2760f59e79e6f9454e433c99a32c1c",
+    ("E2", 4): "7d10577b0624c1242cc1939e0adf9abb01bfd37abd58c8ac3d7ab04decc6ea4e",
+    ("E2", 5): "9620c9d6032d0485d2b1de3f3666cf778e5825294570d3722a30ba7f670c5a7e",
+    ("E2", 6): "38b5d84e2bc2b8c600d78f620b275b6319a62ad10c116bb6b0950114c7a676ce",
+    ("H2", 1): "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+    ("H2", 2): "a960229058c67b522c94431816fe6fcbf441b675cd08fe3d7846dd6034ba812e",
+    ("H2", 3): "f778ccd8d34b18f263524e2b0febceff645340ec363ef9b43a0e4afa5ac282fe",
+    ("H2", 4): "862456b9250146033a5897f86d54b7fe12abf627adaeb2d59a4aee9c1f01e706",
+    ("H2", 5): "5a672be1b6fe7fd2eb3f36b3236e38e3ebe06dd6acf1f1ba1ba6840c047a5be9",
+    ("H2", 6): "bd9f9531a3d6713944d817b46fe7f8ccc9520362956ff5b9eae1432569b0b893",
+    ("H3", 1): "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+    ("H3", 2): "17b70d1936f4c272532603a815818f51b532c36d1e2e1818a233cbc9ae96e6a0",
+    ("H3", 3): "c2ba239bd3cf1e0f3fc56d5016ae09e2162106ef94bfce94d721e26ba394b9fa",
+    ("H3", 4): "7f5cc94ebc57b8285fee730eacaaabf68b36b691dacbbb4d276d8d1c33c4fc74",
+    ("H3", 5): "7528e99571b1b6595b636307c70cea76d79da2dfd0231f7eed01f0145df861ca",
+    ("H3", 6): "2cccc6aa508b46d107cbfeb87a1af7e748011927e5bad9edc7a18661f1965255",
+    ("PP3", 1): "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+    ("PP3", 2): "08b5bf920c85473fd6569fec029bed13157fd7340e46f81fd34447ccfaa8b83b",
+    ("PP3", 3): "070f9210e4dcd55a581541cbab68d236c2ba6d2f3a4ee5aa5e4f69b5f504f52d",
+    ("PP3", 4): "06442d6214feb35c092ca852486b7fda6d163f3580ff1cfdf4a8739fcf4ab5cc",
+    ("PP3", 5): "0a8706be1c2d2430ecaadfdaac264f3e4c7a9a14efb4f9d3da39cab9c7644eef",
+    ("PP3", 6): "28d6a9aa39e0f6e6e3239966cd3cf786756b35b416622475973249c2f5bde3d5",
+    ("ygenus", 2, 1): "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+    ("ygenus", 3, 1): "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+    ("ygenus", 4, 1): "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+    ("ygenus", 5, 1): "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+    ("ygenus", 6, 1): "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+    ("ygenus", 2, 2): "604d365ffbbcb2497e157331b9d236d4648659ad949b63d0ce520e337d0f94cf",
+    ("ygenus", 3, 2): "f7f17ae70854ea4a74e7bae7ebad368996e70a6034da0a56c6c338c77e32a39b",
+    ("ygenus", 4, 2): "7335ef56ded899c8568807e50cea57c1eab74fc2f884cef60586c11e41a3232a",
+    ("ygenus", 5, 2): "8a49c29041521cc5462f4b51d03e6e9c64bd3262c6fe374082b45b5dc5b5d1fc",
+    ("ygenus", 6, 2): "1a48b7b0a66c4eceee4d7116f7da301e6eb503412cfb76c3d1d5e4c380fa7d00",
+    ("ygenus", 2, 3): "0b360e53cb4d2aaa3143265568cefe1713ac0043e1c2f18d62d0807eb90e63a4",
+    ("ygenus", 3, 3): "761b7c2c6ecd542eec8d45109c0c36d9d90f4aab88bcea04fe6cd8bdb15f6f03",
+    ("ygenus", 4, 3): "d07de657676300532fa46cf7f0ca0e7864222bfbbaf3dcaffab2f7ac11efb778",
+    ("ygenus", 5, 3): "8338b5e1b5ff6de05a070cc7ba6ea7e9ab1843bde373bdfeac39d6f4f8dd6ff1",
+    ("ygenus", 6, 3): "4c588967eb4e44779c5dc69a44fee72828a122f8f1188be86df76c759539089d",
+    ("ygenus", 2, 4): "290e3ff881dce55519084d14d126dd0e8355955217970ab377b83150ddbdeb94",
+    ("ygenus", 3, 4): "04a6e308aa292cc6b92f2cc363402702a3fb34297a6e2eeab0409ce511988196",
+    ("ygenus", 4, 4): "5a7b317e32d704db2c40321ca69999ca52f424f9a784a746a05f862dd0dfa4ee",
+    ("ygenus", 5, 4): "ae69d4cbe8da5965299d7809035da9cdcea613ee20cb757ab5803460c8649684",
+    ("ygenus", 6, 4): "bfeacc1f3f21ef117f5debf0e5266c1066453333086de1d083bbbed07d09f029",
+    ("ygenus", 2, 5): "0221dbf5cb1a6d70e7d1b74d3805abbe37af72812c0fb5eba3a934fc4219ce32",
+    ("ygenus", 3, 5): "73cbbc7de176ade349991b9abf5f91bd308f979f73b5c62f76cbdcf0075988e1",
+    ("ygenus", 4, 5): "54a6a0a973d2ec99d9d2bbf1ad79cd16f040c0c7d62a68fc447b4815cccdaca6",
+    ("ygenus", 5, 5): "82b1f4e5693318ba932f7a7c2f1ecc6f09792d0efdd404f1eadfcb1afe10cdeb",
+    ("ygenus", 6, 5): "9948d12d44d36e1857081f60651aa9c32edb944bde01f237e62a46d68eedf8e6",
+    ("ygenus", 2, 6): "f30d44f520730523b7a93cdebe411894e024541019f8c59247ff3be831045b0f",
+    ("ygenus", 3, 6): "147c8c2ecc76b3fdf41e268bc1b390cf00fdeeaa131810c155ed387d82be6426",
+    ("ygenus", 4, 6): "5d5de28325087c7a0d4445c7a6083ba34a92da1f3323372d2165db1024cf46ba",
+    ("ygenus", 5, 6): "82fe5e0145e637612a12443a4d7ef9b7b6e2c35ccbc909eb5e36c09b04bdcaab",
+    ("ygenus", 6, 6): "28229d7c9cb357b037cccd0c5e96dc37e6f0f04c09feb6900040662875b86e99",
+    ("ygenus", 2, 7): "9a978ec8cb2169c136eae1b656deba38338e41fcaadf4301b19a5edf8ef716a3",
+    ("ygenus", 3, 7): "28a6fa37c734c143899e422ac3669b7c9bb5d4b47df01cc3e1a0c509fa73f435",
+    ("ygenus", 4, 7): "566e532d6becd6e9f8a407b5777b51093ce5d4ccc9921f9854fde367effc9fef",
+    ("ygenus", 5, 7): "eeaa352561c59297ba18280d690db17bb62b83f95e5b9fe6ff7312a53cbdf811",
+    ("ygenus", 6, 7): "438cc4fa352dd274041a09898e3b16c3edfb793f655fe46ed83d19b2847daef1",
+}
+
+
+def test_closed_forms_match_golden_digests():
+    """Each printed closed form, term signs and trinomial ratios included."""
+    got = {
+        key: hashlib.sha256(poly_text(closed_form(*key).as_polynomial()).encode()).hexdigest()
+        for key in CLOSED_FORMS
+    }
+    assert got == CLOSED_FORMS

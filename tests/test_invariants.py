@@ -103,6 +103,11 @@ class TestClosedForms:
         with pytest.raises(KindMismatch):
             closed_form("H4", 2)
 
+    @pytest.mark.parametrize("n", [None, 0, -2])
+    def test_ygenus_wants_a_positive_n(self, n):
+        with pytest.raises(ValueError):
+            closed_form("ygenus", 2, n=n)
+
 
 class TestSpecializeInvariant:
     def test_poincare(self):

@@ -21,6 +21,7 @@ from charvar.polynomials import (
     SparsePoly,
     adams,
     adams_poly,
+    binomial_product,
     divide_exact,
     frac_sum,
     normalize_factor,
@@ -709,3 +710,42 @@ def test_a_factor_that_vanishes_at_another_factors_point(passes):
     jets = polynomials._sum_values(fracs, common)
     assert passes == [] and fresh_b._values is None  # the factors' jets are memoized
     assert jets == {pt: (polynomials._pass(lifted, pt)[0], None) for pt in points}
+
+
+# -- binomial_product ------------------------------------------------------------
+
+
+def test_binomial_product_of_no_factors_is_one():
+    out = binomial_product(QT, [])
+    assert (out.num, out.den) == (one(QT), {})
+
+
+def test_binomial_product_skips_a_zero_power():
+    factors = [(1, (1, 2), 2), (-1, (2, 1), -1)]
+    plain = binomial_product(QT, factors)
+    with_zero = binomial_product(QT, [factors[0], (-3, (1, 1), 0), factors[1]])
+    assert (with_zero.num, with_zero.den) == (plain.num, plain.den)
+
+
+def test_binomial_product_of_negative_powers_is_the_division_chain():
+    """Each fold takes the factor's monomial shift and scale into the numerator."""
+    factors = [(-1, (1, 0), -2), (1, (1, 1), -1), (Fraction(1, 2), (0, 1), -1), (-4, (2, 1), -3)]
+    chain = FactoredFraction.one(QT)
+    for c, e, k in factors:
+        chain = chain.divided_by_poly(p(QT, {(0, 0): 1, e: c}), -k)
+    out = binomial_product(QT, factors)
+    assert (out.num, out.den) == (chain.num, chain.den)
+
+
+def test_binomial_product_reads_its_numerator_without_a_pass(passes):
+    """The numerator's jets come from its binomial powers, derivatives included."""
+    factors = [
+        (1, (1, 2), 3), (-1, (1, 0), -2), (1, (2, 1), 1), (-1, (2, 2), -1), (1, (1, 1), -1)
+    ]
+    out = binomial_product(QT, factors)
+    assert passes == []
+    assert len(out.den) == 3  # nothing cancels, so every factor was pre-tested
+    assert set(out.num._values) == {f._point for f in out.den}
+    assert all(deriv is not None for _, deriv in out.num._values.values())
+    _assert_memo_is_fresh(out.num)
+
