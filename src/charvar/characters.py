@@ -9,7 +9,11 @@ the degree squares are literal integers, no modular square-root ambiguity);
 and lift every value to an exact cyclotomic integer through the eigenvalue
 multiplicities m_j = (1/o) * sum_s chi(g^s) z^(-js) of the o-th roots of
 unity.  Both orthogonality relations are verified exactly in Z[zeta] before a
-table is returned.
+table is returned.  The check packs every value into one int with signed
+slots, so a relation's total is a sum of int products in Z[x]/(x^e - 1); the
+slot width comes from a bound proven from the l1 norms of the coordinates, so
+no slot overflows, and each total is unpacked and reduced mod the cyclotomic
+polynomial once.
 
 CyclotomicValue is an integer coordinate vector in the power basis of a
 primitive e-th root of unity, kept reduced modulo the e-th cyclotomic
@@ -62,12 +66,15 @@ def _int_poly_div(num, den):
 def _reduce_mod_cyclotomic(coeffs, e):
     phi = cyclotomic_polynomial(e)
     deg = len(phi) - 1
+    # phi is monic: subtracting c * x^(k-deg) * phi clears x^k (dropped below),
+    # so only phi's nonzero lower terms are applied
+    lower = [(i - deg, p) for i, p in enumerate(phi[:deg]) if p]
     coeffs = list(coeffs)
     for k in range(len(coeffs) - 1, deg - 1, -1):
         c = coeffs[k]
         if c:
-            for i in range(deg + 1):
-                coeffs[k - deg + i] -= c * phi[i]
+            for i, p in lower:
+                coeffs[k + i] -= c * p
     del coeffs[deg:]
     coeffs.extend([0] * (deg - len(coeffs)))
     return tuple(coeffs)
@@ -461,29 +468,83 @@ def _combine(basis, coeffs, p):
     return out
 
 
+def _pack(coords, width, e, sign=1):
+    """sum_j coords[j] * 2^(width * (sign*j mod e)): x^j in slot j, or x^-j for sign -1."""
+    return sum(c << (width * ((sign * j) % e)) for j, c in enumerate(coords) if c)
+
+
+def _reduced_total(total, e, width):
+    """Coordinates in Z[zeta_e] of a packed element of Z[x], 2^width standing for x.
+
+    As 2^(width*e) = 1 modulo 2^(width*e) - 1, the residue folds x^(i+e) onto
+    x^i, as in Z[x]/(x^e - 1), which maps onto Z[zeta_e].  When every folded
+    coefficient lies strictly inside +-2^(width-1), the centred residue is the
+    folded int itself.  Its e slots are read with a bias of 2^(width-1) in
+    each, then reduced once.
+    """
+    modulus = (1 << (width * e)) - 1
+    folded = total % modulus
+    if folded > modulus >> 1:
+        folded -= modulus
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    biased = folded + half * (modulus // mask)
+    coeffs = [((biased >> (width * i)) & mask) - half for i in range(e)]
+    return _reduce_mod_cyclotomic(coeffs, e)
+
+
 def verify_orthogonality(table: CharacterTable):
-    """Both orthogonality relations, exactly in Z[zeta]."""
+    """Both orthogonality relations, exactly in Z[zeta].
+
+    Every value is packed into one int with signed slots of `width` bits, its
+    conjugate likewise with x^j moved to slot -j mod e, so each relation's
+    total is a sum of int products: a packed element of Z[x]/(x^e - 1).  The
+    width is proven: the l1 norm of a row total is at most
+    sum_k |C_k| |a_k|_1 |b_k|_1 (the l1 norms of the coordinate vectors), that
+    of a column total at most |C_k| sum_a |a_k|_1 |a_l|_1, so no slot exceeds
+    the largest of these, before or after folding.  Each total is then
+    unpacked, folded and reduced once, and must equal |G| or 0.  Row pairs
+    are tried before column pairs, each in ascending order, and the first
+    failing pair is named.
+    """
     sizes = table.conjugacy.sizes
     order = table.group.order
     r = table.num_classes
     e = table.cyclotomic_order
-    conj_rows = [[v.conjugate() for v in row] for row in table.rows]
+    norms = [[sum(map(abs, v.coords)) for v in row] for row in table.rows]
+    cols = list(zip(*norms))
+    bound = max(
+        max(
+            sum(s * x * y for s, x, y in zip(sizes, norms[a], norms[b]))
+            for a in range(r)
+            for b in range(a, r)
+        ),
+        max(
+            sizes[k] * sum(map(mul, cols[k], cols[l]))
+            for k in range(r)
+            for l in range(k, r)
+        ),
+    )
+    width = bound.bit_length() + 1
+    packed = [[_pack(v.coords, width, e) for v in row] for row in table.rows]
+    conj = [[_pack(v.coords, width, e, -1) for v in row] for row in table.rows]
+
+    def holds(total, want):
+        coords = _reduced_total(total, e, width)
+        return coords[0] == want and not any(coords[1:])
+
+    scaled = [[s * x for s, x in zip(sizes, row)] for row in packed]
     for a in range(r):
         for b in range(a, r):
-            total = CyclotomicValue.integer(e, 0)
-            for k in range(r):
-                total = total + sizes[k] * (table.rows[a][k] * conj_rows[b][k])
-            want = order if a == b else 0
-            if not (total - want).is_zero():
+            total = sum(map(mul, scaled[a], conj[b]))
+            if not holds(total, order if a == b else 0):
                 raise LiftFailure(f"row orthogonality fails for characters {a}, {b}")
+    packed_cols = list(zip(*packed))
+    conj_cols = list(zip(*conj))
     for k in range(r):
         for l in range(k, r):
-            total = CyclotomicValue.integer(e, 0)
-            for a in range(r):
-                total = total + table.rows[a][k] * conj_rows[a][l]
-            total = total * sizes[k]
-            want = order if k == l else 0
-            if not (total - want).is_zero():
+            total = sizes[k] * sum(map(mul, packed_cols[k], conj_cols[l]))
+            if not holds(total, order if k == l else 0):
                 raise LiftFailure(f"column orthogonality fails for classes {k}, {l}")
 
 

@@ -10,7 +10,8 @@ default bound of 500 admits |GL(2,5)| = 480.
 The brute-force side is organized as the |G|^2 commutator distribution
 c(z) = #{(A,B) : A B A^-1 B^-1 = z} followed by class-algebra convolution, so
 genus g counts of products of g commutators cost O(classes^3) per genus step
-instead of |G|^(2g).
+instead of |G|^(2g).  The distribution is computed once per group and kept on
+it, like the conjugacy data, so counts at several genera share one |G|^2 loop.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ class MatrixGroup:
         self.index = {m: i for i, m in enumerate(self.elements)}
         if len(self.index) != self.order:
             raise ValueError("duplicate elements")
-        p = field.p
         ident = (1, 0, 0, 1)
         if ident not in self.index:
             raise ValueError("identity missing")
@@ -71,6 +71,7 @@ class MatrixGroup:
         self._mul = None
         self._inv = None
         self._conjugacy = None
+        self._commutators = None
 
     @property
     def mul(self):
@@ -276,7 +277,16 @@ class ClassFunction:
 
 
 def commutator_distribution(group: MatrixGroup) -> ClassFunction:
-    """c(z) = #{(A, B) in G^2 : [A, B] = z}, asserted constant on classes."""
+    """c(z) = #{(A, B) in G^2 : [A, B] = z}, computed once per group."""
+    # Only the values are kept: a ClassFunction stored on its own group would
+    # be a reference cycle, holding the group's tables until a cyclic collection.
+    if group._commutators is None:
+        group._commutators = _commutator_values(group)
+    return ClassFunction(group, group._commutators)
+
+
+def _commutator_values(group: MatrixGroup) -> tuple[int, ...]:
+    """The |G|^2 loop behind commutator_distribution, asserted constant on classes."""
     mul = group.mul
     inv = group.inv
     n = group.order
@@ -295,7 +305,7 @@ def commutator_distribution(group: MatrixGroup) -> ClassFunction:
             assert counts[x] == v, "commutator distribution not a class function"
         values.append(v)
     assert sum(v * s for v, s in zip(values, data.sizes)) == n * n
-    return ClassFunction(group, tuple(values))
+    return tuple(values)
 
 
 def convolve_class_functions(f: ClassFunction, h: ClassFunction) -> ClassFunction:

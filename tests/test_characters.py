@@ -1,18 +1,23 @@
 """Cyclotomic arithmetic, Dixon character tables, and Frobenius sums."""
 
+import dataclasses
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 
 from charvar.characters import (
     CyclotomicValue,
+    _pack,
+    _reduced_total,
     character_table,
     cyclotomic_polynomial,
     dixon_prime,
     frobenius_sums,
     verify_orthogonality,
 )
+from charvar.errors import LiftFailure
 from charvar.groups import (
     build_group,
     commutator_distribution,
@@ -183,3 +188,76 @@ def test_table_document_matches_golden_digest(family, q):
     table = character_table(build_group(family, 2, q))
     digest = hashlib.sha256(document_bytes(table.to_json_document())).hexdigest()
     assert digest == TABLE_DIGESTS[family, q]
+
+
+# -- the packed orthogonality check ------------------------------------------------
+
+
+def _reference_total(e, sizes, a_values, b_values):
+    """sum_k s_k * a_k * conj(b_k) in CyclotomicValue arithmetic: the oracle."""
+    total = CyclotomicValue.integer(e, 0)
+    for s, a, b in zip(sizes, a_values, b_values):
+        total = total + s * (a * b.conjugate())
+    return total
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 4, 6, 8, 12, 24, 60, 120])
+def test_packed_total_matches_cyclotomic_arithmetic(e):
+    rng = random.Random(e)
+    deg = len(cyclotomic_polynomial(e)) - 1
+    negative_totals = 0
+    for trial in range(100):
+        n = rng.randint(1, 8)
+        sizes = [rng.randint(1, 200) for _ in range(n)]
+        # every fourth trial has a <= 0 <= b, so no slot of its total is positive
+        a_range, b_range = ((-9, 9), (-9, 9)) if trial % 4 else ((-9, 0), (0, 9))
+        a_values = [
+            CyclotomicValue(e, tuple(rng.randint(*a_range) for _ in range(deg)))
+            for _ in range(n)
+        ]
+        b_values = [
+            CyclotomicValue(e, tuple(rng.randint(*b_range) for _ in range(deg)))
+            for _ in range(n)
+        ]
+        bound = sum(
+            s * sum(map(abs, a.coords)) * sum(map(abs, b.coords))
+            for s, a, b in zip(sizes, a_values, b_values)
+        )
+        width = bound.bit_length() + 1
+        total = sum(
+            s * _pack(a.coords, width, e) * _pack(b.coords, width, e, -1)
+            for s, a, b in zip(sizes, a_values, b_values)
+        )
+        negative_totals += total < 0  # the top nonzero slot decodes negative
+        want = _reference_total(e, sizes, a_values, b_values)
+        assert _reduced_total(total, e, width) == want.coords
+    assert negative_totals >= 25
+
+
+def test_raised_coordinate_names_the_first_failing_pair(tables):
+    table = tables["sl25"]
+    rows = [list(row) for row in table.rows]
+    value = rows[3][2]
+    rows[3][2] = dataclasses.replace(value, coords=(value.coords[0] + 1,) + value.coords[1:])
+    with pytest.raises(LiftFailure) as exc:
+        verify_orthogonality(dataclasses.replace(table, rows=tuple(map(tuple, rows))))
+    assert str(exc.value) == "row orthogonality fails for characters 0, 3"
+
+
+def test_changed_class_size_is_rejected(tables):
+    table = tables["sl25"]
+    data = table.conjugacy
+    sizes = list(data.sizes)
+    k = next(k for k in range(len(sizes)) if k != data.identity_class)
+    sizes[k] += 1
+    bad = dataclasses.replace(table, conjugacy=dataclasses.replace(data, sizes=tuple(sizes)))
+    with pytest.raises(LiftFailure, match="orthogonality fails"):
+        verify_orthogonality(bad)
+
+
+@pytest.mark.parametrize(
+    "family,q", [*sorted(TABLE_DIGESTS), ("DIAG", 2), ("DIAG", 3), ("SL", 2)]
+)
+def test_true_tables_pass(family, q):
+    group = diagonal_group(q) if family == "DIAG" else build_group(family, 2, q)
+    verify_orthogonality(character_table(group))  # raises on failure

@@ -1,7 +1,10 @@
 """Matrix-group enumeration, conjugacy data, and brute-force counting tests."""
 
+import weakref
+
 import pytest
 
+import charvar.groups
 from charvar.errors import CentralElementUnavailable, GroupTooLarge
 from charvar.groups import (
     build_group,
@@ -123,3 +126,35 @@ def test_explicit_subgroup_wrapper():
     assert c2.order == 2 and c2.element_order(1 - c2.identity) == 2
     with pytest.raises(ValueError):
         matrix_group_from_elements("BAD", 3, [(1, 0, 0, 1), (1, 1, 0, 1)])
+
+
+def test_commutator_distribution_is_computed_once_per_group(monkeypatch):
+    real = charvar.groups._commutator_values
+    runs = []
+
+    def counted(group):
+        runs.append(group)
+        return real(group)
+
+    monkeypatch.setattr(charvar.groups, "_commutator_values", counted)
+    sl23 = build_group("SL", 2, 3)
+    minus_id = sl23.central_of_order(2)
+    # pinned from the uncached distribution, which ran the |G|^2 loop per genus
+    assert [tuple_count(sl23, g, minus_id) for g in (1, 2, 3, 4)] == [
+        24, 32640, 22493184, 13550714880,
+    ]
+    assert [tuple_count(sl23, g, sl23.identity) for g in (1, 2, 3, 4)] == [
+        168, 53376, 25479168, 13980696576,
+    ]
+    assert runs == [sl23]
+    fresh = build_group("SL", 2, 3)
+    assert tuple_count(fresh, 1, minus_id) == 24
+    assert runs == [sl23, fresh]
+
+
+def test_a_counted_group_is_freed_without_the_cycle_collector():
+    group = build_group("SL", 2, 3)
+    tuple_count(group, 2, group.identity)
+    ref = weakref.ref(group)
+    del group
+    assert ref() is None  # the kept distribution ties no reference cycle
