@@ -45,8 +45,6 @@ from .series import (
     extract_layers,
     hook_sum_series,
     invariant_from_layer,
-    plethystic_exp_of_layers,
-    series_exp,
     series_log,
 )
 from .invariants import (
@@ -68,17 +66,13 @@ from .groups import (
     ClassFunction,
     ConjugacyData,
     MatrixGroup,
-    PrimeField,
     build_group,
     commutator_distribution,
-    conjugacy_classes,
     diagonal_group,
-    matrix_group_from_elements,
     tuple_count,
 )
 from .characters import (
     CharacterTable,
-    CyclotomicValue,
     FrobeniusCounts,
     character_table,
     cyclotomic_polynomial,

@@ -33,13 +33,13 @@ class BridgeReport:
         return self.ratio == 1
 
 
-def point_count_bridge(q: int, g: int, *, group: MatrixGroup | None = None, cache=None) -> BridgeReport:
+def point_count_bridge(q: int, g: int, *, group: MatrixGroup | None = None) -> BridgeReport:
     """Measure tuple_count(GL(2,q), g, -Id) against |PGL|*(q-1)^{2g}*E_2(q)."""
     if group is None:
         group = build_group("GL", 2, q)
     xi = group.central_of_order(2)
     tuples = tuple_count(group, g, xi)
-    e2 = compute_invariant(InvariantKind.E, 2, g, cache=cache).polynomial
+    e2 = compute_invariant(InvariantKind.E, 2, g).polynomial
     e2_at_q = e2.specialize({"q": q})
     pgl_order = group.order // (q - 1)
     expected = pgl_order * (q - 1) ** (2 * g) * e2_at_q

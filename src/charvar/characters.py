@@ -15,9 +15,9 @@ slot width comes from a bound proven from the l1 norms of the coordinates, so
 no slot overflows, and each total is unpacked and reduced mod the cyclotomic
 polynomial once.
 
-CyclotomicValue is an integer coordinate vector in the power basis of a
-primitive e-th root of unity, kept reduced modulo the e-th cyclotomic
-polynomial, so equality is literal; conjugation is index negation mod e.
+A character value is its coordinate tuple: integers in the power basis of a
+primitive e-th root of unity, reduced modulo the e-th cyclotomic polynomial,
+so equality is literal.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ from operator import mul
 
 from .errors import LiftFailure, NonIntegralCount
 from .groups import ConjugacyData, MatrixGroup, _is_prime
-
-TABLE_DOCUMENT_VERSION = 1
 
 
 # -- exact cyclotomic integers -------------------------------------------------
@@ -80,85 +78,12 @@ def _reduce_mod_cyclotomic(coeffs, e):
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class CyclotomicValue:
-    """Integer element of Z[zeta_e], reduced mod the cyclotomic polynomial."""
-
-    order: int
-    coords: tuple[int, ...]
-
-    @classmethod
-    def integer(cls, e: int, n: int) -> "CyclotomicValue":
-        return cls(e, _reduce_mod_cyclotomic([n], e))
-
-    @classmethod
-    def zeta_power(cls, e: int, k: int) -> "CyclotomicValue":
-        k %= e
-        return cls(e, _reduce_mod_cyclotomic([0] * k + [1], e))
-
-    @classmethod
-    def from_root_multiplicities(cls, e: int, step: int, mults) -> "CyclotomicValue":
-        """sum_j mults[j] * zeta_e^(j*step)."""
-        coeffs = [0] * e
-        for j, m in enumerate(mults):
-            coeffs[(j * step) % e] += m
-        return cls(e, _reduce_mod_cyclotomic(coeffs, e))
-
-    def _check(self, other):
-        if self.order != other.order:
-            raise ValueError("mixed cyclotomic orders")
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = CyclotomicValue.integer(self.order, other)
-        self._check(other)
-        return CyclotomicValue(
-            self.order, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
-
-    def __neg__(self):
-        return CyclotomicValue(self.order, tuple(-a for a in self.coords))
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = CyclotomicValue.integer(self.order, other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return CyclotomicValue(self.order, tuple(a * other for a in self.coords))
-        self._check(other)
-        a, b = self.coords, other.coords
-        conv = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        return CyclotomicValue(self.order, _reduce_mod_cyclotomic(conv, self.order))
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "CyclotomicValue":
-        e = self.order
-        coeffs = [0] * e
-        for j, a in enumerate(self.coords):
-            coeffs[(-j) % e] += a
-        return CyclotomicValue(e, _reduce_mod_cyclotomic(coeffs, e))
-
-    def is_rational_integer(self) -> bool:
-        return all(a == 0 for a in self.coords[1:])
-
-    def as_int(self) -> int:
-        if not self.is_rational_integer():
-            raise ValueError(f"{self} is not a rational integer")
-        return self.coords[0]
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords)
-
-    def __repr__(self):
-        return f"Cyc(e={self.order}, {list(self.coords)})"
+def _from_root_multiplicities(e: int, step: int, mults) -> tuple[int, ...]:
+    """Coordinates of sum_j mults[j] * zeta_e^(j*step)."""
+    coeffs = [0] * e
+    for j, m in enumerate(mults):
+        coeffs[(j * step) % e] += m
+    return _reduce_mod_cyclotomic(coeffs, e)
 
 
 # -- dense linear algebra mod p -------------------------------------------------
@@ -284,8 +209,9 @@ def dixon_prime(order: int, exponent: int) -> int:
 class CharacterTable:
     """Exact irreducible characters of an enumerated matrix group.
 
-    rows[chi][k] is the CyclotomicValue of character chi on class k of
-    group.conjugacy(); degrees[chi] = rows[chi][identity class].
+    rows[chi][k] is the value of character chi on class k of group.conjugacy(),
+    as its coordinate tuple in Z[zeta_e] (e = cyclotomic_order); the identity
+    class holds (degrees[chi], 0, ...).
     """
 
     group: MatrixGroup
@@ -293,35 +219,11 @@ class CharacterTable:
     cyclotomic_order: int
     modular_prime: int
     degrees: tuple[int, ...]
-    rows: tuple[tuple[CyclotomicValue, ...], ...]
+    rows: tuple[tuple[tuple[int, ...], ...], ...]
 
     @property
     def num_classes(self) -> int:
         return len(self.conjugacy.classes)
-
-    def to_json_document(self) -> dict:
-        reps = []
-        for k, rep in enumerate(self.conjugacy.representatives):
-            a, b, c, d = self.group.elements[rep]
-            reps.append(
-                {
-                    "representative": [[a, b], [c, d]],
-                    "size": self.conjugacy.sizes[k],
-                    "order": self.group.element_order(rep),
-                }
-            )
-        return {
-            "group": {
-                "family": self.group.family,
-                "q": self.group.field.p,
-                "order": self.group.order,
-            },
-            "cyclotomic_order": self.cyclotomic_order,
-            "classes": reps,
-            "degrees": list(self.degrees),
-            "rows": [[list(v.coords) for v in row] for row in self.rows],
-            "version": TABLE_DOCUMENT_VERSION,
-        }
 
 
 def character_table(group: MatrixGroup) -> CharacterTable:
@@ -431,20 +333,16 @@ def character_table(group: MatrixGroup) -> CharacterTable:
                 mults.append(m)
             if sum(mults) != d:
                 raise LiftFailure(f"multiplicities sum to {sum(mults)}, degree {d}")
-            row.append(CyclotomicValue.from_root_multiplicities(e, e // o, mults))
+            row.append(_from_root_multiplicities(e, e // o, mults))
         rows.append(row)
 
-    order = sorted(range(r), key=lambda i: (degrees[i], _row_key(rows[i])))
+    order = sorted(range(r), key=lambda i: (degrees[i], rows[i]))
     degrees = tuple(degrees[i] for i in order)
     rows = tuple(tuple(rows[i]) for i in order)
 
     table = CharacterTable(group, data, e, p, degrees, rows)
     verify_orthogonality(table)
     return table
-
-
-def _row_key(row):
-    return tuple(v.coords for v in row)
 
 
 def _unit_column(r, k):
@@ -511,7 +409,7 @@ def verify_orthogonality(table: CharacterTable):
     order = table.group.order
     r = table.num_classes
     e = table.cyclotomic_order
-    norms = [[sum(map(abs, v.coords)) for v in row] for row in table.rows]
+    norms = [[sum(map(abs, v)) for v in row] for row in table.rows]
     cols = list(zip(*norms))
     bound = max(
         max(
@@ -526,8 +424,8 @@ def verify_orthogonality(table: CharacterTable):
         ),
     )
     width = bound.bit_length() + 1
-    packed = [[_pack(v.coords, width, e) for v in row] for row in table.rows]
-    conj = [[_pack(v.coords, width, e, -1) for v in row] for row in table.rows]
+    packed = [[_pack(v, width, e) for v in row] for row in table.rows]
+    conj = [[_pack(v, width, e, -1) for v in row] for row in table.rows]
 
     def holds(total, want):
         coords = _reduced_total(total, e, width)
@@ -572,16 +470,16 @@ def frobenius_sums(table: CharacterTable, g: int, xi: int) -> FrobeniusCounts:
     k = data.class_of[xi]
     if data.sizes[k] != 1:
         raise ValueError("xi must be central (singleton conjugacy class)")
-    e = table.cyclotomic_order
     big_l = lcm(*table.degrees)
     denom = big_l ** (2 * g - 1)
-    total = CyclotomicValue.integer(e, 0)
+    total = [0] * len(table.rows[0][k])
     for row, d in zip(table.rows, table.degrees):
-        total = total + ((big_l // d) ** (2 * g - 1)) * row[k]
-    if not total.is_rational_integer():
+        weight = (big_l // d) ** (2 * g - 1)
+        total = [t + weight * c for t, c in zip(total, row[k])]
+    if any(total[1:]):
         raise NonIntegralCount("character sum is not a rational integer")
     order = table.group.order
-    tuples = Fraction(order ** (2 * g - 1) * total.as_int(), denom)
+    tuples = Fraction(order ** (2 * g - 1) * total[0], denom)
     if tuples.denominator != 1 or tuples < 0:
         raise NonIntegralCount(
             f"tuple prediction {tuples} is not a non-negative integer"

@@ -36,13 +36,9 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeField:
-    p: int
-
-    def __post_init__(self):
-        if not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+def _require_prime(q: int):
+    if not _is_prime(q):
+        raise ValueError(f"{q} is not prime")
 
 
 def _mat_inv(m, p):
@@ -53,12 +49,11 @@ def _mat_inv(m, p):
 
 
 class MatrixGroup:
-    """A fully enumerated finite matrix group with index-based tables."""
+    """A fully enumerated group of 2x2 matrices over F_q, q prime, with index-based tables."""
 
-    def __init__(self, family: str, dim: int, field: PrimeField, elements):
+    def __init__(self, family: str, q: int, elements):
         self.family = family
-        self.dim = dim
-        self.field = field
+        self.q = q
         self.elements = tuple(elements)
         self.order = len(self.elements)
         self.index = {m: i for i, m in enumerate(self.elements)}
@@ -77,7 +72,7 @@ class MatrixGroup:
     def mul(self):
         """Multiplication table mul[i][j] = index of elements[i] * elements[j]."""
         if self._mul is None:
-            p = self.field.p
+            p = self.q
             idx = self.index
             elems = self.elements
             table = []
@@ -100,8 +95,7 @@ class MatrixGroup:
     @property
     def inv(self):
         if self._inv is None:
-            p = self.field.p
-            self._inv = [self.index[_mat_inv(m, p)] for m in self.elements]
+            self._inv = [self.index[_mat_inv(m, self.q)] for m in self.elements]
         return self._inv
 
     def element_order(self, i: int) -> int:
@@ -130,8 +124,8 @@ class MatrixGroup:
             if self.element_order(i) == n:
                 return i
         raise CentralElementUnavailable(
-            f"central element of order {n} unavailable in {self.family}(2,{self.field.p})"
-            f" (needs n | q-1 = {self.field.p - 1})"
+            f"central element of order {n} unavailable in {self.family}(2,{self.q})"
+            f" (needs n | q-1 = {self.q - 1})"
         )
 
     def conjugacy(self) -> "ConjugacyData":
@@ -140,7 +134,7 @@ class MatrixGroup:
         return self._conjugacy
 
     def __repr__(self):
-        return f"MatrixGroup({self.family}, dim={self.dim}, q={self.field.p}, order={self.order})"
+        return f"MatrixGroup({self.family}, dim=2, q={self.q}, order={self.order})"
 
 
 def build_group(family: str, dim: int = 2, q: int = 3, *, max_order: int = DEFAULT_MAX_ORDER) -> MatrixGroup:
@@ -155,12 +149,12 @@ def build_group(family: str, dim: int = 2, q: int = 3, *, max_order: int = DEFAU
     if dim != 2:
         raise ValueError("only 2x2 matrix groups are enumerated here")
     expected = q * (q * q - 1) * (q - 1 if family == "GL" else 1)
-    # below 2 this is no group order, and PrimeField refuses q
+    # below 2 this is no group order, and the primality test refuses q
     if q > 1 and expected > max_order:
         raise GroupTooLarge(
             f"|{family}(2,{q})| = {expected} exceeds the bound {max_order}"
         )
-    field = PrimeField(q)
+    _require_prime(q)
     want = 1 if family == "SL" else None
     elements = []
     for a, b, c, d in product(range(q), repeat=4):
@@ -170,27 +164,16 @@ def build_group(family: str, dim: int = 2, q: int = 3, *, max_order: int = DEFAU
         if want is not None and det != want:
             continue
         elements.append((a, b, c, d))
-    group = MatrixGroup(family, dim, field, elements)
+    group = MatrixGroup(family, q, elements)
     assert group.order == expected
     return group
 
 
 def diagonal_group(q: int) -> MatrixGroup:
     """The abelian fixture: diagonal matrices in GL(2,q), order (q-1)^2."""
-    field = PrimeField(q)
+    _require_prime(q)
     elements = [(a, 0, 0, d) for a in range(1, q) for d in range(1, q)]
-    return MatrixGroup("DIAG", 2, field, elements)
-
-
-def matrix_group_from_elements(label: str, q: int, elements) -> MatrixGroup:
-    """Wrap an explicit list of matrices (must be a subgroup) as a MatrixGroup."""
-    field = PrimeField(q)
-    group = MatrixGroup(label, 2, field, elements)
-    try:
-        group.mul
-    except KeyError as exc:
-        raise ValueError(f"elements not closed under product: {exc.args[0]} missing") from None
-    return group
+    return MatrixGroup("DIAG", q, elements)
 
 
 @dataclass(frozen=True)
@@ -259,10 +242,6 @@ def _conjugacy_classes(group: MatrixGroup) -> ConjugacyData:
         inverse_class=inverse_class,
         identity_class=class_of[group.identity],
     )
-
-
-def conjugacy_classes(group: MatrixGroup) -> ConjugacyData:
-    return group.conjugacy()
 
 
 @dataclass(frozen=True)

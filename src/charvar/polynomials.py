@@ -953,27 +953,6 @@ class FactoredFraction:
             factor=fp,
         )
 
-    def specialize(self, assignment):
-        """Specialize variables; denominator factors must stay nonzero."""
-        num = self.num.specialize(assignment)
-        if not isinstance(num, SparsePoly):
-            num = SparsePoly.constant((), num)
-        den = {}
-        for f, m in self.denominator_factors():
-            fp = f.as_poly().specialize(assignment)
-            if not isinstance(fp, SparsePoly):
-                fp = SparsePoly.constant((), fp)
-            if fp.is_zero():
-                raise ZeroDivisionError(
-                    f"denominator factor {f!r} vanishes under {assignment}"
-                )
-            if len(fp.terms) == 1:
-                ((e, c),) = fp.terms.items()
-                num = num.shift(tuple(-m * k for k in e)).scale(Fraction(1) / Fraction(c) ** m)
-            else:
-                num = _fold_factor(num, den, fp, m)
-        return FactoredFraction(num, den)
-
     def __repr__(self):
         den = " * ".join(
             f"({poly_text(f.as_poly())})" + (f"^{m}" if m > 1 else "")

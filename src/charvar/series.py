@@ -60,13 +60,6 @@ class TruncatedSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.flavor == other.flavor and len(self.coeffs) == len(
-            other.coeffs
-        ) and all(a.equals(b) for a, b in zip(self.coeffs, other.coeffs))
-
 
 def hook_sum_series(flavor: Flavor, g: int, order: int, start=None) -> TruncatedSeries:
     """The partition sum truncated at T^order, continuing ``start``; S_0 = 1.
@@ -107,25 +100,6 @@ def series_log(s: TruncatedSeries, start=None) -> TruncatedSeries:
     return TruncatedSeries(s.flavor, tuple(w))
 
 
-def series_exp(s: TruncatedSeries) -> TruncatedSeries:
-    """Inverse of series_log: E = exp(sum_m W_m T^m / m), from the W_m.
-
-    Uses m*E_m = sum_{k=1..m} W_k*E_{m-k}; wants W_0 = 0.
-    """
-    if not s.coeffs[0].is_zero():
-        raise ValueError("series_exp wants constant coefficient 0")
-    variables = s.flavor.variables
-    e = [FactoredFraction.one(variables)]
-    for m in range(1, s.order + 1):
-        terms = []
-        for k in range(1, m + 1):
-            if s.coeffs[k].is_zero() or e[m - k].is_zero():
-                continue
-            terms.append(s.coeffs[k] * e[m - k])
-        e.append(frac_sum(terms, variables).scale(Fraction(1, m)))
-    return TruncatedSeries(s.flavor, tuple(e))
-
-
 def _divisors(m: int) -> list[int]:
     return [r for r in range(1, m + 1) if m % r == 0]
 
@@ -157,30 +131,6 @@ def extract_layers(flavor: Flavor, g: int, nmax: int, start=None):
             terms.append(-adams(prev, r, flavor))
         layers.append(frac_sum(terms, flavor.variables))
     return layers if start is None else (s, w, tuple(layers))
-
-
-def plethystic_exp_of_layers(
-    flavor: Flavor, layers, order: int
-) -> TruncatedSeries:
-    """Reassemble exp(sum_n sum_r adams_r[V_n] T^(nr) / r) up to T^order.
-
-    Takes the scaled layers X_n = n*V_n and adds adams_r[X_n] to W_(n*r).
-    Round-trip oracle: with layers from extract_layers this reproduces
-    hook_sum_series exactly.
-    """
-    variables = flavor.variables
-    log_coeffs = [[] for _ in range(order + 1)]
-    for n, layer in enumerate(layers, start=1):
-        if layer.is_zero():
-            continue
-        r = 1
-        while n * r <= order:
-            log_coeffs[n * r].append(adams(layer, r, flavor))
-            r += 1
-    log_series = TruncatedSeries(
-        flavor, tuple(frac_sum(t, variables) for t in log_coeffs)
-    )
-    return series_exp(log_series)
 
 
 # -- normalization of a layer into the named invariant ------------------------

@@ -1,0 +1,135 @@
+"""Reference code that only the tests call.
+
+Each helper is a slower or more direct route to something charvar computes,
+kept here as an oracle for it:
+
+- ``series_exp`` and ``plethystic_exp_of_layers`` reassemble the partition sum
+  from its rank layers, the round trip of ``extract_layers``;
+- ``specialize_fraction`` specializes a FactoredFraction, folding each
+  denominator factor that stays a binomial back through the cancellation;
+- ``table_document`` is the canonical JSON document of a character table,
+  whose digest pins the Dixon splitting byte for byte;
+- ``zeta_power`` and ``cyc_times_conjugate`` are Z[zeta_e] arithmetic on
+  coordinate tuples, one product at a time, the reference for the packed
+  orthogonality check.
+"""
+
+from fractions import Fraction
+
+from charvar.characters import _reduce_mod_cyclotomic
+from charvar.polynomials import FactoredFraction, SparsePoly, _fold_factor, adams, frac_sum
+from charvar.series import TruncatedSeries
+
+# -- the round trip of the rank layers -------------------------------------------
+
+
+def series_exp(s: TruncatedSeries) -> TruncatedSeries:
+    """Inverse of series_log: E = exp(sum_m W_m T^m / m), from the W_m.
+
+    Uses m*E_m = sum_{k=1..m} W_k*E_{m-k}; wants W_0 = 0.
+    """
+    if not s.coeffs[0].is_zero():
+        raise ValueError("series_exp wants constant coefficient 0")
+    variables = s.flavor.variables
+    e = [FactoredFraction.one(variables)]
+    for m in range(1, s.order + 1):
+        terms = []
+        for k in range(1, m + 1):
+            if s.coeffs[k].is_zero() or e[m - k].is_zero():
+                continue
+            terms.append(s.coeffs[k] * e[m - k])
+        e.append(frac_sum(terms, variables).scale(Fraction(1, m)))
+    return TruncatedSeries(s.flavor, tuple(e))
+
+
+def plethystic_exp_of_layers(flavor, layers, order: int) -> TruncatedSeries:
+    """Reassemble exp(sum_n sum_r adams_r[V_n] T^(nr) / r) up to T^order.
+
+    Takes the scaled layers X_n = n*V_n and adds adams_r[X_n] to W_(n*r).
+    With layers from extract_layers this reproduces hook_sum_series exactly.
+    """
+    variables = flavor.variables
+    log_coeffs = [[] for _ in range(order + 1)]
+    for n, layer in enumerate(layers, start=1):
+        if layer.is_zero():
+            continue
+        r = 1
+        while n * r <= order:
+            log_coeffs[n * r].append(adams(layer, r, flavor))
+            r += 1
+    log_series = TruncatedSeries(
+        flavor, tuple(frac_sum(t, variables) for t in log_coeffs)
+    )
+    return series_exp(log_series)
+
+
+# -- specialization of a fraction --------------------------------------------------
+
+
+def specialize_fraction(fr: FactoredFraction, assignment) -> FactoredFraction:
+    """Specialize variables; denominator factors must stay nonzero."""
+    num = fr.num.specialize(assignment)
+    if not isinstance(num, SparsePoly):
+        num = SparsePoly.constant((), num)
+    den = {}
+    for f, m in fr.denominator_factors():
+        fp = f.as_poly().specialize(assignment)
+        if not isinstance(fp, SparsePoly):
+            fp = SparsePoly.constant((), fp)
+        if fp.is_zero():
+            raise ZeroDivisionError(
+                f"denominator factor {f!r} vanishes under {assignment}"
+            )
+        if len(fp.terms) == 1:
+            ((e, c),) = fp.terms.items()
+            num = num.shift(tuple(-m * k for k in e)).scale(Fraction(1) / Fraction(c) ** m)
+        else:
+            num = _fold_factor(num, den, fp, m)
+    return FactoredFraction(num, den)
+
+
+# -- character tables ----------------------------------------------------------------
+
+
+def table_document(table) -> dict:
+    """The canonical JSON document of a character table (document version 1)."""
+    reps = []
+    for k, rep in enumerate(table.conjugacy.representatives):
+        a, b, c, d = table.group.elements[rep]
+        reps.append(
+            {
+                "representative": [[a, b], [c, d]],
+                "size": table.conjugacy.sizes[k],
+                "order": table.group.element_order(rep),
+            }
+        )
+    return {
+        "group": {
+            "family": table.group.family,
+            "q": table.group.q,
+            "order": table.group.order,
+        },
+        "cyclotomic_order": table.cyclotomic_order,
+        "classes": reps,
+        "degrees": list(table.degrees),
+        "rows": [[list(v) for v in row] for row in table.rows],
+        "version": 1,
+    }
+
+
+def zeta_power(e: int, k: int) -> tuple[int, ...]:
+    """Coordinates of zeta_e^k."""
+    return _reduce_mod_cyclotomic([0] * (k % e) + [1], e)
+
+
+def cyc_times_conjugate(e: int, a, b) -> tuple[int, ...]:
+    """Coordinates of a * conj(b) in Z[zeta_e], one coordinate product at a time.
+
+    zeta^i * conj(zeta^j) = zeta^((i - j) mod e); the sum is then reduced
+    modulo the e-th cyclotomic polynomial.
+    """
+    coeffs = [0] * e
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            coeffs[(i - j) % e] += x * y
+    return _reduce_mod_cyclotomic(coeffs, e)

@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 from charvar.characters import (
-    CyclotomicValue,
     _pack,
     _reduced_total,
     character_table,
@@ -17,15 +16,16 @@ from charvar.characters import (
     frobenius_sums,
     verify_orthogonality,
 )
-from charvar.errors import LiftFailure
+from charvar.errors import LiftFailure, NonIntegralCount
 from charvar.groups import (
+    MatrixGroup,
     build_group,
     commutator_distribution,
     diagonal_group,
-    matrix_group_from_elements,
     tuple_count,
 )
 from charvar.invariants import document_bytes
+from oracles import cyc_times_conjugate, table_document, zeta_power
 
 
 class TestCyclotomic:
@@ -38,20 +38,20 @@ class TestCyclotomic:
         assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
 
     def test_fourth_root(self):
-        i = CyclotomicValue.zeta_power(4, 1)
-        assert (i * i + 1).is_zero()
-        assert (i.conjugate() + i).is_zero()
+        i = zeta_power(4, 1)
+        assert i == (0, 1)
+        assert cyc_times_conjugate(4, i, zeta_power(4, -1)) == (-1, 0)  # i * i
+        assert cyc_times_conjugate(4, zeta_power(4, 0), i) == (0, -1)  # conj(i)
 
     def test_third_roots_sum_to_zero(self):
-        total = CyclotomicValue.integer(3, 0)
-        for k in range(3):
-            total = total + CyclotomicValue.zeta_power(3, k)
-        assert total.is_zero()
+        roots = [zeta_power(3, k) for k in range(3)]
+        assert [sum(c) for c in zip(*roots)] == [0, 0]
 
     def test_rational_integer_detection(self):
-        z6 = CyclotomicValue.zeta_power(6, 1)
-        v = z6 + z6.conjugate()  # = 1 for the primitive 6th root
-        assert v.is_rational_integer() and v.as_int() == 1
+        z6 = zeta_power(6, 1)
+        conj = cyc_times_conjugate(6, zeta_power(6, 0), z6)
+        # z6 + conj(z6) = 1 for the primitive 6th root: rational, as coordinate 1 is 0
+        assert tuple(a + b for a, b in zip(z6, conj)) == (1, 0)
 
     def test_dixon_prime(self):
         assert dixon_prime(24, 12) == 61
@@ -86,14 +86,12 @@ def tables(sl23, gl23, sl25):
 
 class TestCharacterTable:
     def test_order_two_cyclic_fixture(self):
-        c2 = matrix_group_from_elements("C2", 3, [(1, 0, 0, 1), (2, 0, 0, 2)])
+        c2 = MatrixGroup("C2", 3, [(1, 0, 0, 1), (2, 0, 0, 2)])
         table = character_table(c2)
         ident = table.conjugacy.identity_class
         other = 1 - ident
-        rows = {
-            (row[ident].as_int(), row[other].as_int()) for row in table.rows
-        }
-        assert rows == {(1, 1), (1, -1)}
+        rows = {(row[ident], row[other]) for row in table.rows}
+        assert rows == {((1,), (1,)), ((1,), (-1,))}
 
     def test_sl23_degrees(self, tables):
         assert sorted(tables["sl23"].degrees) == [1, 1, 1, 2, 2, 2, 3]
@@ -114,10 +112,10 @@ class TestCharacterTable:
         for table in tables.values():
             ident = table.conjugacy.identity_class
             for row, d in zip(table.rows, table.degrees):
-                assert row[ident].as_int() == d
+                assert row[ident] == (d,) + (0,) * (len(row[ident]) - 1)
 
     def test_json_document_shape(self, tables):
-        doc = tables["sl23"].to_json_document()
+        doc = table_document(tables["sl23"])
         assert doc["group"] == {"family": "SL", "q": 3, "order": 24}
         assert len(doc["classes"]) == len(doc["rows"]) == 7
         assert doc["classes"][0]["size"] >= 1
@@ -155,6 +153,30 @@ class TestFrobeniusSums:
         with pytest.raises(ValueError):
             frobenius_sums(tables["sl23"], 1, data.representatives[big])
 
+    # Adding to a rational coordinate alone changes the prediction by a
+    # multiple of (|G|/d)^(2g-1), still an integer: the irrational coordinate 1
+    # and a large negative shift are the controls that must fail.
+    @pytest.mark.parametrize(
+        "coordinate,delta,g,message",
+        [
+            (1, 1, 1, "character sum is not a rational integer"),
+            (0, -1000, 2, "tuple prediction -1726730880 is not a non-negative integer"),
+        ],
+        ids=["irrational", "negative"],
+    )
+    def test_non_integral_count_is_raised(self, tables, coordinate, delta, g, message):
+        table = tables["sl25"]
+        xi = table.group.central_of_order(2)
+        k = table.conjugacy.class_of[xi]
+        rows = [list(row) for row in table.rows]
+        value = list(rows[0][k])  # the trivial character at xi
+        value[coordinate] += delta
+        rows[0][k] = tuple(value)
+        bad = dataclasses.replace(table, rows=tuple(map(tuple, rows)))
+        with pytest.raises(NonIntegralCount) as exc:
+            frobenius_sums(bad, g, xi)
+        assert str(exc.value) == message
+
 
 class TestStretchTarget:
     def test_gl25_table_and_counts(self):
@@ -186,7 +208,7 @@ TABLE_DIGESTS = {
 @pytest.mark.parametrize("family,q", sorted(TABLE_DIGESTS))
 def test_table_document_matches_golden_digest(family, q):
     table = character_table(build_group(family, 2, q))
-    digest = hashlib.sha256(document_bytes(table.to_json_document())).hexdigest()
+    digest = hashlib.sha256(document_bytes(table_document(table))).hexdigest()
     assert digest == TABLE_DIGESTS[family, q]
 
 
@@ -194,11 +216,11 @@ def test_table_document_matches_golden_digest(family, q):
 
 
 def _reference_total(e, sizes, a_values, b_values):
-    """sum_k s_k * a_k * conj(b_k) in CyclotomicValue arithmetic: the oracle."""
-    total = CyclotomicValue.integer(e, 0)
+    """sum_k s_k * a_k * conj(b_k), product by product: the oracle."""
+    total = [0] * (len(cyclotomic_polynomial(e)) - 1)
     for s, a, b in zip(sizes, a_values, b_values):
-        total = total + s * (a * b.conjugate())
-    return total
+        total = [t + s * c for t, c in zip(total, cyc_times_conjugate(e, a, b))]
+    return tuple(total)
 
 
 @pytest.mark.parametrize("e", [1, 2, 3, 4, 6, 8, 12, 24, 60, 120])
@@ -211,26 +233,20 @@ def test_packed_total_matches_cyclotomic_arithmetic(e):
         sizes = [rng.randint(1, 200) for _ in range(n)]
         # every fourth trial has a <= 0 <= b, so no slot of its total is positive
         a_range, b_range = ((-9, 9), (-9, 9)) if trial % 4 else ((-9, 0), (0, 9))
-        a_values = [
-            CyclotomicValue(e, tuple(rng.randint(*a_range) for _ in range(deg)))
-            for _ in range(n)
-        ]
-        b_values = [
-            CyclotomicValue(e, tuple(rng.randint(*b_range) for _ in range(deg)))
-            for _ in range(n)
-        ]
+        a_values = [tuple(rng.randint(*a_range) for _ in range(deg)) for _ in range(n)]
+        b_values = [tuple(rng.randint(*b_range) for _ in range(deg)) for _ in range(n)]
         bound = sum(
-            s * sum(map(abs, a.coords)) * sum(map(abs, b.coords))
+            s * sum(map(abs, a)) * sum(map(abs, b))
             for s, a, b in zip(sizes, a_values, b_values)
         )
         width = bound.bit_length() + 1
         total = sum(
-            s * _pack(a.coords, width, e) * _pack(b.coords, width, e, -1)
+            s * _pack(a, width, e) * _pack(b, width, e, -1)
             for s, a, b in zip(sizes, a_values, b_values)
         )
         negative_totals += total < 0  # the top nonzero slot decodes negative
         want = _reference_total(e, sizes, a_values, b_values)
-        assert _reduced_total(total, e, width) == want.coords
+        assert _reduced_total(total, e, width) == want
     assert negative_totals >= 25
 
 
@@ -238,7 +254,7 @@ def test_raised_coordinate_names_the_first_failing_pair(tables):
     table = tables["sl25"]
     rows = [list(row) for row in table.rows]
     value = rows[3][2]
-    rows[3][2] = dataclasses.replace(value, coords=(value.coords[0] + 1,) + value.coords[1:])
+    rows[3][2] = (value[0] + 1,) + value[1:]
     with pytest.raises(LiftFailure) as exc:
         verify_orthogonality(dataclasses.replace(table, rows=tuple(map(tuple, rows))))
     assert str(exc.value) == "row orthogonality fails for characters 0, 3"

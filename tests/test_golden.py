@@ -14,12 +14,15 @@ suite at six (n, g), so that a change to how the checks are assembled must
 reproduce every entry, detail and witness, and refuse the same suites.
 The printed closed forms are pinned by the digest of their ``poly_text``:
 E2, H2, H3 and PP3 at g = 1..6 and the y-genus at n = 1..7, g = 2..6.
+The names that ``charvar`` exports are pinned as a sorted list, so a removed
+name that comes back, or an exported name that vanishes, fails here.
 """
 
 import hashlib
 
 import pytest
 
+import charvar
 from charvar import cli
 from charvar.invariants import (
     closed_form,
@@ -264,3 +267,29 @@ def test_closed_forms_match_golden_digests():
         for key in CLOSED_FORMS
     }
     assert got == CLOSED_FORMS
+
+
+EXPORTS = [
+    "BinomialFactor", "BridgeReport", "Cell", "CentralElementUnavailable",
+    "CharacterTable", "CharvarError", "CheckEntry", "CheckReport", "ClassFunction",
+    "ConjugacyData", "ConstantTermNotOne", "ContextError", "DiagramStats", "FLAVOR_E",
+    "FLAVOR_PURE", "FLAVOR_QT", "FLAVOR_XY", "FactoredFraction", "Flavor",
+    "FrobeniusCounts", "GroupTooLarge", "InvariantCache", "InvariantKind",
+    "InvariantResult", "KindMismatch", "LiftFailure", "MatrixGroup",
+    "NegativeExponentAtZero", "NonIntegerCoefficient", "NonIntegralCount",
+    "NotDivisible", "NotPolynomial", "Partition", "SparsePoly", "TruncatedSeries",
+    "UnsupportedGenus", "adams", "adams_poly", "binomial_product", "bridge",
+    "build_group", "cell_stats", "character_table", "characters", "closed_form",
+    "commutator_distribution", "compute_invariant", "curious_duality_entry",
+    "cyclotomic_polynomial", "diagonal_group", "divide_exact", "errors",
+    "extract_layers", "frac_sum", "frobenius_sums", "groups", "hook_sum_series",
+    "hook_term", "invariant_from_layer", "invariants", "moebius", "palindrome_entry",
+    "parse_kind", "partitions", "partitions_of", "point_count_bridge", "poly_text",
+    "polynomials", "run_check", "series", "series_log", "specialize_invariant",
+    "tuple_count", "verify_orthogonality",
+]
+
+
+def test_exported_names_are_pinned():
+    """The public surface; the submodules are listed because __all__ is dir()."""
+    assert sorted(charvar.__all__) == EXPORTS

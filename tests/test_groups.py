@@ -9,9 +9,7 @@ from charvar.errors import CentralElementUnavailable, GroupTooLarge
 from charvar.groups import (
     build_group,
     commutator_distribution,
-    conjugacy_classes,
     diagonal_group,
-    matrix_group_from_elements,
     tuple_count,
 )
 
@@ -70,22 +68,22 @@ class TestBuildGroup:
 
 class TestConjugacy:
     def test_class_counts(self, sl23, gl23, sl25):
-        assert len(conjugacy_classes(sl23).classes) == 7
-        assert len(conjugacy_classes(gl23).classes) == 8
-        assert len(conjugacy_classes(sl25).classes) == 9
+        assert len(sl23.conjugacy().classes) == 7
+        assert len(gl23.conjugacy().classes) == 8
+        assert len(sl25.conjugacy().classes) == 9
 
     def test_sizes_partition_the_group(self, gl23):
-        data = conjugacy_classes(gl23)
+        data = gl23.conjugacy()
         assert sum(data.sizes) == gl23.order
 
     def test_identity_class_is_singleton(self, sl23):
-        data = conjugacy_classes(sl23)
+        data = sl23.conjugacy()
         assert data.sizes[data.identity_class] == 1
         assert data.classes[data.identity_class] == (sl23.identity,)
 
     def test_class_coefficient_row_sums(self, sl23):
         # sum_k a_ijk |C_k| = |C_i| |C_j|
-        data = conjugacy_classes(sl23)
+        data = sl23.conjugacy()
         r = len(data.classes)
         for i in range(r):
             for j in range(r):
@@ -119,13 +117,6 @@ class TestCommutatorDistribution:
         assert tuple_count(diag, g, diag.identity) == diag.order ** (2 * g)
         non_identity = next(i for i in diag.center() if i != diag.identity)
         assert tuple_count(diag, g, non_identity) == 0
-
-
-def test_explicit_subgroup_wrapper():
-    c2 = matrix_group_from_elements("C2", 3, [(1, 0, 0, 1), (2, 0, 0, 2)])
-    assert c2.order == 2 and c2.element_order(1 - c2.identity) == 2
-    with pytest.raises(ValueError):
-        matrix_group_from_elements("BAD", 3, [(1, 0, 0, 1), (1, 1, 0, 1)])
 
 
 def test_commutator_distribution_is_computed_once_per_group(monkeypatch):

@@ -28,10 +28,9 @@ from charvar.series import (
     extract_layers,
     hook_sum_series,
     invariant_from_layer,
-    plethystic_exp_of_layers,
-    series_exp,
     series_log,
 )
+from oracles import plethystic_exp_of_layers, series_exp
 
 Q = ("q",)
 QT = ("q", "t")
@@ -105,6 +104,14 @@ class TestSeriesLog:
     def test_exp_inverts_log_on_hook_series(self):
         s = hook_sum_series(FLAVOR_QT, 2, 3)
         assert series_exp(series_log(s)) == s
+        # The dataclass's equality compares the flavor and each coefficient by
+        # value; a series is unhashable, as its coefficients are.
+        rebuilt = TruncatedSeries(s.flavor, tuple(c.scale(1) for c in s.coeffs))
+        shorter = TruncatedSeries(s.flavor, s.coeffs[:-1])
+        for other, equal in ((rebuilt, True), (shorter, False), (s.coeffs, False)):
+            assert (s == other) is equal and (other == s) is equal
+        with pytest.raises(TypeError):
+            hash(s)
 
 
 @given(
