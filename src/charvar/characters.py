@@ -8,12 +8,14 @@ eigenvector v at the identity class so that v_k = |C_k| chi(g_k) / chi(1)
 the degree squares are literal integers, no modular square-root ambiguity);
 and lift every value to an exact cyclotomic integer through the eigenvalue
 multiplicities m_j = (1/o) * sum_s chi(g^s) z^(-js) of the o-th roots of
-unity.  Both orthogonality relations are verified exactly in Z[zeta] before a
-table is returned.  The check packs every value into one int with signed
-slots, so a relation's total is a sum of int products in Z[x]/(x^e - 1); the
-slot width comes from a bound proven from the l1 norms of the coordinates, so
-no slot overflows, and each total is unpacked and reduced mod the cyclotomic
-polynomial once.
+unity.  The inverse-DFT rows z^(-js) mod p and 1/o are built once per element
+order and shared by every character and class, so each multiplicity is one
+dot product of int lists.  Both orthogonality relations are verified exactly
+in Z[zeta] before a table is returned.  The check packs every value into one
+int with signed slots, so a relation's total is a sum of int products in
+Z[x]/(x^e - 1); the slot width comes from a bound proven from the l1 norms of
+the coordinates, so no slot overflows, and each total is unpacked and reduced
+mod the cyclotomic polynomial once.
 
 A character value is its coordinate tuple: integers in the power basis of a
 primitive e-th root of unity, reduced modulo the e-th cyclotomic polynomial,
@@ -299,38 +301,44 @@ def character_table(group: MatrixGroup) -> CharacterTable:
 
     rep_orders = [group.element_order(rep) for rep in data.representatives]
     power_class = []
-    mul = group.mul
+    cayley = group.mul
     for k, rep in enumerate(data.representatives):
         row = []
         x = group.identity
         for _ in range(rep_orders[k]):
             row.append(data.class_of[x])
-            x = mul[x][rep]
+            x = cayley[x][rep]
         power_class.append(row)
 
+    # the inverse DFT of order o: rows z^(-js) for j < o, and 1/o, shared by
+    # every character and every class whose representative has order o
     w = pow(_primitive_root(p), (p - 1) // e, p)
+    dft = {}
+    for o in set(rep_orders):
+        zinv = pow(pow(w, e // o, p), p - 2, p)
+        zrows = []
+        for j in range(o):
+            zj = pow(zinv, j, p)
+            zrow = [1]
+            for _ in range(o - 1):
+                zrow.append(zrow[-1] * zj % p)
+            zrows.append(zrow)
+        dft[o] = (zrows, pow(o, p - 2, p))
+
     rows = []
     for chi, d in enumerate(degrees):
+        values = chi_mod[chi]
         row = []
         for k in range(r):
             o = rep_orders[k]
-            z = pow(w, e // o, p)
-            zinv = pow(z, p - 2, p)
-            o_inv = pow(o, p - 2, p)
-            mults = []
-            for j in range(o):
-                zj = pow(zinv, j, p)
-                acc = 0
-                zjs = 1
-                for s in range(o):
-                    acc += chi_mod[chi][power_class[k][s]] * zjs
-                    zjs = (zjs * zj) % p
-                m = (acc * o_inv) % p
+            zrows, o_inv = dft[o]
+            powers = [values[c] for c in power_class[k]]
+            mults = [sum(map(mul, powers, zrow)) * o_inv % p for zrow in zrows]
+            for m in mults:
                 if m > d:
                     raise LiftFailure(
                         f"multiplicity {m} exceeds degree {d} on class {k}"
                     )
-                mults.append(m)
             if sum(mults) != d:
                 raise LiftFailure(f"multiplicities sum to {sum(mults)}, degree {d}")
             row.append(_from_root_multiplicities(e, e // o, mults))
@@ -352,7 +360,7 @@ def _unit_column(r, k):
 
 
 def _apply(matrix, col, p):
-    return [sum(matrix[j][k] * col[k] for k in range(len(col))) % p for j in range(len(matrix))]
+    return [sum(map(mul, row, col)) % p for row in matrix]
 
 
 def _combine(basis, coeffs, p):

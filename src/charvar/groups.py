@@ -1,11 +1,13 @@
 """Small matrix groups over prime fields: enumeration and brute-force counts.
 
 Groups are fully enumerated as tuples (a, b, c, d) for 2x2 matrices over F_p,
-with a multiplication table built once on demand; everything downstream
-(conjugacy classes, class-multiplication coefficients, commutator counts)
-works with element indices into that table.  Every group is enumerated in
-full, so build_group refuses one with more than max_order elements; the
-default bound of 500 admits |GL(2,5)| = 480.
+with a multiplication table built once on demand.  A few of its rows come from
+matrix products, which also check that the elements are closed; every other
+row is a composition of two known rows as lists of element indices.
+Everything downstream (conjugacy classes, class-multiplication coefficients,
+commutator counts) works with element indices into that table.  Every group
+is enumerated in full, so build_group refuses one with more than max_order
+elements; the default bound of 500 admits |GL(2,5)| = 480.
 
 The brute-force side is organized as the |G|^2 commutator distribution
 c(z) = #{(A,B) : A B A^-1 B^-1 = z} followed by class-algebra convolution, so
@@ -70,27 +72,59 @@ class MatrixGroup:
 
     @property
     def mul(self):
-        """Multiplication table mul[i][j] = index of elements[i] * elements[j]."""
+        """Multiplication table mul[i][j] = index of elements[i] * elements[j].
+
+        Row x lists x*b for every b.  If x = s*y, then x*b = s*(y*b), so
+        row(x) is row(y) mapped through row(s): a composition of two lists at
+        C speed.  The identity's row is range(n).  The first element in index
+        order with no row gets one from direct matrix products and joins the
+        generators; every known row is then closed under left multiplication by
+        the generators, and this repeats until every row is known (two direct
+        rows for SL(2,q), q <= 7, and GL(2,3); three for GL(2,5)).  Closure is
+        still checked: only direct rows look up products, and a composed row
+        is a composition of checked rows, so an element set that is not closed
+        fails on a direct row.
+        """
         if self._mul is None:
-            p = self.q
-            idx = self.index
-            elems = self.elements
-            table = []
-            for a in elems:
-                row = [0] * self.order
-                a0, a1, a2, a3 = a
-                for j, b in enumerate(elems):
-                    b0, b1, b2, b3 = b
-                    key = (
-                        (a0 * b0 + a1 * b2) % p,
-                        (a0 * b1 + a1 * b3) % p,
-                        (a2 * b0 + a3 * b2) % p,
-                        (a2 * b1 + a3 * b3) % p,
-                    )
-                    row[j] = idx[key]
-                table.append(row)
-            self._mul = table
+            n = self.order
+            rows = [None] * n
+            rows[self.identity] = list(range(n))
+            generators = []
+            for first in range(n):
+                if rows[first] is not None:
+                    continue
+                rows[first] = list(self._direct_row(self.elements[first]))
+                generators.append(rows[first])
+                todo = [y for y, row in enumerate(rows) if row is not None]
+                while todo:
+                    y = todo.pop()
+                    for row_s in generators:
+                        x = row_s[y]
+                        if rows[x] is None:
+                            rows[x] = list(map(row_s.__getitem__, rows[y]))
+                            todo.append(x)
+            self._mul = rows
         return self._mul
+
+    def _direct_row(self, a):
+        """Indices of a*b for every element b, by matrix products over F_q."""
+        p = self.q
+        idx = self.index
+        a0, a1, a2, a3 = a
+        for b in self.elements:
+            b0, b1, b2, b3 = b
+            key = (
+                (a0 * b0 + a1 * b2) % p,
+                (a0 * b1 + a1 * b3) % p,
+                (a2 * b0 + a3 * b2) % p,
+                (a2 * b1 + a3 * b3) % p,
+            )
+            i = idx.get(key)
+            if i is None:
+                raise ValueError(
+                    f"elements of {self.family} are not closed: {a} * {b} = {key} is missing"
+                )
+            yield i
 
     @property
     def inv(self):

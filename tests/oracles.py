@@ -7,6 +7,8 @@ kept here as an oracle for it:
   from its rank layers, the round trip of ``extract_layers``;
 - ``specialize_fraction`` specializes a FactoredFraction, folding each
   denominator factor that stays a binomial back through the cancellation;
+- ``direct_mul_table`` multiplies every pair of matrices and looks the
+  product up, the reference for the row-composed ``MatrixGroup.mul``;
 - ``table_document`` is the canonical JSON document of a character table,
   whose digest pins the Dixon splitting byte for byte;
 - ``zeta_power`` and ``cyc_times_conjugate`` are Z[zeta_e] arithmetic on
@@ -86,6 +88,28 @@ def specialize_fraction(fr: FactoredFraction, assignment) -> FactoredFraction:
         else:
             num = _fold_factor(num, den, fp, m)
     return FactoredFraction(num, den)
+
+
+# -- matrix groups -------------------------------------------------------------------
+
+
+def direct_mul_table(group) -> list[list[int]]:
+    """mul[i][j] = index of elements[i] * elements[j], one matrix product per pair."""
+    p = group.q
+    idx = group.index
+    table = []
+    for a0, a1, a2, a3 in group.elements:
+        row = []
+        for b0, b1, b2, b3 in group.elements:
+            key = (
+                (a0 * b0 + a1 * b2) % p,
+                (a0 * b1 + a1 * b3) % p,
+                (a2 * b0 + a3 * b2) % p,
+                (a2 * b1 + a3 * b3) % p,
+            )
+            row.append(idx[key])
+        table.append(row)
+    return table
 
 
 # -- character tables ----------------------------------------------------------------

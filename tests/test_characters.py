@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import charvar.characters
 from charvar.characters import (
     _pack,
     _reduced_total,
@@ -277,3 +278,19 @@ def test_changed_class_size_is_rejected(tables):
 def test_true_tables_pass(family, q):
     group = diagonal_group(q) if family == "DIAG" else build_group(family, 2, q)
     verify_orthogonality(character_table(group))  # raises on failure
+
+
+@pytest.mark.parametrize(
+    "root, message",
+    [
+        # w = 1: every z^(-js) is 1, so each m_j counts the eigenvalue 1 alone
+        (1, "multiplicities sum to 0, degree 2"),
+        # w = 0: for j > 0 only s = 0 survives, so m_j = d/o mod p
+        (0, "multiplicity 31 exceeds degree 2 on class 0"),
+    ],
+)
+def test_a_wrong_root_of_unity_fails_the_lift(monkeypatch, sl23, root, message):
+    monkeypatch.setattr(charvar.characters, "_primitive_root", lambda p: root)
+    with pytest.raises(LiftFailure) as exc:
+        character_table(sl23)
+    assert str(exc.value) == message

@@ -7,11 +7,13 @@ import pytest
 import charvar.groups
 from charvar.errors import CentralElementUnavailable, GroupTooLarge
 from charvar.groups import (
+    MatrixGroup,
     build_group,
     commutator_distribution,
     diagonal_group,
     tuple_count,
 )
+from oracles import direct_mul_table
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +66,41 @@ class TestBuildGroup:
     def test_bad_family(self):
         with pytest.raises(ValueError):
             build_group("SP", 2, 3)
+
+
+class TestMultiplicationTable:
+    @pytest.mark.parametrize(
+        "family, q",
+        [
+            ("SL", 2), ("GL", 2), ("SL", 3), ("GL", 3), ("SL", 5), ("GL", 5),
+            ("SL", 7), ("DIAG", 3), ("DIAG", 7), ("C2", 3),
+        ],
+    )
+    def test_composed_rows_equal_direct_products(self, family, q):
+        if family == "DIAG":
+            group = diagonal_group(q)
+        elif family == "C2":  # the order-two fixture of test_characters.py
+            group = MatrixGroup("C2", q, [(1, 0, 0, 1), (2, 0, 0, 2)])
+        else:
+            group = build_group(family, 2, q)
+        assert group.mul == direct_mul_table(group)
+
+    def test_few_rows_are_multiplied_directly(self, monkeypatch):
+        real = MatrixGroup._direct_row
+        rows = []
+
+        def counted(group, a):
+            rows.append(a)
+            return real(group, a)
+
+        monkeypatch.setattr(MatrixGroup, "_direct_row", counted)
+        build_group("GL", 2, 5).mul
+        assert 1 <= len(rows) <= 3
+
+    def test_a_set_that_is_not_closed_names_the_missing_product(self):
+        group = MatrixGroup("X", 3, [(1, 0, 0, 1), (1, 1, 0, 1)])
+        with pytest.raises(ValueError, match=r"\(1, 2, 0, 1\) is missing"):
+            group.mul
 
 
 class TestConjugacy:
