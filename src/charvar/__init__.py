@@ -8,6 +8,8 @@ counting side independently on small finite matrix groups via brute force and
 Burnside-Dixon character tables.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     CentralElementUnavailable,
     CharvarError,
@@ -81,6 +83,10 @@ from .characters import (
 )
 from .bridge import BridgeReport, point_count_bridge
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imports above also bind the submodules; they stay attributes, not exports
+__all__ = [
+    name for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+]
 __version__ = "0.1.0"
 

@@ -1,21 +1,27 @@
 """Exact character tables via Dixon's modular eigenvector method.
 
-The pipeline: build the class-multiplication matrices M_i[j][k] = a_ijk over
-a prime p with p ≡ 1 (mod exponent(G)) and p > 2|G|; deterministically refine
-the full space into their one-dimensional common eigenspaces; normalize each
-eigenvector v at the identity class so that v_k = |C_k| chi(g_k) / chi(1)
-(mod p); recover the degrees from the orthogonality relation (with p > |G|
-the degree squares are literal integers, no modular square-root ambiguity);
-and lift every value to an exact cyclotomic integer through the eigenvalue
-multiplicities m_j = (1/o) * sum_s chi(g^s) z^(-js) of the o-th roots of
-unity.  The inverse-DFT rows z^(-js) mod p and 1/o are built once per element
-order and shared by every character and class, so each multiplicity is one
-dot product of int lists.  Both orthogonality relations are verified exactly
-in Z[zeta] before a table is returned.  The check packs every value into one
-int with signed slots, so a relation's total is a sum of int products in
-Z[x]/(x^e - 1); the slot width comes from a bound proven from the l1 norms of
-the coordinates, so no slot overflows, and each total is unpacked and reduced
-mod the cyclotomic polynomial once.
+The pipeline: walk the powers of each class representative once, which gives
+its order, the classes of its powers and the exponent e of G; take the class-
+multiplication matrices M_i[j][k] = a_ijk over a prime p with p ≡ 1 (mod e)
+and p > 2|G| (every a_ijk <= |G| is already reduced); deterministically refine
+the full space into their one-dimensional common eigenspaces.  Every basis in
+the refinement is the identity at its pivot coordinates (the unit columns at
+first, then kernel vectors that are 1 at their own free column and 0 at the
+others), so the matrix of M_i on a span is read off the images at the pivots
+rather than solved for.  Then normalize each eigenvector v at the identity
+class so that v_k = |C_k| chi(g_k) / chi(1) (mod p); recover the degrees from
+the orthogonality relation (with p > |G| the degree squares are literal
+integers, no modular square-root ambiguity); and lift every value to an exact
+cyclotomic integer through the eigenvalue multiplicities m_j = (1/o) * sum_s
+chi(g^s) z^(-js) of the o-th roots of unity.  The inverse-DFT rows z^(-js) mod
+p and 1/o are built once per element order and shared by every character and
+class, so each multiplicity is one dot product of int lists.  Both
+orthogonality relations are verified exactly in Z[zeta] before a table is
+returned.  The check packs every value into one int with signed slots, so a
+relation's total is a sum of int products in Z[x]/(x^e - 1); the slot width
+comes from a bound proven from the l1 norms of the coordinates, so no slot
+overflows, and each total is unpacked and reduced mod the cyclotomic
+polynomial once.
 
 A character value is its coordinate tuple: integers in the power basis of a
 primitive e-th root of unity, reduced modulo the e-th cyclotomic polynomial,
@@ -114,22 +120,9 @@ def _rref(rows, p):
     return pivots
 
 
-def _solve_in_basis(basis_cols, image_cols, p):
-    """C with sum_u basis[u] * C[u][v] = image[v]; the basis spans the image."""
-    s = len(basis_cols)
-    m = len(image_cols)
-    r = len(basis_cols[0])
-    rows = [
-        [basis_cols[u][i] for u in range(s)] + [image_cols[v][i] for v in range(m)]
-        for i in range(r)
-    ]
-    pivots = _rref(rows, p)
-    assert pivots[:s] == list(range(s)), "basis not independent"
-    return [[rows[u][s + v] for v in range(m)] for u in range(s)]
-
-
 def _kernel_basis(matrix, p):
-    """Basis column vectors of the kernel of a square matrix over F_p."""
+    """Free columns and kernel basis of a square matrix over F_p, each vector 1
+    at its own free column and 0 at the others."""
     s = len(matrix)
     rows = [list(row) for row in matrix]
     pivots = _rref(rows, p)
@@ -141,7 +134,7 @@ def _kernel_basis(matrix, p):
         for r, pc in enumerate(pivots):
             vec[pc] = (-rows[r][fc]) % p
         basis.append(vec)
-    return basis
+    return free, basis
 
 
 def _charpoly(matrix, p):
@@ -233,30 +226,39 @@ def character_table(group: MatrixGroup) -> CharacterTable:
     data = group.conjugacy()
     r = len(data.classes)
     sizes = data.sizes
-    e = group.exponent()
-    p = dixon_prime(group.order, e)
     ident = data.identity_class
 
-    matrices = [
-        [[data.a_ijk[i][j][k] % p for k in range(r)] for j in range(r)]
-        for i in range(r)
-    ]
+    # one walk rep^0, rep^1, ... per class representative: the classes it
+    # passes, its length (the representative's order), and e, their lcm
+    cayley = group.mul
+    power_class = []
+    for rep in data.representatives:
+        walk = [ident]
+        x = rep
+        while x != group.identity:
+            walk.append(data.class_of[x])
+            x = cayley[x][rep]
+        power_class.append(walk)
+    e = lcm(*map(len, power_class))
+    p = dixon_prime(group.order, e)
 
-    # deterministic refinement into common eigenspaces
-    spaces = [[_unit_column(r, k) for k in range(r)]]
+    # deterministic refinement into common eigenspaces; every basis is the
+    # identity at its pivot coordinates, so the matrix of M_i on its span is
+    # the images read at the pivots
+    spaces = [([[int(j == k) for j in range(r)] for k in range(r)], range(r))]
     for i in range(r):
         if i == ident:
             continue
-        if all(len(s) == 1 for s in spaces):
+        if all(len(basis) == 1 for basis, _ in spaces):
             break
-        mat = matrices[i]
         new_spaces = []
-        for basis in spaces:
+        for basis, pivots in spaces:
             if len(basis) == 1:
-                new_spaces.append(basis)
+                new_spaces.append((basis, pivots))
                 continue
-            image = [_apply(mat, col, p) for col in basis]
-            c_small = _solve_in_basis(basis, image, p)
+            images = [_apply(data.a_ijk[i], col, p) for col in basis]
+            c_small = [[img[t] for img in images] for t in pivots]
+            basis_rows = list(zip(*basis))
             roots = _poly_roots_mod(_charpoly(c_small, p), p)
             total = 0
             for lam in roots:
@@ -264,18 +266,16 @@ def character_table(group: MatrixGroup) -> CharacterTable:
                     [(c_small[u][v] - (lam if u == v else 0)) % p for v in range(len(basis))]
                     for u in range(len(basis))
                 ]
-                eigenspace = [
-                    _combine(basis, vec, p) for vec in _kernel_basis(shifted, p)
-                ]
+                free, kernel = _kernel_basis(shifted, p)
+                eigenspace = [_apply(basis_rows, vec, p) for vec in kernel]
                 total += len(eigenspace)
-                new_spaces.append(eigenspace)
+                new_spaces.append((eigenspace, [pivots[f] for f in free]))
             assert total == len(basis), "class algebra failed to split"
         spaces = new_spaces
-    assert all(len(s) == 1 for s in spaces) and len(spaces) == r
+    assert all(len(basis) == 1 for basis, _ in spaces) and len(spaces) == r
 
     omegas = []
-    for basis in spaces:
-        v = basis[0]
+    for (v,), _ in spaces:
         if v[ident] == 0:
             raise LiftFailure("eigenvector vanishes at the identity class")
         scale = pow(v[ident], p - 2, p)
@@ -299,22 +299,11 @@ def character_table(group: MatrixGroup) -> CharacterTable:
         for om, d in zip(omegas, degrees)
     ]
 
-    rep_orders = [group.element_order(rep) for rep in data.representatives]
-    power_class = []
-    cayley = group.mul
-    for k, rep in enumerate(data.representatives):
-        row = []
-        x = group.identity
-        for _ in range(rep_orders[k]):
-            row.append(data.class_of[x])
-            x = cayley[x][rep]
-        power_class.append(row)
-
     # the inverse DFT of order o: rows z^(-js) for j < o, and 1/o, shared by
     # every character and every class whose representative has order o
     w = pow(_primitive_root(p), (p - 1) // e, p)
     dft = {}
-    for o in set(rep_orders):
+    for o in set(map(len, power_class)):
         zinv = pow(pow(w, e // o, p), p - 2, p)
         zrows = []
         for j in range(o):
@@ -329,10 +318,10 @@ def character_table(group: MatrixGroup) -> CharacterTable:
     for chi, d in enumerate(degrees):
         values = chi_mod[chi]
         row = []
-        for k in range(r):
-            o = rep_orders[k]
+        for k, walk in enumerate(power_class):
+            o = len(walk)
             zrows, o_inv = dft[o]
-            powers = [values[c] for c in power_class[k]]
+            powers = [values[c] for c in walk]
             mults = [sum(map(mul, powers, zrow)) * o_inv % p for zrow in zrows]
             for m in mults:
                 if m > d:
@@ -353,25 +342,8 @@ def character_table(group: MatrixGroup) -> CharacterTable:
     return table
 
 
-def _unit_column(r, k):
-    col = [0] * r
-    col[k] = 1
-    return col
-
-
 def _apply(matrix, col, p):
     return [sum(map(mul, row, col)) % p for row in matrix]
-
-
-def _combine(basis, coeffs, p):
-    r = len(basis[0])
-    out = [0] * r
-    for u, c in enumerate(coeffs):
-        if c:
-            bu = basis[u]
-            for i in range(r):
-                out[i] = (out[i] + c * bu[i]) % p
-    return out
 
 
 def _pack(coords, width, e, sign=1):

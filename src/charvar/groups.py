@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import lcm
 
 from .errors import CentralElementUnavailable, GroupTooLarge
 
@@ -41,13 +40,6 @@ def _is_prime(n: int) -> bool:
 def _require_prime(q: int):
     if not _is_prime(q):
         raise ValueError(f"{q} is not prime")
-
-
-def _mat_inv(m, p):
-    a, b, c, d = m
-    det = (a * d - b * c) % p
-    di = pow(det, p - 2, p)
-    return ((d * di) % p, (-b * di) % p, (-c * di) % p, (a * di) % p)
 
 
 class MatrixGroup:
@@ -128,8 +120,9 @@ class MatrixGroup:
 
     @property
     def inv(self):
+        """inv[x] = index of elements[x]^-1: where the identity stands in row x of mul."""
         if self._inv is None:
-            self._inv = [self.index[_mat_inv(m, self.q)] for m in self.elements]
+            self._inv = [row.index(self.identity) for row in self.mul]
         return self._inv
 
     def element_order(self, i: int) -> int:
@@ -141,10 +134,6 @@ class MatrixGroup:
             k += 1
         return k
 
-    def exponent(self) -> int:
-        data = self.conjugacy()
-        return lcm(*(self.element_order(r) for r in data.representatives))
-
     def center(self):
         """Indices of central elements (the singleton conjugacy classes)."""
         data = self.conjugacy()
@@ -154,12 +143,13 @@ class MatrixGroup:
 
     def central_of_order(self, n: int) -> int:
         """Index of a central element of multiplicative order n."""
-        for i in self.center():
-            if self.element_order(i) == n:
-                return i
+        center = self.center()
+        orders = [self.element_order(i) for i in center]
+        if n in orders:
+            return center[orders.index(n)]
         raise CentralElementUnavailable(
             f"central element of order {n} unavailable in {self.family}(2,{self.q})"
-            f" (needs n | q-1 = {self.q - 1})"
+            f" (central elements have orders {', '.join(map(str, sorted(set(orders))))})"
         )
 
     def conjugacy(self) -> "ConjugacyData":

@@ -9,6 +9,8 @@ kept here as an oracle for it:
   denominator factor that stays a binomial back through the cancellation;
 - ``direct_mul_table`` multiplies every pair of matrices and looks the
   product up, the reference for the row-composed ``MatrixGroup.mul``;
+- ``mat_inv`` inverts a 2x2 matrix by its adjugate over F_p, the reference
+  for ``MatrixGroup.inv``, which reads inverses off the Cayley table;
 - ``table_document`` is the canonical JSON document of a character table,
   whose digest pins the Dixon splitting byte for byte;
 - ``zeta_power`` and ``cyc_times_conjugate`` are Z[zeta_e] arithmetic on
@@ -110,6 +112,14 @@ def direct_mul_table(group) -> list[list[int]]:
             row.append(idx[key])
         table.append(row)
     return table
+
+
+def mat_inv(m, p):
+    """The inverse of the 2x2 matrix m = (a, b, c, d) over F_p, by its adjugate."""
+    a, b, c, d = m
+    det = (a * d - b * c) % p
+    di = pow(det, p - 2, p)
+    return ((d * di) % p, (-b * di) % p, (-c * di) % p, (a * di) % p)
 
 
 # -- character tables ----------------------------------------------------------------

@@ -179,6 +179,18 @@ class TestFrobeniusSums:
         assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("q", [5, 7])
+def test_abelian_table_through_a_long_refinement(q):
+    # abelian, so r = |G|: the refinement runs over many class matrices
+    diag = diagonal_group(q)
+    table = character_table(diag)
+    assert table.num_classes == diag.order == (q - 1) ** 2
+    assert table.degrees == (1,) * diag.order
+    for g in (1, 2):
+        for xi in diag.center():
+            assert tuple_count(diag, g, xi) == frobenius_sums(table, g, xi).tuple_prediction
+
+
 class TestStretchTarget:
     def test_gl25_table_and_counts(self):
         gl25 = build_group("GL", 2, 5)

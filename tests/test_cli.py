@@ -224,6 +224,14 @@ class TestCount:
         )
         assert code == 2 and "central element of order 4 unavailable" in err
 
+    def test_sl_hint_makes_no_claim_about_q(self, capsys):
+        # 3 divides q-1 = 6, but the SL(2,7) center is only {±Id}
+        code, _, err = run(
+            capsys, "count", "--family", "sl", "--q", "7", "--g", "1", "--zeta-order", "3"
+        )
+        assert code == 2 and "central element of order 3 unavailable" in err
+        assert "(central elements have orders 1, 2)" in err and "q-1" not in err
+
     def test_group_too_large_exits_2(self, capsys):
         code, _, err = run(
             capsys, "count", "--family", "gl", "--q", "7", "--g", "1", "--zeta-order", "2"

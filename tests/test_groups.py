@@ -13,7 +13,7 @@ from charvar.groups import (
     diagonal_group,
     tuple_count,
 )
-from oracles import direct_mul_table
+from oracles import direct_mul_table, mat_inv
 
 
 @pytest.fixture(scope="module")
@@ -63,27 +63,45 @@ class TestBuildGroup:
         with pytest.raises(CentralElementUnavailable):
             sl25.central_of_order(4)  # order-4 scalar has determinant 4 != 1
 
+    def test_sl27_hint_names_the_orders_of_the_center(self):
+        # 3 divides q-1 = 6, but the SL(2,7) center is only {±Id}
+        sl27 = build_group("SL", 2, 7)
+        with pytest.raises(CentralElementUnavailable) as info:
+            sl27.central_of_order(3)
+        assert "central elements have orders 1, 2" in str(info.value)
+        assert "q-1" not in str(info.value)
+
     def test_bad_family(self):
         with pytest.raises(ValueError):
             build_group("SP", 2, 3)
 
 
+TABLE_GROUPS = [
+    ("SL", 2), ("GL", 2), ("SL", 3), ("GL", 3), ("SL", 5), ("GL", 5),
+    ("SL", 7), ("DIAG", 3), ("DIAG", 7), ("C2", 3),
+]
+
+
+def _table_group(family, q):
+    if family == "DIAG":
+        return diagonal_group(q)
+    if family == "C2":  # the order-two fixture of test_characters.py
+        return MatrixGroup("C2", q, [(1, 0, 0, 1), (2, 0, 0, 2)])
+    return build_group(family, 2, q)
+
+
 class TestMultiplicationTable:
-    @pytest.mark.parametrize(
-        "family, q",
-        [
-            ("SL", 2), ("GL", 2), ("SL", 3), ("GL", 3), ("SL", 5), ("GL", 5),
-            ("SL", 7), ("DIAG", 3), ("DIAG", 7), ("C2", 3),
-        ],
-    )
+    @pytest.mark.parametrize("family, q", TABLE_GROUPS)
     def test_composed_rows_equal_direct_products(self, family, q):
-        if family == "DIAG":
-            group = diagonal_group(q)
-        elif family == "C2":  # the order-two fixture of test_characters.py
-            group = MatrixGroup("C2", q, [(1, 0, 0, 1), (2, 0, 0, 2)])
-        else:
-            group = build_group(family, 2, q)
+        group = _table_group(family, q)
         assert group.mul == direct_mul_table(group)
+
+    @pytest.mark.parametrize("family, q", TABLE_GROUPS)
+    def test_inverses_read_off_the_table(self, family, q):
+        group = _table_group(family, q)
+        mul, inv, e = group.mul, group.inv, group.identity
+        assert all(mul[x][inv[x]] == mul[inv[x]][x] == e for x in range(group.order))
+        assert inv == [group.index[mat_inv(m, q)] for m in group.elements]
 
     def test_few_rows_are_multiplied_directly(self, monkeypatch):
         real = MatrixGroup._direct_row
