@@ -1,13 +1,37 @@
 """Exact sparse Laurent-polynomial arithmetic over the rationals.
 
-A polynomial is a dictionary mapping exponent tuples (one signed integer per
-variable of a fixed variable context) to nonzero rational coefficients:
+A polynomial in k variables maps exponent vectors (one signed integer per
+variable of a fixed variable context) to nonzero rational coefficients.  The
+kernels keep these terms in a dictionary keyed by one int per monomial, its
+Kronecker key with balanced slots of w bits:
 
-    SparsePoly.terms : dict[tuple[int, ...], int | Fraction]
+    key(e) = e_0 + e_1*2^w + ... + e_(k-1)*2^(w*(k-1)),   |e_i| < 2^(w-1).
 
-Coefficients are exact; integer-valued coefficients are stored as int (a fast
-path — Python's numeric tower makes int and Fraction interoperable), anything
-else as Fraction.  The zero polynomial has an empty term dict.  Negative
+On vectors inside that half-range the key is one-to-one, and it orders them
+lexicographically with the last variable most significant.  The map is a
+group homomorphism, so a product's key is the sum of its factors' keys, a
+monomial shift adds one int and the Adams substitution x -> x^r multiplies
+every key by r.  For k = 1 the key is the exponent itself (w = 0).
+
+A packed polynomial carries its exponent box (lo_i, hi_i), which holds its
+support.  The box is exact when packed from exponent tuples, the sum of the
+operands' boxes for a product, moved with a shift and scaled by r with an
+Adams image.  For an exact quotient N / f it is box(N) - box(f): the Newton
+polytope of a product is the Minkowski sum of its factors' (Ostrowski).  For
+a sum it is the hull.  Slot widths follow from boxes alone: an operation
+works in the narrowest width of the ladder floor(30/k), floor(60/k), then
+doubling, whose half-range holds the boxes of its operands and of its result
+(for a division, a box widened as _divide_by_factor proves), and an operand
+packed at another width is re-packed first.  So no exponent wraps, and no
+input is refused.
+
+``SparsePoly.terms`` is the public view, dict[tuple[int, ...], int |
+Fraction]; it is decoded from the packed form on first use and memoized.  A
+polynomial built from exponent tuples is packed only when a kernel first
+needs it, so reading a cached document, the checks and the documents never
+pack.  Coefficients are exact; integer-valued coefficients are stored as int
+(a fast path: Python's numeric tower makes int and Fraction interoperable),
+anything else as Fraction.  The zero polynomial has no terms.  Negative
 exponents are allowed everywhere (Laurent support is required by the hook
 normalizations).
 
@@ -23,9 +47,10 @@ is evaluated modulo the prime 2^61 - 1 at a fixed point where x^d = -c, i.e.
 on the binomial's zero set.  A multiple of the binomial vanishes there (its
 quotient has integer coefficients too), so a nonzero value proves the
 division fails.  A zero value, or a numerator with a rational coefficient,
-gives no verdict, and the exact division decides: a long division whose terms
-are kept in buckets by one exponent that the binomial's direction raises,
-walked upward, with Laurent exponents taken as they are.
+gives no verdict, and the exact division decides: a one-dimensional long
+division of the keys by c0 + c1*z^D, with D the key of the binomial's
+direction, walked upward.  A run of quotient terms that meets no numerator
+term is bounded by the top key of its residue class mod D, the line bound.
 
 Evaluation at a test point is a ring homomorphism from the integer Laurent
 polynomials to the integers modulo the prime, and so is evaluation at the
@@ -48,11 +73,12 @@ in the logarithm whose operand lost its derivative), and where no rule builds
 the numerator: a factor that a layer's normalization or an Adams substitution
 brings in.
 
-The monomial order used for canonical output, leading terms, and division is
-graded lexicographic, ascending, with the variable order of the context.
-All values are immutable after construction (a polynomial's memo of
-pre-test jets only caches what its terms determine); every operation is a
-pure function, safe for concurrent use.
+The monomial order used for canonical output and for a binomial factor's
+leading term is graded lexicographic, ascending, with the variable order of
+the context; the long division walks the key order instead.  All values are
+immutable after construction (a polynomial's packed form, its decoded view
+and its memo of pre-test jets only cache what its terms determine); every
+operation is a pure function, safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -60,9 +86,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from heapq import heappop, heappush
 from math import gcd
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 
 from .errors import (
     ContextError,
@@ -158,39 +183,44 @@ FLAVOR_PURE = Flavor(
 class SparsePoly:
     """Immutable sparse Laurent polynomial in a fixed variable context.
 
-    ``_values`` is a private memo of the pre-test's jets, {point: (value,
-    derivative)}, or None before the first jet (see _jet).
+    A polynomial built from exponent tuples holds them in ``_terms`` until a
+    kernel first needs its packed form; a kernel's result holds only the
+    packed form, ``_packed`` = (keys, width, box): {key: coefficient} at that
+    slot width, and the exponent box ((lo, ...), (hi, ...)), None when it has
+    no terms.  ``terms`` decodes the keys once.  ``_values`` is a private memo
+    of the pre-test's jets, {point: (value, derivative)}, or None before the
+    first jet (see _jet).
     """
 
-    __slots__ = ("vars", "terms", "_values")
+    __slots__ = ("vars", "_terms", "_packed", "_values")
 
     def __init__(self, variables, terms=None):
-        object.__setattr__(self, "vars", tuple(variables))
+        variables = tuple(variables)
         clean = {}
         if terms:
-            nvars = len(self.vars)
+            nvars = len(variables)
             for exps, c in terms.items():
                 if len(exps) != nvars:
                     raise ContextError(
-                        f"exponent tuple {exps} does not match context {self.vars}"
+                        f"exponent tuple {exps} does not match context {variables}"
                     )
                 c = _as_coeff(c)
                 if c:
                     clean[tuple(exps)] = c
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_values", None)
+        _init(self, variables, clean, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SparsePoly is immutable")
 
     @classmethod
     def _raw(cls, variables, terms):
-        """Internal constructor for already-clean term dicts."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "vars", variables)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_values", None)
-        return self
+        """Internal constructor for already-clean tuple-keyed term dicts."""
+        return _init(object.__new__(cls), variables, terms, None)
+
+    @classmethod
+    def _from_keys(cls, variables, keys, width, box):
+        """Internal constructor for a kernel's result: clean keys at width, in box."""
+        return _init(object.__new__(cls), variables, None, (keys, width, box if keys else None))
 
     @classmethod
     def zero(cls, variables):
@@ -225,19 +255,34 @@ class SparsePoly:
 
     # -- queries ----------------------------------------------------------
 
+    @property
+    def terms(self):
+        """The terms as {exponent tuple: coefficient}, decoded once from the keys."""
+        terms = self._terms
+        if terms is None:
+            keys, w, _ = self._packed
+            terms = _decode(keys, w, len(self.vars))
+            object.__setattr__(self, "_terms", terms)
+        return terms
+
     def is_zero(self):
-        return not self.terms
+        return not (self._terms if self._packed is None else self._packed[0])
 
     def __bool__(self):
-        return bool(self.terms)
+        return not self.is_zero()
 
     def __len__(self):
-        return len(self.terms)
+        return len(self._terms if self._packed is None else self._packed[0])
 
     def __eq__(self, other):
         if not isinstance(other, SparsePoly):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        if self.vars != other.vars:
+            return False
+        a, b = self._packed, other._packed
+        if a is not None and b is not None and a[1] == b[1]:
+            return a[0] == b[0]
+        return self.terms == other.terms
 
     def __hash__(self):
         return hash((self.vars, frozenset(self.terms.items())))
@@ -276,19 +321,28 @@ class SparsePoly:
         if isinstance(other, (int, Fraction)):
             other = SparsePoly.constant(self.vars, other)
         self._check_context(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e, 0) + c
+        ba, bb = _box(self), _box(other)
+        box = bb if ba is None else ba if bb is None else (
+            tuple(map(min, ba[0], bb[0])), tuple(map(max, ba[1], bb[1])))
+        w = _width_of(len(self.vars), box)
+        a, b = _keys_at(self, w), _keys_at(other, w)
+        if len(a) < len(b):
+            a, b = b, a
+        out = dict(a)
+        get = out.get
+        for e, c in b.items():
+            v = get(e, 0) + c
             if v:
-                out[e] = _as_coeff(v)
-            elif e in out:
+                out[e] = v
+            else:
                 del out[e]
-        return SparsePoly._raw(self.vars, out)
+        return SparsePoly._from_keys(self.vars, _ints(out), w, box)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = SparsePoly._raw(self.vars, {e: -c for e, c in self.terms.items()})
+        keys, w, box = _own(self)
+        out = SparsePoly._from_keys(self.vars, {e: -c for e, c in keys.items()}, w, box)
         return _carry(self, out, lambda pt: (-1, 0))
 
     def __sub__(self, other):
@@ -303,29 +357,28 @@ class SparsePoly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_context(other)
-        a, b = self.terms, other.terms
-        if not a or not b:
+        ba, bb = _box(self), _box(other)
+        if ba is None or bb is None:
             return SparsePoly.zero(self.vars)
+        box = (tuple(map(add, ba[0], bb[0])), tuple(map(add, ba[1], bb[1])))
+        w = _width_of(len(self.vars), ba, bb, box)
+        a, b = _keys_at(self, w), _keys_at(other, w)
         if len(a) > len(b):
             a, b = b, a
-        zero = (0,) * len(self.vars)
-        c0 = a.get(zero, 0)  # a's constant row is a copy of b, scaled unless c0 = 1
+        c0 = a.get(0, 0)  # a's constant row is a copy of b, scaled unless c0 = 1
         out = dict(b) if c0 == 1 else {e: c0 * c for e, c in b.items()} if c0 else {}
         get = out.get
         for ea, ca in a.items():
-            if ea == zero:
+            if not ea:
                 continue
             for eb, cb in b.items():
-                e = tuple(map(add, ea, eb))
+                e = ea + eb
                 v = get(e, 0) + ca * cb
                 if v:
                     out[e] = v
-                elif e in out:
+                else:
                     del out[e]
-        for e, c in out.items():
-            if type(c) is Fraction and c.denominator == 1:
-                out[e] = c.numerator
-        return SparsePoly._raw(self.vars, out)
+        return SparsePoly._from_keys(self.vars, _ints(out), w, box)
 
     __rmul__ = __mul__
 
@@ -335,8 +388,9 @@ class SparsePoly:
             return SparsePoly.zero(self.vars)
         if c == 1:
             return self
-        out = SparsePoly._raw(
-            self.vars, {e: _as_coeff(v * c) for e, v in self.terms.items()}
+        keys, w, box = _own(self)
+        out = SparsePoly._from_keys(
+            self.vars, _ints({e: v * c for e, v in keys.items()}), w, box
         )
         return _carry(self, out, lambda pt: (c, 0)) if type(c) is int else out
 
@@ -345,9 +399,13 @@ class SparsePoly:
         exps = tuple(exps)
         if not any(exps):
             return self
-        out = SparsePoly._raw(
-            self.vars,
-            {tuple(map(add, e, exps)): c for e, c in self.terms.items()},
+        old = box = _box(self)
+        if box is not None:
+            box = (tuple(map(add, box[0], exps)), tuple(map(add, box[1], exps)))
+        w = _width_of(len(exps), old, box)
+        s = _key(exps, w)
+        out = SparsePoly._from_keys(
+            self.vars, {e + s: c for e, c in _keys_at(self, w).items()}, w, box
         )
         return _carry(self, out, lambda pt: _monomial_jet(exps, pt))
 
@@ -356,10 +414,11 @@ class SparsePoly:
             raise ValueError("polynomial power wants a non-negative integer")
         if n == 0:
             return SparsePoly.one(self.vars)
-        if len(self.terms) == 1:
+        size = len(self)
+        if size == 1:
             ((e, c),) = self.terms.items()
             return SparsePoly.monomial(self.vars, tuple(v * n for v in e), c**n)
-        if len(self.terms) == 2:
+        if size == 2:
             return self._binomial_power(n)
         result = SparsePoly.one(self.vars)
         base = self
@@ -373,13 +432,16 @@ class SparsePoly:
 
     def _binomial_power(self, n):
         (ea, ca), (eb, cb) = self.terms.items()
+        box = (tuple(min(x, y) * n for x, y in zip(ea, eb)),
+               tuple(max(x, y) * n for x, y in zip(ea, eb)))
+        w = _width_of(len(ea), box)
+        a, b = _key(ea, w), _key(eb, w)
         out = {}
         coef = 1
         for k in range(n + 1):
-            e = tuple(x * (n - k) + y * k for x, y in zip(ea, eb))
-            out[e] = coef * ca ** (n - k) * cb**k
+            out[a * (n - k) + b * k] = coef * ca ** (n - k) * cb**k
             coef = coef * (n - k) // (k + 1)
-        return SparsePoly(self.vars, out)
+        return SparsePoly._from_keys(self.vars, _ints(out), w, box)
 
     # -- substitution ------------------------------------------------------
 
@@ -444,6 +506,116 @@ class SparsePoly:
         return f"SparsePoly({'*'.join(self.vars) or '-'}: {poly_text(self)})"
 
 
+# -- packed keys ---------------------------------------------------------------
+
+
+def _init(self, variables, terms, packed):
+    object.__setattr__(self, "vars", variables)
+    object.__setattr__(self, "_terms", terms)
+    object.__setattr__(self, "_packed", packed)
+    object.__setattr__(self, "_values", None)
+    return self
+
+
+def _width(k, m):
+    """The narrowest slot width of the ladder whose half-range holds |e_i| <= m.
+
+    The ladder is floor(30/k), floor(60/k) bits, then doubling; widths under
+    2 bits are skipped, so that a slot's bit 0 is its exponent's parity.  One
+    variable needs no slot: its key is the exponent (width 0), and so does the
+    empty context, whose one monomial has key 0.
+    """
+    if k < 2:
+        return 0
+    w = 30 // k
+    if w < 2 or m >> (w - 1):
+        w = max(60 // k, 2)
+        while m >> (w - 1):
+            w *= 2
+    return w
+
+
+def _width_of(k, *boxes):
+    """The ladder width whose half-range holds every given box (None is empty)."""
+    if k < 2:
+        return 0
+    m = 0
+    for box in boxes:
+        if box is not None:
+            m = max((m, *box[1], *map(neg, box[0])))
+    return _width(k, m)
+
+
+def _key(exps, w):
+    """The key of one exponent vector at width w."""
+    key = 0
+    for e in reversed(exps):
+        key = (key << w) + e
+    return key
+
+
+def _offset(k, w):
+    """Half a slot in every slot but the top one: adding it makes those slots'
+    digits e_i + 2^(w-1), which lie in [0, 2^w) and can be read off bit by bit."""
+    return sum(1 << (w * i + w - 1) for i in range(k - 1))
+
+
+def _decode(keys, w, k):
+    """The tuple-keyed terms of a key dict at width w."""
+    if k < 2:
+        return {(e,)[:k]: c for e, c in keys.items()}
+    half, mask, offset = 1 << (w - 1), (1 << w) - 1, _offset(k, w)
+    lows = range(0, w * (k - 1), w)
+    top = w * (k - 1)
+    out = {}
+    for key, c in keys.items():
+        x = key + offset
+        out[tuple([(x >> s & mask) - half for s in lows] + [x >> top])] = c
+    return out
+
+
+def _box(p):
+    """p's exponent box ((lo, ...), (hi, ...)), None for the zero polynomial."""
+    return _own(p)[2]
+
+
+def _keys_at(p, w):
+    """p's terms keyed at width w: its own keys, or re-packed ones."""
+    keys, own, _ = _own(p)
+    if own == w:
+        return keys
+    terms = p._terms if p._terms is not None else _decode(keys, own, len(p.vars))
+    return {_key(e, w): c for e, c in terms.items()}
+
+
+def _own(p):
+    """p's packed form (keys, width, box).  A polynomial built from tuples is
+    packed once, at the width of its exact box, so that threads that pack it
+    at once store equal forms."""
+    packed = p._packed
+    if packed is None:
+        box = None
+        if p._terms:
+            slots = list(zip(*p._terms))
+            box = (tuple(map(min, slots)), tuple(map(max, slots)))
+        w = _width_of(len(p.vars), box)
+        packed = ({_key(e, w): c for e, c in p._terms.items()}, w, box)
+        object.__setattr__(p, "_packed", packed)
+    return packed
+
+
+_INT = frozenset((int,))
+
+
+def _ints(out):
+    """Store the integral Fraction values of a fresh term dict as int, in place."""
+    if not set(map(type, out.values())) <= _INT:
+        for e, c in out.items():
+            if type(c) is Fraction and c.denominator == 1:
+                out[e] = c.numerator
+    return out
+
+
 def poly_text(p: SparsePoly) -> str:
     """Canonical text rendering: ascending graded-lex, ASCII exponents.
 
@@ -484,14 +656,20 @@ def adams_poly(p: SparsePoly, r: int, flavor: Flavor) -> SparsePoly:
         raise ContextError(f"flavor {flavor.name} does not match context {p.vars}")
     if r == 1:
         return p
-    twisted = [i for i, v in enumerate(p.vars) if v in flavor.twisted]
-    sign_active = r % 2 == 0 and twisted
-    out = {}
-    for e, c in p.terms.items():
-        if sign_active and sum(e[i] for i in twisted) % 2:
-            c = -c
-        out[tuple(k * r for k in e)] = c
-    return SparsePoly._raw(p.vars, out)
+    box = _box(p)
+    if box is None:
+        return SparsePoly.zero(p.vars)
+    box = (tuple(v * r for v in box[0]), tuple(v * r for v in box[1]))
+    w = _width_of(len(p.vars), box)  # r >= 1, so it holds p's box too
+    keys = _keys_at(p, w)
+    # bit w*i of key + offset is the parity of e_i (see _offset)
+    odd = 0 if r & 1 else sum(1 << (w * i) for i, v in enumerate(p.vars) if v in flavor.twisted)
+    if odd:
+        offset = _offset(len(p.vars), w)
+        out = {e * r: -c if ((e + offset) & odd).bit_count() & 1 else c for e, c in keys.items()}
+    else:
+        out = {e * r: c for e, c in keys.items()}
+    return SparsePoly._from_keys(p.vars, out, w, box)
 
 
 # -- exact division ---------------------------------------------------------
@@ -525,84 +703,96 @@ def _divide_by_factor(num: SparsePoly, f: BinomialFactor):
     too.  A nonzero value therefore proves the division fails; a zero or
     unknown value (a rational numerator, or no test point) proves nothing,
     and the long division decides every success.
+
+    The division runs on keys, in the key order, from f's term with the
+    lower key: with l that term's exponent, the walk divides x^(-l)*N by
+    c0 + c1*x^d, d the other term's exponent minus l.  f's box is [0, top]
+    (its terms' componentwise minimum is 0), so an exact quotient lies in
+    box_Q = [lo, hi - top], with [lo, hi] num's box, and each coordinate of
+    d is at most top_i in size.  A run of quotient terms u, u + d, ..., u + k*d
+    inside box_Q has k*|d_i| <= span_i - top_i wherever d_i != 0, so k is at
+    most ``cap``; a longer run, or a negative span_i - top_i, proves failure.
+    Every vector the walk compares or looks up is then a numerator exponent
+    minus l, one step d past one, or a run's term, at most span_i + top_i
+    below lo_i or span_i above hi_i.  So the walk works in the width that
+    holds [lo - span - top, hi + span]: there every key it meets is the key of
+    exactly that vector, the key order is a monomial order, and the walk is
+    the long division of num by f.
     """
     if num.is_zero():
         return num
     pt = f._point
     if pt is not None and _jet(num, pt)[0]:
         return None
-    out = _divide_two_term(num.terms, f.low, f.low_coeff, f._direction, f.high_coeff)
-    return None if out is None else SparsePoly._raw(num.vars, out)
-
-
-def _divide_two_term(nterms, e0, c0, d, c1):
-    """Quotient of a term dict by c0*x^e0 + c1*x^(e0+d), by bucketed long division.
-
-    e0 is graded-lex below e0 + d.  Positions are taken relative to e0, so
-    Laurent exponents need no shift and the quotient term at position p has
-    exponent p.  Because e0 precedes e0 + d, some coordinate j has d_j > 0.
-    The numerator's terms go into buckets by p_j, and the nonempty buckets are
-    walked upward off a heap of levels: each term p sets Q[p] = rem[p] / c0 and
-    subtracts c1*Q[p] from rem[p + d], d_j levels higher.  The division
-    succeeds exactly when every remainder left in the top d_j levels, where no
-    quotient term can sit, is 0.
-
-    A failing division could walk a remainder chain up to the numerator's top
-    level, so a line bound stops it early.  The divisor maps each line
-    {p + k*d} to itself, and on a line the quotient's top term sits d below
-    the numerator's top term; a line with no numerator term holds no quotient
-    term.  A position t that a chain creates has one predecessor, t - d, so its
-    remainder is final and nonzero: it must become a quotient term, or be left
-    over.  So when a chain creates a position in a level that holds no term
-    yet, the division fails if t_j lies above its line's top minus d_j, or if
-    its line holds no numerator term.  The map from each line to its top is
-    built on the first such event only.
-    """
-    j = next(i for i, v in enumerate(d) if v > 0)
-    dj = d[j]
-    if any(e0):
-        rem = {tuple(map(sub, e, e0)): c for e, c in nterms.items()}
-    else:
-        rem = dict(nterms)
-    buckets = {}
-    for p in rem:
-        buckets.setdefault(p[j], []).append(p)
-    top = max(buckets) - dj
-    levels = sorted(buckets)  # ascending, so already a heap
-    inv = None if c0 == 1 else Fraction(1, c0)
-    lines = None  # line key -> its numerator's top p_j, built on demand
-    out = {}
-    while levels and levels[0] <= top:
-        level = heappop(levels)
-        for p in buckets[level]:
-            c = rem[p]
-            if c:
-                out[p] = c = _as_coeff(c if inv is None else c * inv)
-                t = tuple(map(add, p, d))
-                if t not in rem:
-                    if level + dj not in buckets:
-                        if lines is None:
-                            lines = {}
-                            for e in nterms:
-                                q = tuple(map(sub, e, e0))
-                                key = _line_key(q, d, j)
-                                if lines.get(key, q[j]) <= q[j]:
-                                    lines[key] = q[j]
-                        line_top = lines.get(_line_key(t, d, j))
-                        if line_top is None or t[j] > line_top - dj:
-                            return None
-                        heappush(levels, level + dj)
-                    buckets.setdefault(level + dj, []).append(t)
-                rem[t] = rem.get(t, 0) - c1 * c
-    if any(rem[p] for level in levels for p in buckets[level]):
+    lo, hi = _box(num)
+    top = f._top
+    span = tuple(map(sub, hi, lo))
+    room = tuple(map(sub, span, top))
+    if min(room) < 0:
         return None
-    return out
+    cap = min(r // abs(v) for r, v in zip(room, f._direction) if v)
+    w = _width(len(lo), max(max(s + t - a, b + s) for a, b, s, t in zip(lo, hi, span, top)))
+    keys = _keys_at(num, w)
+    kl, cl, kh, ch = _key(f.low, w), f.low_coeff, _key(f.high, w), f.high_coeff
+    if kl > kh:
+        kl, cl, kh, ch = kh, ch, kl, cl
+    rem = {e - kl: c for e, c in keys.items()} if kl else dict(keys)
+    out = _divide_two_term(rem, kh - kl, cl, ch, cap)
+    if out is None:
+        return None
+    return SparsePoly._from_keys(num.vars, out, w, (lo, tuple(map(sub, hi, top))))
 
 
-def _line_key(p, d, j):
-    """The point of the line {p + k*d} whose coordinate j lies in [0, d_j)."""
-    k = p[j] // d[j]
-    return tuple(a - k * b for a, b in zip(p, d))
+def _divide_two_term(rem, d, c0, c1, cap):
+    """Quotient of a key dict by c0 + c1*z^d (d > 0), or None; rem is consumed.
+
+    The numerator's keys are walked upward: each key p with a nonzero
+    remainder sets Q[p] = rem[p] / c0 and subtracts c1*Q[p] from rem[p + d].
+    A key above the top key minus d can hold no quotient term, so a nonzero
+    remainder there is left over, and the division fails.  When p + d is no
+    numerator key, its remainder is final and nonzero: it must be a quotient
+    term, and so must the keys of the run p + 2d, ... up to the next numerator
+    key, which the walk fills at once.  A run may take at most ``cap`` steps, and may not pass the top key
+    minus d.  On a line {p + k*d} the quotient's top term sits d below the
+    numerator's, so a run may not pass the top key of p's residue class mod d
+    minus d either: that is the line bound.  Its map from each class to its
+    top costs a pass over the keys, so it is built only once the runs have
+    filled as many terms as there are keys, which at most doubles the work.
+    """
+    keys = sorted(rem)
+    stop = keys[-1] - d
+    inv = None if c0 == 1 else c0 if c0 == -1 else Fraction(1, c0)
+    step = -c1 if inv is None else -c1 * inv  # Q[t + d] = step * Q[t] on a run
+    tops = None
+    budget = len(keys)  # run terms to fill before the line bound pays for itself
+    get = rem.get
+    out = {}
+    for p in keys:
+        c = rem[p]
+        if not c:
+            continue
+        if p > stop:
+            return None
+        if inv is not None:
+            c *= inv
+        out[p] = c
+        t = p + d
+        v = get(t)
+        if v is None:
+            limit = min(p + cap * d, stop if tops is None else tops[p % d] - d)
+            while v is None:
+                if t > limit:
+                    return None
+                c *= step
+                out[t] = c
+                t += d
+                v = get(t)
+                budget -= 1
+                if not budget:
+                    tops = dict(zip(map(d.__rmod__, keys), keys))
+                    limit = min(limit, tops[p % d] - d)
+        rem[t] = v - c1 * c
+    return _ints(out)
 
 
 # The pre-test's modulus, a Mersenne prime: 2 has order 61 modulo it, so
@@ -652,21 +842,39 @@ def _jet(poly, pt):
 
 
 def _pass(poly, pt):
-    """The jet of poly at pt from its terms, both sums in one loop.
+    """The jet of poly at pt from its keys, both sums in one loop.
 
+    With x = key + _offset and X_i = x >> (w*i), the slots are
+    e_i = X_i - 2^w*X_(i+1) - 2^(w-1) below the top one and e_top = X_top, so
+    w.e is a fixed combination of the X_i, reduced modulo 61 as it is used.
     (None, None) when a coefficient is rational, which the layer pipeline
     never builds (its numerators are integer polynomials).
     """
-    w, s, j = pt
+    weights, s, j = pt
+    keys, w, _ = _own(poly)
+    k = len(weights)
+    half = 1 << w >> 1
+    offset = _offset(k, w)
+    base = -half * sum(weights[:-1]) % 61
+    w0 = weights[0] % 61
+    steps = [((weights[i] - (weights[i - 1] << w)) % 61, w * i) for i in range(1, k)]
+    (a1, s1), *more = steps or [(0, 0)]  # the first step unrolled; none for k = 1
+    sj = w * j
+    mj, hj = (-1, 0) if j == k - 1 else ((1 << w) - 1, half)
+    odd = 0 if s is None else 1 << w * s  # bit w*s of x is the parity of e_s
     value = deriv = 0
-    for e, c in poly.terms.items():
+    for key, c in keys.items():
         if type(c) is not int:
             return None, None
-        if s is not None and e[s] & 1:
+        x = key + offset
+        if x & odd:
             c = -c
-        c <<= sum(map(mul, w, e)) % 61
+        e = w0 * x + a1 * (x >> s1) + base
+        for a, sh in more:
+            e += a * (x >> sh)
+        c <<= e % 61
         value += c
-        deriv += e[j] * c
+        deriv += ((x >> sj & mj) - hj) * c
     return value % _PRIME, deriv % _PRIME
 
 
@@ -746,6 +954,11 @@ class BinomialFactor:
     def _direction(self):
         """high - low, the step of the long division."""
         return tuple(map(sub, self.high, self.low))
+
+    @cached_property
+    def _top(self):
+        """The top corner of the factor's box; its bottom corner is 0."""
+        return tuple(map(max, self.low, self.high))
 
     @cached_property
     def _point(self):
@@ -1007,7 +1220,7 @@ def _product(a, b, den):
     smaller than the product.
     """
     out = a * b
-    if out.terms:
+    if out:
         values = {}
         for f in den:
             pt = f._point
@@ -1113,7 +1326,7 @@ def frac_sum(fracs, variables=None) -> FactoredFraction:
     total = SparsePoly.zero(variables)
     for fr in fracs:
         total = total + _lift_numerator(fr, common)
-    if total.terms:
+    if total:
         _set_values(total, _sum_values(fracs, common))
     return FactoredFraction(total, common)
 

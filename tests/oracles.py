@@ -15,13 +15,25 @@ kept here as an oracle for it:
   whose digest pins the Dixon splitting byte for byte;
 - ``zeta_power`` and ``cyc_times_conjugate`` are Z[zeta_e] arithmetic on
   coordinate tuples, one product at a time, the reference for the packed
-  orthogonality check.
+  orthogonality check;
+- ``tuple_add``, ``tuple_mul`` and ``tuple_divide_two_term`` are the sum,
+  product and bucketed long division on exponent-tuple term dicts, the
+  reference for the kernels on packed keys.
 """
 
 from fractions import Fraction
+from heapq import heappop, heappush
+from operator import add, sub
 
 from charvar.characters import _reduce_mod_cyclotomic
-from charvar.polynomials import FactoredFraction, SparsePoly, _fold_factor, adams, frac_sum
+from charvar.polynomials import (
+    FactoredFraction,
+    SparsePoly,
+    _as_coeff,
+    _fold_factor,
+    adams,
+    frac_sum,
+)
 from charvar.series import TruncatedSeries
 
 # -- the round trip of the rank layers -------------------------------------------
@@ -167,3 +179,95 @@ def cyc_times_conjugate(e: int, a, b) -> tuple[int, ...]:
         for j, y in enumerate(b):
             coeffs[(i - j) % e] += x * y
     return _reduce_mod_cyclotomic(coeffs, e)
+
+
+# -- term dicts keyed by exponent tuples ----------------------------------------------
+
+
+def tuple_add(a, b):
+    """The terms of the sum of two term dicts."""
+    out = dict(a)
+    for e, c in b.items():
+        v = out.get(e, 0) + c
+        if v:
+            out[e] = _as_coeff(v)
+        elif e in out:
+            del out[e]
+    return out
+
+
+def tuple_mul(a, b):
+    """The terms of the product of two nonempty term dicts in k variables."""
+    if len(a) > len(b):
+        a, b = b, a
+    zero = (0,) * len(next(iter(a)))
+    c0 = a.get(zero, 0)  # a's constant row is a copy of b, scaled unless c0 = 1
+    out = dict(b) if c0 == 1 else {e: c0 * c for e, c in b.items()} if c0 else {}
+    get = out.get
+    for ea, ca in a.items():
+        if ea == zero:
+            continue
+        for eb, cb in b.items():
+            e = tuple(map(add, ea, eb))
+            v = get(e, 0) + ca * cb
+            if v:
+                out[e] = v
+            elif e in out:
+                del out[e]
+    return {e: _as_coeff(c) for e, c in out.items()}
+
+
+def tuple_divide_two_term(nterms, e0, c0, d, c1):
+    """Quotient of a term dict by c0*x^e0 + c1*x^(e0+d), or None, by bucketed long division.
+
+    e0 is graded-lex below e0 + d, so some coordinate j has d_j > 0.  The
+    numerator's terms, taken relative to e0, go into buckets by p_j, walked
+    upward off a heap of levels: each term p sets Q[p] = rem[p] / c0 and
+    subtracts c1*Q[p] from rem[p + d].  The division succeeds exactly when
+    every remainder left in the top d_j levels is 0.  A position t that a
+    chain creates must become a quotient term, so the division fails when t_j
+    lies above its line's top minus d_j or its line {t + k*d} holds no
+    numerator term.
+    """
+    j = next(i for i, v in enumerate(d) if v > 0)
+    dj = d[j]
+    rem = {tuple(map(sub, e, e0)): c for e, c in nterms.items()}
+    buckets = {}
+    for p in rem:
+        buckets.setdefault(p[j], []).append(p)
+    top = max(buckets) - dj
+    levels = sorted(buckets)  # ascending, so already a heap
+    inv = None if c0 == 1 else Fraction(1, c0)
+    lines = None  # line key -> its numerator's top p_j, built on demand
+    out = {}
+    while levels and levels[0] <= top:
+        level = heappop(levels)
+        for p in buckets[level]:
+            c = rem[p]
+            if c:
+                out[p] = c = _as_coeff(c if inv is None else c * inv)
+                t = tuple(map(add, p, d))
+                if t not in rem:
+                    if level + dj not in buckets:
+                        if lines is None:
+                            lines = {}
+                            for e in nterms:
+                                q = tuple(map(sub, e, e0))
+                                key = _line_key(q, d, j)
+                                if lines.get(key, q[j]) <= q[j]:
+                                    lines[key] = q[j]
+                        line_top = lines.get(_line_key(t, d, j))
+                        if line_top is None or t[j] > line_top - dj:
+                            return None
+                        heappush(levels, level + dj)
+                    buckets.setdefault(level + dj, []).append(t)
+                rem[t] = rem.get(t, 0) - c1 * c
+    if any(rem[p] for level in levels for p in buckets[level]):
+        return None
+    return out
+
+
+def _line_key(p, d, j):
+    """The point of the line {p + k*d} whose coordinate j lies in [0, d_j)."""
+    k = p[j] // d[j]
+    return tuple(a - k * b for a, b in zip(p, d))
