@@ -227,16 +227,12 @@ def cmd_count(args) -> int:
 
 def cmd_cache(args) -> int:
     cache = _cache_from(args)
-    if args.do_clear:
-        try:
-            if cache.root.exists():  # a missing directory has nothing to clear
-                cache.root.mkdir(exist_ok=True)  # FileExistsError if not a directory
-                cache.clear()
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        return EXIT_OK
     try:
+        if cache.root.exists():  # a missing directory is an empty cache
+            cache.root.mkdir(exist_ok=True)  # FileExistsError if not a directory
+        if args.do_clear:
+            cache.clear()
+            return EXIT_OK
         entries = cache.entries()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,7 +31,8 @@ polynomial built from exponent tuples is packed only when a kernel first
 needs it, so reading a cached document, the checks and the documents never
 pack.  Coefficients are exact; integer-valued coefficients are stored as int
 (a fast path: Python's numeric tower makes int and Fraction interoperable),
-anything else as Fraction.  The zero polynomial has no terms.  Negative
+anything else as Fraction; only a kernel that a Fraction can enter scans its
+result for them (_ints).  The zero polynomial has no terms.  Negative
 exponents are allowed everywhere (Laurent support is required by the hook
 normalizations).
 
@@ -42,15 +43,15 @@ package is a product of such factors, so exact division by binomials replaces
 general multivariate gcd computation, and a BinomialFactor is the only divisor:
 ``divide_exact`` takes a two-term divisor and divides by its normalized
 factor.  Most trial divisions fail, so ``_divide_by_factor`` gives a factor
-1 + c*x^d with c = +-1 a pre-test that can only reject: an integer numerator
-is evaluated modulo the prime 2^61 - 1 at a fixed point where x^d = -c, i.e.
-on the binomial's zero set.  A multiple of the binomial vanishes there (its
-quotient has integer coefficients too), so a nonzero value proves the
-division fails.  A zero value, or a numerator with a rational coefficient,
-gives no verdict, and the exact division decides: a one-dimensional long
-division of the keys by c0 + c1*z^D, with D the key of the binomial's
-direction, walked upward.  A run of quotient terms that meets no numerator
-term is bounded by the top key of its residue class mod D, the line bound.
+1 + c*x^d with c = +-1 a pre-test that can only reject: the numerator's
+value modulo the prime 2^61 - 1 at a fixed point where x^d = -c, i.e. on the
+binomial's zero set.  A multiple of the binomial vanishes there (its quotient
+has integer coefficients too), so a nonzero value proves the division fails.
+A zero or unknown value gives no verdict, and the exact division decides: a
+one-dimensional long division of the keys by c0 + c1*z^D, with D the key of
+the binomial's direction, walked upward.  A run of quotient terms that meets
+no numerator term is bounded by the top key of its residue class mod D, the
+line bound.
 
 Evaluation at a test point is a ring homomorphism from the integer Laurent
 polynomials to the integers modulo the prime, and so is evaluation at the
@@ -58,19 +59,18 @@ point moved to first order along one coordinate x_j: the map takes N to its
 jet (phi(N), phi(D*N)), with D = x_j*d/dx_j, and multiplies jets as
 (a0, a1)*(b0, b1) = (a0*b0, a0*b1 + a1*b0).  A jet is memoized on its
 polynomial and carried into the results of the operations that build
-numerators, without a pass over the result: negation, an integer scale and a
+numerators, without reading the result: negation, an integer scale and a
 monomial shift; a fraction product (the Leibniz rule on its factors' jets); a
 fraction sum (from the summands' jets and the lifting factors' jets); an exact
 quotient by a binomial f (the quotient rule where phi(f) is nonzero, and
 phi(D*N)/phi(D*f) on f's own zero set, where the derivative of the quotient is
 unknown); and the numerator of a product of binomial powers (from its powers,
 in ``binomial_product``, which builds every hook term).  A derivative may be
-unknown, never guessed; the pre-test reads only the value, and a value that is
-not known is computed, with its derivative, by one pass over the terms.
-Passes are left where a value was lost, in the second test of a quotient whose
-numerator's derivative was unknown (a third test of one factor, or a product
-in the logarithm whose operand lost its derivative), and where no rule builds
-the numerator: a factor that a layer's normalization or an Adams substitution
+unknown, never guessed.  The pre-test reads only carried values (and a
+factor's or monomial's closed form): a numerator with none goes straight to
+the long division, which costs about what a pass over its terms would.
+Values are lost where an operand's was, and where no rule builds the
+numerator: a factor that a layer's normalization or an Adams substitution
 brings in.
 
 The monomial order used for canonical output and for a binomial factor's
@@ -185,11 +185,12 @@ class SparsePoly:
 
     A polynomial built from exponent tuples holds them in ``_terms`` until a
     kernel first needs its packed form; a kernel's result holds only the
-    packed form, ``_packed`` = (keys, width, box): {key: coefficient} at that
-    slot width, and the exponent box ((lo, ...), (hi, ...)), None when it has
-    no terms.  ``terms`` decodes the keys once.  ``_values`` is a private memo
-    of the pre-test's jets, {point: (value, derivative)}, or None before the
-    first jet (see _jet).
+    packed form, ``_packed`` = (keys, width, box, frac): {key: coefficient} at
+    that slot width, the exponent box ((lo, ...), (hi, ...)), None when it has
+    no terms, and whether a coefficient is a Fraction.  ``terms``
+    decodes the keys once.  ``_values`` is a private memo of the pre-test's
+    jets, {point: (value, derivative)}, or None before the first jet (see
+    _jet).
     """
 
     __slots__ = ("vars", "_terms", "_packed", "_values")
@@ -218,9 +219,9 @@ class SparsePoly:
         return _init(object.__new__(cls), variables, terms, None)
 
     @classmethod
-    def _from_keys(cls, variables, keys, width, box):
+    def _from_keys(cls, variables, keys, width, box, frac):
         """Internal constructor for a kernel's result: clean keys at width, in box."""
-        return _init(object.__new__(cls), variables, None, (keys, width, box if keys else None))
+        return _init(object.__new__(cls), variables, None, (keys, width, box if keys else None, frac))
 
     @classmethod
     def zero(cls, variables):
@@ -260,7 +261,7 @@ class SparsePoly:
         """The terms as {exponent tuple: coefficient}, decoded once from the keys."""
         terms = self._terms
         if terms is None:
-            keys, w, _ = self._packed
+            keys, w, _, _ = self._packed
             terms = _decode(keys, w, len(self.vars))
             object.__setattr__(self, "_terms", terms)
         return terms
@@ -316,7 +317,8 @@ class SparsePoly:
         if isinstance(other, (int, Fraction)):
             other = SparsePoly.constant(self.vars, other)
         self._check_context(other)
-        ba, bb = _box(self), _box(other)
+        _, _, ba, fa = _own(self)
+        _, _, bb, fb = _own(other)
         box = bb if ba is None else ba if bb is None else (
             tuple(map(min, ba[0], bb[0])), tuple(map(max, ba[1], bb[1])))
         w = _width_of(len(self.vars), box)
@@ -331,13 +333,13 @@ class SparsePoly:
                 out[e] = v
             else:
                 del out[e]
-        return SparsePoly._from_keys(self.vars, _ints(out), w, box)
+        return SparsePoly._from_keys(self.vars, out, w, box, (fa or fb) and _ints(out))
 
     __radd__ = __add__
 
     def __neg__(self):
-        keys, w, box = _own(self)
-        out = SparsePoly._from_keys(self.vars, {e: -c for e, c in keys.items()}, w, box)
+        keys, w, box, frac = _own(self)
+        out = SparsePoly._from_keys(self.vars, {e: -c for e, c in keys.items()}, w, box, frac)
         return _carry(self, out, lambda pt: (-1, 0))
 
     def __sub__(self, other):
@@ -352,7 +354,8 @@ class SparsePoly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_context(other)
-        ba, bb = _box(self), _box(other)
+        _, _, ba, fa = _own(self)
+        _, _, bb, fb = _own(other)
         if ba is None or bb is None:
             return SparsePoly.zero(self.vars)
         box = (tuple(map(add, ba[0], bb[0])), tuple(map(add, ba[1], bb[1])))
@@ -373,7 +376,7 @@ class SparsePoly:
                     out[e] = v
                 else:
                     del out[e]
-        return SparsePoly._from_keys(self.vars, _ints(out), w, box)
+        return SparsePoly._from_keys(self.vars, out, w, box, (fa or fb) and _ints(out))
 
     __rmul__ = __mul__
 
@@ -383,10 +386,10 @@ class SparsePoly:
             return SparsePoly.zero(self.vars)
         if c == 1:
             return self
-        keys, w, box = _own(self)
-        out = SparsePoly._from_keys(
-            self.vars, _ints({e: v * c for e, v in keys.items()}), w, box
-        )
+        keys, w, box, frac = _own(self)
+        keys = {e: v * c for e, v in keys.items()}
+        frac = (frac or type(c) is Fraction) and _ints(keys)
+        out = SparsePoly._from_keys(self.vars, keys, w, box, frac)
         return _carry(self, out, lambda pt: (c, 0)) if type(c) is int else out
 
     def shift(self, exps):
@@ -394,13 +397,12 @@ class SparsePoly:
         exps = tuple(exps)
         if not any(exps):
             return self
-        old = box = _box(self)
-        if box is not None:
-            box = (tuple(map(add, box[0], exps)), tuple(map(add, box[1], exps)))
+        _, _, old, frac = _own(self)
+        box = old and (tuple(map(add, old[0], exps)), tuple(map(add, old[1], exps)))
         w = _width_of(len(exps), old, box)
         s = _key(exps, w)
         out = SparsePoly._from_keys(
-            self.vars, {e + s: c for e, c in _keys_at(self, w).items()}, w, box
+            self.vars, {e + s: c for e, c in _keys_at(self, w).items()}, w, box, frac
         )
         return _carry(self, out, lambda pt: _monomial_jet(exps, pt))
 
@@ -436,7 +438,8 @@ class SparsePoly:
         for k in range(n + 1):
             out[a * (n - k) + b * k] = coef * ca ** (n - k) * cb**k
             coef = coef * (n - k) // (k + 1)
-        return SparsePoly._from_keys(self.vars, _ints(out), w, box)
+        frac = Fraction in (type(ca), type(cb)) and _ints(out)
+        return SparsePoly._from_keys(self.vars, out, w, box, frac)
 
     # -- substitution ------------------------------------------------------
 
@@ -576,7 +579,7 @@ def _box(p):
 
 def _keys_at(p, w):
     """p's terms keyed at width w: its own keys, or re-packed ones."""
-    keys, own, _ = _own(p)
+    keys, own, _, _ = _own(p)
     if own == w:
         return keys
     terms = p._terms if p._terms is not None else _decode(keys, own, len(p.vars))
@@ -584,31 +587,36 @@ def _keys_at(p, w):
 
 
 def _own(p):
-    """p's packed form (keys, width, box).  A polynomial built from tuples is
-    packed once, at the width of its exact box, so that threads that pack it
-    at once store equal forms."""
+    """p's packed form (keys, width, box, frac).  A polynomial built from
+    tuples is packed once, at the width of its exact box, with frac read from
+    its coefficients' types, so that threads that pack it at once store equal
+    forms."""
     packed = p._packed
     if packed is None:
+        terms = p._terms
         box = None
-        if p._terms:
-            slots = list(zip(*p._terms))
+        if terms:
+            slots = list(zip(*terms))
             box = (tuple(map(min, slots)), tuple(map(max, slots)))
         w = _width_of(len(p.vars), box)
-        packed = ({_key(e, w): c for e, c in p._terms.items()}, w, box)
+        frac = Fraction in map(type, terms.values())
+        packed = ({_key(e, w): c for e, c in terms.items()}, w, box, frac)
         object.__setattr__(p, "_packed", packed)
     return packed
 
 
-_INT = frozenset((int,))
-
-
 def _ints(out):
-    """Store the integral Fraction values of a fresh term dict as int, in place."""
-    if not set(map(type, out.values())) <= _INT:
-        for e, c in out.items():
-            if type(c) is Fraction and c.denominator == 1:
+    """Store the integral Fraction values of a fresh term dict as int, in place;
+    whether a Fraction is left.  Only a kernel whose operand, scale or divisor
+    (c0 != +-1) can bring a Fraction in calls it: an int result is not scanned."""
+    frac = False
+    for e, c in out.items():
+        if type(c) is Fraction:
+            if c.denominator == 1:
                 out[e] = c.numerator
-    return out
+            else:
+                frac = True
+    return frac
 
 
 def poly_text(p: SparsePoly) -> str:
@@ -664,7 +672,7 @@ def adams_poly(p: SparsePoly, r: int, flavor: Flavor) -> SparsePoly:
         out = {e * r: -c if ((e + offset) & odd).bit_count() & 1 else c for e, c in keys.items()}
     else:
         out = {e * r: c for e, c in keys.items()}
-    return SparsePoly._from_keys(p.vars, out, w, box)
+    return SparsePoly._from_keys(p.vars, out, w, box, _own(p)[3])
 
 
 # -- exact division ---------------------------------------------------------
@@ -692,12 +700,12 @@ def _divide_by_factor(num: SparsePoly, f: BinomialFactor):
     """Exact quotient num / f as SparsePoly, or None.  Handles Laurent inputs.
 
     Most trial divisions fail, so a factor 1 + c1*x^d with c1 = +-1 first
-    gets the pre-test: the numerator's value at the factor's test point.  A
-    multiple Q*(1 + c1*x^d) has value 0 there: the long division makes Q's
-    coefficients integer combinations of the numerator's, so Q has a value
-    too.  A nonzero value therefore proves the division fails; a zero or
-    unknown value (a rational numerator, or no test point) proves nothing,
-    and the long division decides every success.
+    gets the pre-test: the numerator's carried value at the factor's test
+    point (_jet).  A multiple Q*(1 + c1*x^d) has value 0 there: the long
+    division makes Q's coefficients integer combinations of the numerator's,
+    so Q has a value too.  A nonzero value therefore proves the division
+    fails; a zero or unknown value (none carried, a rational numerator, or no
+    test point) proves nothing, and the long division decides every success.
 
     The division runs on keys, in the key order, from f's term with the
     lower key: with l that term's exponent, the walk divides x^(-l)*N by
@@ -735,7 +743,8 @@ def _divide_by_factor(num: SparsePoly, f: BinomialFactor):
     out = _divide_two_term(rem, kh - kl, cl, ch, cap)
     if out is None:
         return None
-    return SparsePoly._from_keys(num.vars, out, w, (lo, tuple(map(sub, hi, top))))
+    frac = (_own(num)[3] or cl not in (1, -1)) and _ints(out)
+    return SparsePoly._from_keys(num.vars, out, w, (lo, tuple(map(sub, hi, top))), frac)
 
 
 def _divide_two_term(rem, d, c0, c1, cap):
@@ -790,7 +799,7 @@ def _divide_two_term(rem, d, c0, c1, cap):
                     tops = dict(zip(map(d.__rmod__, keys), keys))
                     limit = min(limit, tops[p % d] - d)
         rem[t] = v - c1 * c
-    return _ints(out)
+    return out
 
 
 # The pre-test's modulus, a Mersenne prime: 2 has order 61 modulo it, so
@@ -823,57 +832,28 @@ def _test_point(d, c1):
     return tuple(w), s, j
 
 
+_UNKNOWN = (None, None)
+
+
 def _jet(poly, pt):
-    """poly's jet (phi(poly), phi(D*poly)) at the test point pt, memoized on poly.
+    """poly's jet (phi(poly), phi(D*poly)) at the test point pt, or _UNKNOWN.
 
-    A memoized derivative may be None (unknown).  A jet not yet memoized
-    costs one pass over the terms (_pass).
+    The memo holds the jets carried to poly (a derivative may be None).  A
+    polynomial of at most two terms, a factor or a monomial, gets its closed
+    form, memoized; a larger one's jet is never computed from its terms.
     """
-    values = poly._values
-    if values is None:
-        values = {}
-        object.__setattr__(poly, "_values", values)
-    elif pt in values:
-        return values[pt]
-    values[pt] = jet = _pass(poly, pt)
+    values = poly._values or {}
+    if pt in values or len(poly) > 2:
+        return values.get(pt, _UNKNOWN)
+    jet = (0, 0)
+    for e, c in poly.terms.items():
+        if type(c) is not int:  # a rational coefficient has no value
+            jet = _UNKNOWN
+            break
+        m0, m1 = _monomial_jet(e, pt)
+        jet = (jet[0] + c * m0) % _PRIME, (jet[1] + c * m1) % _PRIME
+    object.__setattr__(poly, "_values", {**values, pt: jet})
     return jet
-
-
-def _pass(poly, pt):
-    """The jet of poly at pt from its keys, both sums in one loop.
-
-    With x = key + _offset and X_i = x >> (w*i), the slots are
-    e_i = X_i - 2^w*X_(i+1) - 2^(w-1) below the top one and e_top = X_top, so
-    w.e is a fixed combination of the X_i, reduced modulo 61 as it is used.
-    (None, None) when a coefficient is rational, which the layer pipeline
-    never builds (its numerators are integer polynomials).
-    """
-    weights, s, j = pt
-    keys, w, _ = _own(poly)
-    k = len(weights)
-    half = 1 << w >> 1
-    offset = _offset(k, w)
-    base = -half * sum(weights[:-1]) % 61
-    w0 = weights[0] % 61
-    steps = [((weights[i] - (weights[i - 1] << w)) % 61, w * i) for i in range(1, k)]
-    (a1, s1), *more = steps or [(0, 0)]  # the first step unrolled; none for k = 1
-    sj = w * j
-    mj, hj = (-1, 0) if j == k - 1 else ((1 << w) - 1, half)
-    odd = 0 if s is None else 1 << w * s  # bit w*s of x is the parity of e_s
-    value = deriv = 0
-    for key, c in keys.items():
-        if type(c) is not int:
-            return None, None
-        x = key + offset
-        if x & odd:
-            c = -c
-        e = w0 * x + a1 * (x >> s1) + base
-        for a, sh in more:
-            e += a * (x >> sh)
-        c <<= e % 61
-        value += c
-        deriv += ((x >> sj & mj) - hj) * c
-    return value % _PRIME, deriv % _PRIME
 
 
 def _monomial_jet(exps, pt):
@@ -1213,9 +1193,9 @@ def binomial_product(variables, factors) -> FactoredFraction:
 def _product(a, b, den):
     """a*b, with its jet at the test point of each factor of den.
 
-    The Leibniz rule gives the product's jet from its operands': an operand's
-    jet comes from its memo or from a pass over that operand, which is far
-    smaller than the product.
+    The Leibniz rule gives the product's jet from its operands' (_jet): a
+    carried jet, or a factor's or monomial's closed form.  Where an operand's
+    value is unknown, so is the product's.
     """
     out = a * b
     if out:
@@ -1223,9 +1203,8 @@ def _product(a, b, den):
         for f in den:
             pt = f._point
             if pt is not None:
-                ja = _jet(a, pt)
-                jb = None if ja[0] is None else _jet(b, pt)
-                if jb is not None and jb[0] is not None:
+                ja, jb = _jet(a, pt), _jet(b, pt)
+                if ja[0] is not None and jb[0] is not None:
                     values[pt] = _jet_mul(ja, jb)
         _set_values(out, values)
     return out
@@ -1239,8 +1218,10 @@ def _cancel(num, den):
     left in the denominator divides the numerator: a factor that failed still
     fails after later divisions, because each later quotient divides the
     numerator it came from.  Each quotient carries its jets (_quotient_jets),
-    so a second test of the same factor reads a carried value; only a third
-    test of one factor, whose quotient's derivative was unknown, makes a pass.
+    so a second test of the same factor reads a carried value.  A test whose
+    numerator has no carried value (a third test of one factor, whose
+    quotient's derivative was unknown, or a numerator that never had one)
+    goes straight to the long division.
     """
     out = {}
     for f, m in sorted(den.items(), key=lambda fm: fm[0].sort_key()):
@@ -1336,9 +1317,10 @@ def _sum_values(fracs, common):
     to the common denominator, so its jet is sum_i jet(N_i) * jet(L_i).  A
     lift that vanishes at the point (every summand that does not hold f at
     its top multiplicity) adds nothing to the value, and to the derivative
-    only n0*l1 when it vanishes to first order: that needs N_i's value, which
-    is read from its memo and never by a pass.  Where it is not memoized, the
-    derivative is unknown.
+    only n0*l1 when it vanishes to first order: that needs N_i's memoized
+    value, and where there is none the derivative is unknown.  A summand
+    whose lift does not vanish needs N_i's jet (_jet); where N_i has none, the
+    total has none at that point either.
     """
     lifts = [
         (fr.num, {g: m - fr.den.get(g, 0) for g, m in common.items() if m > fr.den.get(g, 0)})

@@ -18,18 +18,21 @@ kept here as an oracle for it:
   orthogonality check;
 - ``tuple_add``, ``tuple_mul`` and ``tuple_divide_two_term`` are the sum,
   product and bucketed long division on exponent-tuple term dicts, the
-  reference for the kernels on packed keys.
+  reference for the kernels on packed keys;
+- ``jet_by_pass`` evaluates a polynomial's pre-test jet term by term, the
+  reference for the jets that the kernels carry instead.
 """
 
 from fractions import Fraction
 from heapq import heappop, heappush
-from operator import add, sub
+from operator import add, mul, sub
 
 from charvar.characters import _reduce_mod_cyclotomic
 from charvar.polynomials import (
     FactoredFraction,
     SparsePoly,
     _as_coeff,
+    _PRIME,
     _fold_factor,
     adams,
     frac_sum,
@@ -271,3 +274,26 @@ def _line_key(p, d, j):
     """The point of the line {p + k*d} whose coordinate j lies in [0, d_j)."""
     k = p[j] // d[j]
     return tuple(a - k * b for a, b in zip(p, d))
+
+
+# -- the pre-test's jets ------------------------------------------------------------
+
+
+def jet_by_pass(poly, pt):
+    """poly's jet (phi(poly), phi(D*poly)) at a test point, by one pass over its terms.
+
+    pt = (w, s, j) stands for x_i = 2^(w_i) modulo _PRIME, with x_s negated
+    when s is not None, and D = x_j*d/dx_j; the jet of a term c*x^e is
+    (c*x^e, e_j*c*x^e) there.  (None, None) when a coefficient is rational.
+    """
+    weights, s, j = pt
+    value = deriv = 0
+    for e, c in poly.terms.items():
+        if type(c) is not int:
+            return None, None
+        m = pow(2, sum(map(mul, weights, e)), _PRIME)
+        if s is not None and e[s] % 2:
+            m = -m
+        value += c * m
+        deriv += e[j] * c * m
+    return value % _PRIME, deriv % _PRIME

@@ -331,6 +331,18 @@ class TestCache:
         assert (code, out) == (2, "") and err.startswith("error: ")
         assert path.read_bytes() == b"kept"
 
+    def test_list_of_a_file_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "not-a-directory"
+        path.write_bytes(b"kept")
+        code, out, err = run(capsys, "cache", "--list", "--cache-dir", str(path))
+        assert (code, out) == (2, "") and err.startswith("error: ")
+        assert path.read_bytes() == b"kept"
+
+    def test_list_of_a_missing_directory_is_empty(self, capsys, tmp_path):
+        missing = tmp_path / "a" / "b"
+        assert run(capsys, "cache", "--list", "--cache-dir", str(missing)) == (0, "", "")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "command, kind, file_name, content",
         [

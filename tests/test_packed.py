@@ -68,6 +68,11 @@ def coefficient_types(terms):
     return {e: type(c) for e, c in terms.items()}
 
 
+def flag_is_exact(p):
+    """The packed form's frac is set exactly when a coefficient is a Fraction."""
+    return polynomials._own(p)[3] == (Fraction in coefficient_types(p.terms).values())
+
+
 @given(st.one_of(pairs(), pairs(at_edge=True)))
 @example((SparsePoly(("q", "t"), {(edge(2), -edge(2)): 1}),
           SparsePoly(("q", "t"), {(edge(2), 0): 1, (0, 0): 2})))
@@ -80,6 +85,7 @@ def test_product_and_sum_match_the_tuple_kernels(pair):
     want = tuple_add(a.terms, b.terms)
     got = (a + b).terms
     assert got == want and coefficient_types(got) == coefficient_types(want)
+    assert all(map(flag_is_exact, (a, b, a * b, a + b, -a, a.shift((1,) * len(a.vars)))))
 
 
 def tuple_adams(terms, r, flavor):
@@ -98,6 +104,7 @@ def test_adams_image_widens_and_matches_the_tuple_substitution(p, r):
     # twice, from a kernel-built operand at its own width
     q = p * SparsePoly.one(p.vars)
     assert adams_poly(q, r, flavor).terms == tuple_adams(p.terms, r, flavor)
+    assert flag_is_exact(adams_poly(q, r, flavor))
 
 
 def reference_quotient(num, factor):
@@ -147,6 +154,7 @@ def test_division_matches_the_tuple_long_division(case):
     assert (got is None) == (want is None)
     if got is not None:
         assert got.terms == want and coefficient_types(got.terms) == coefficient_types(want)
+        assert flag_is_exact(got)
         assert divide_exact(num, f) == got.shift(tuple(-v for v in shift)).scale(1 / Fraction(scale))
     elif num == a * f:
         pytest.fail("a multiple of f was refused")
@@ -258,7 +266,7 @@ def test_threads_that_pack_one_polynomial_at_once_store_consistent_keys():
             for t in threads:
                 t.join(timeout=10)
             assert not any(t.is_alive() for t in threads)
-            keys, width, _ = p._packed
+            keys, width, _, _ = p._packed
             assert polynomials._decode(keys, width, 2) == p.terms
     finally:
         sys.setswitchinterval(interval)
@@ -321,3 +329,37 @@ def test_a_computed_result_decodes_its_terms_once(decodes):
         attached_checks(result.kind, 2, 3, poly)
         invariants.document_bytes(invariants.polynomial_document(result))
     assert sum(keys is poly._packed[0] for keys in decodes) == 1
+
+
+# -- integral results of Fraction inputs ------------------------------------------
+
+
+def test_integral_results_of_fraction_inputs_are_stored_as_int():
+    """A kernel that a Fraction enters scans its result and stores integral values as int."""
+    q = SparsePoly.variable(("q",), "q")
+    half = q.scale(Fraction(1, 2))
+    f = SparsePoly(("q",), {(0,): 2, (1,): -1})  # 2 - q: the division multiplies by 1/2
+    two_thirds = SparsePoly(QT, {(1, 0): Fraction(2, 3), (0, 1): 4})
+    cases = [
+        half + half,
+        half * q.scale(2),
+        two_thirds.scale(Fraction(3, 2)),
+        divide_exact(f * SparsePoly(("q",), {(0,): 1, (2,): -3, (3,): 5}), f),
+        SparsePoly(QT, {(0, 0): 1, (1, 1): Fraction(1, 2)}) ** 2 * 4,
+    ]
+    for p in cases:
+        assert p and set(coefficient_types(p.terms).values()) == {int}, p
+        assert polynomials._own(p)[3] is False
+    assert (half + q).terms == {(1,): Fraction(3, 2)} and flag_is_exact(half + q)
+
+
+def test_a_cold_compute_scans_only_its_final_scale(monkeypatch):
+    """Every numerator of the layer pipeline has int coefficients, so on a cold
+    Hqt n=2 g=3 the one dict scanned for Fractions is the final scale by 1/2."""
+    scanned = []
+    real = polynomials._ints
+    monkeypatch.setattr(polynomials, "_ints", lambda out: scanned.append(out) or real(out))
+    invariants.clear_memo()
+    poly = compute_invariant("Hqt", 2, 3).polynomial
+    invariants.clear_memo()
+    assert len(scanned) == 1 and scanned[0] is poly._packed[0]

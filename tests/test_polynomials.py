@@ -29,7 +29,7 @@ from charvar.polynomials import (
 )
 import charvar.polynomials as polynomials
 from charvar.polynomials import _cancel, _jet, _test_point
-from oracles import specialize_fraction
+from oracles import jet_by_pass, specialize_fraction
 
 Q = ("q",)
 QT = ("q", "t")
@@ -540,22 +540,24 @@ _points = [f._point for f in _factors] + [
 
 
 def _seed(poly):
-    """Give poly a jet at every test point, by passes over its terms."""
+    """Give poly the reference jet at every test point where it has none, as
+    if the operations that built it had carried them."""
+    values = dict(poly._values or {})
     for pt in _points:
-        _jet(poly, pt)
+        values.setdefault(pt, jet_by_pass(poly, pt))
+    object.__setattr__(poly, "_values", values)
     return poly
 
 
 def _assert_memo_is_fresh(poly):
-    """Every memoized jet equals a pass over a fresh copy of the terms.
+    """Every memoized jet equals the reference pass over poly's terms.
 
     The value must be equal; the derivative too, wherever it is known.
     """
-    fresh = SparsePoly(poly.vars, dict(poly.terms))
     for pt, (value, deriv) in (poly._values or {}).items():
-        fresh_value, fresh_deriv = _jet(fresh, pt)
-        assert value == fresh_value, (poly, pt)
-        assert deriv is None or deriv == fresh_deriv, (poly, pt)
+        ref_value, ref_deriv = jet_by_pass(poly, pt)
+        assert value == ref_value, (poly, pt)
+        assert deriv is None or deriv == ref_deriv, (poly, pt)
 
 
 def _tree_sum(items):
@@ -575,7 +577,7 @@ def test_carried_values_equal_a_fresh_pass(start, data):
     Negation and an int scale carry a scalar, a shift a monomial's jet; a
     product takes the Leibniz rule; a sum lifts its summands' jets; a
     quotient takes the quotient rule, or phi(D*N)/phi(D*f) where f vanishes.
-    Each result's memo must equal a fresh pass, derivatives where known.
+    Each result's memo must equal the reference pass, derivatives where known.
     """
     out = start
     _seed(out.num)
@@ -610,33 +612,53 @@ def test_carried_values_equal_a_fresh_pass(start, data):
             divide_exact(out.num, factor.as_poly())
 
 
-def test_rational_coefficient_has_no_value_and_the_division_decides():
+def test_rational_coefficient_has_no_value_and_the_division_decides(walks):
     b = p(QT, {(0, 0): 1, (1, 1): -1})
     a = p(QT, {(0, 0): Fraction(1, 2), (2, 0): 3})
     pt = normalize_factor(b)[0]._point
-    assert _jet(a * b, pt) == (None, None)
+    assert _jet(a, pt) == jet_by_pass(a * b, pt) == (None, None)
     assert divide_exact(a * b, b) == a
     with pytest.raises(NotDivisible):
         divide_exact(a * b + p(QT, {(1, 0): 1}), b)
-    # a rational polynomial scaled to integers gets its jet from a pass
-    halves = _seed(p(QT, {(1, 0): Fraction(1, 2), (0, 3): Fraction(-3, 2)}))
-    doubled = halves.scale(2)
-    assert _jet(halves, pt) == (None, None)
-    assert _jet(doubled, pt) == _jet(p(QT, doubled.terms), pt)
-    assert _jet(doubled, pt)[1] is not None
+    assert walks == [True, False]  # no value, so the long division decides
+    # a rational polynomial scaled to integers has no value to carry: one of
+    # two terms gets the closed form, a larger one none
+    pair = p(QT, {(1, 0): Fraction(1, 2), (0, 3): Fraction(-3, 2)})
+    assert _jet(pair, pt) == (None, None)
+    assert _jet(pair.scale(2), pt) == jet_by_pass(pair.scale(2), pt)
+    assert _jet(pair.scale(2), pt)[1] is not None
+    triple = _seed(pair + p(QT, {(2, 2): Fraction(5, 2)}))
+    doubled = triple.scale(2)
+    assert jet_by_pass(doubled, pt)[0] is not None and _jet(doubled, pt) == (None, None)
 
 
 @pytest.fixture
-def passes(monkeypatch):
-    """The polynomials that pre-test passes read, in order."""
+def walks(monkeypatch):
+    """Every long division, in order: True where it found a quotient."""
+    done = []
+    real = polynomials._divide_two_term
+
+    def counted(*args):
+        out = real(*args)
+        done.append(out is not None)
+        return out
+
+    monkeypatch.setattr(polynomials, "_divide_two_term", counted)
+    return done
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """The (polynomial, point, jet) of every _jet read, in order."""
     read = []
-    real = polynomials._pass
+    real = polynomials._jet
 
-    def counted(poly, pt):
-        read.append(poly)
-        return real(poly, pt)
+    def recorded(poly, pt):
+        jet = real(poly, pt)
+        read.append((poly, pt, jet))
+        return jet
 
-    monkeypatch.setattr(polynomials, "_pass", counted)
+    monkeypatch.setattr(polynomials, "_jet", recorded)
     return read
 
 
@@ -647,41 +669,36 @@ _A = p(QT, {(0, 0): 1, (1, 0): 2, (0, 2): -3, (2, 1): 5})
 def test_a_shift_carries_the_monomials_jet():
     """x^s*N has the jet (m*n0, m*n1 + s_j*m*n0), with m the value of x^s."""
     shifted = _seed(p(QT, dict(_A.terms))).shift((2, -1))
+    assert set(shifted._values) == set(_points)
     assert all(deriv is not None for _, deriv in shifted._values.values())
     _assert_memo_is_fresh(shifted)
 
 
-def test_a_quotient_is_retested_at_its_own_point_without_a_pass(passes):
+def test_a_quotient_is_retested_at_its_own_point_without_a_pass(reads, walks):
     """(A*f^2) / f^2: the second test reads phi(D*N)/phi(D*f), carried."""
     fp = _F.as_poly()
-    num = _A * fp**2
+    num = _seed(_A * fp**2)
     q, den = _cancel(num, {_F: 2})
     assert (q, den) == (_A, {})
-    assert [poly for poly in passes if poly is not fp] == [num]
+    tested = [(poly, jet[0]) for poly, _, jet in reads if poly is not fp]
+    assert [value for _, value in tested] == [0, 0]  # both values were carried
+    assert tested[0][0] is num and walks == [True, True]
     _assert_memo_is_fresh(q)
 
 
-def test_a_quotient_is_rejected_on_the_retest_without_a_pass(passes, monkeypatch):
+def test_a_quotient_is_rejected_on_the_retest_without_a_pass(walks):
     """(A*f) / f^2 with f not dividing A: the carried value rejects the second test."""
-    fp = _F.as_poly()
-    a_value = polynomials._pass(_A, _F._point)[0]
+    a_value = jet_by_pass(_A, _F._point)[0]
     assert a_value != 0
-    divisions = []
-    real = polynomials._divide_two_term
-    monkeypatch.setattr(
-        polynomials, "_divide_two_term", lambda *a: divisions.append(a) or real(*a)
-    )
-    del passes[:]
-    num = _A * fp
+    num = _seed(_A * _F.as_poly())
     q, den = _cancel(num, {_F: 2})
     assert (q, den) == (_A, {_F: 1})
-    assert [poly for poly in passes if poly is not fp] == [num]
-    assert len(divisions) == 1
+    assert walks == [True]  # the second test needed no walk
     assert q._values[_F._point][0] == a_value
     _assert_memo_is_fresh(q)
 
 
-def test_a_factor_that_vanishes_at_another_factors_point(passes):
+def test_a_factor_that_vanishes_at_another_factors_point():
     """1 - q^2*t^2 vanishes at the point of 1 - q*t, to first order, and back."""
     g = normalize_factor(p(QT, {(0, 0): 1, (2, 2): -1}))[0]
     points = (_F._point, g._point)
@@ -700,17 +717,14 @@ def test_a_factor_that_vanishes_at_another_factors_point(passes):
     common = {_F: 1, g: 1}
     lifted = q * g.as_poly() + b * _F.as_poly()
     fracs = [FactoredFraction._reduced(q, {_F: 1}), FactoredFraction._reduced(b, {g: 1})]
-    del passes[:]
     jets = polynomials._sum_values(fracs, common)
-    assert not any(poly is q or poly is b for poly in passes)
-    assert jets == {pt: polynomials._pass(lifted, pt) for pt in points}
+    assert jets == {pt: jet_by_pass(lifted, pt) for pt in points}
     # a summand with no memoized value there leaves the derivative unknown
     fresh_b = p(QT, dict(b.terms))
     fracs[1] = FactoredFraction._reduced(fresh_b, {g: 1})
-    del passes[:]
     jets = polynomials._sum_values(fracs, common)
-    assert passes == [] and fresh_b._values is None  # the factors' jets are memoized
-    assert jets == {pt: (polynomials._pass(lifted, pt)[0], None) for pt in points}
+    assert fresh_b._values is None  # read from the memo, never computed
+    assert jets == {pt: (jet_by_pass(lifted, pt)[0], None) for pt in points}
 
 
 # -- binomial_product ------------------------------------------------------------
@@ -738,14 +752,13 @@ def test_binomial_product_of_negative_powers_is_the_division_chain():
     assert (out.num, out.den) == (chain.num, chain.den)
 
 
-def test_binomial_product_reads_its_numerator_without_a_pass(passes):
+def test_binomial_product_reads_its_numerator_without_a_pass(walks):
     """The numerator's jets come from its binomial powers, derivatives included."""
     factors = [
         (1, (1, 2), 3), (-1, (1, 0), -2), (1, (2, 1), 1), (-1, (2, 2), -1), (1, (1, 1), -1)
     ]
     out = binomial_product(QT, factors)
-    assert passes == []
-    assert len(out.den) == 3  # nothing cancels, so every factor was pre-tested
+    assert len(out.den) == 3 and walks == []  # carried nonzero values rejected every trial
     assert set(out.num._values) == {f._point for f in out.den}
     assert all(deriv is not None for _, deriv in out.num._values.values())
     _assert_memo_is_fresh(out.num)
