@@ -32,9 +32,10 @@ needs it, so reading a cached document, the checks and the documents never
 pack.  Coefficients are exact; integer-valued coefficients are stored as int
 (a fast path: Python's numeric tower makes int and Fraction interoperable),
 anything else as Fraction; only a kernel that a Fraction can enter scans its
-result for them (_ints).  The zero polynomial has no terms.  Negative
-exponents are allowed everywhere (Laurent support is required by the hook
-normalizations).
+result for them (_ints).  A cold layer pass builds and scans none: its
+factors 1 + c*x^e (e >= 0) are canonical as written, and its scale by 1/n
+divides in ints.  The zero polynomial has no terms; negative exponents are
+allowed everywhere (Laurent support is required by the hook normalizations).
 
 On top of the polynomials sits FactoredFraction: a numerator polynomial
 divided by a multiset of normalized two-term factors ("binomials" such as
@@ -381,12 +382,18 @@ class SparsePoly:
     __rmul__ = __mul__
 
     def scale(self, c):
+        """Multiply by a rational, in ints where a Fraction's denominator divides."""
         c = _as_coeff(c)
         if not c:
             return SparsePoly.zero(self.vars)
         if c == 1:
             return self
         keys, w, box, frac = _own(self)
+        if type(c) is Fraction and not frac:
+            p, q = c.numerator, c.denominator
+            if all(not v % q for v in keys.values()):  # stops at the first remainder
+                keys = {e: v // q * p for e, v in keys.items()}
+                return SparsePoly._from_keys(self.vars, keys, w, box, False)
         keys = {e: v * c for e, v in keys.items()}
         frac = (frac or type(c) is Fraction) and _ints(keys)
         out = SparsePoly._from_keys(self.vars, keys, w, box, frac)
@@ -495,10 +502,13 @@ class SparsePoly:
         return SparsePoly._raw(tuple(index), out)
 
     def has_negative_exponents(self):
+        if self._packed and self._packed[2] and min(self._packed[2][0], default=0) >= 0:
+            return False  # the box holds the support (a sum's is a hull)
         return any(any(k < 0 for k in e) for e in self.terms)
 
     def is_integral(self):
-        return all(isinstance(c, int) for c in self.terms.values())
+        packed = self._packed
+        return not packed[3] if packed else all(isinstance(c, int) for c in self.terms.values())
 
     def __repr__(self):
         return f"SparsePoly({'*'.join(self.vars) or '-'}: {poly_text(self)})"
@@ -955,10 +965,10 @@ class BinomialFactor:
 def normalize_factor(p: SparsePoly):
     """Split a nonzero polynomial as scale * monomial * BinomialFactor.
 
-    Returns (factor, shift_exponents, scale) with
-    p == factor.as_poly().shift(shift_exponents).scale(scale).
-    Raises ValueError when p is zero, a unit monomial, or has more than two
-    terms (general denominators never arise here).
+    Returns (factor, shift_exponents, scale) with p ==
+    factor.as_poly().shift(shift_exponents).scale(scale), the scale an int
+    when p's coefficients are.  Raises ValueError when p is zero, a unit
+    monomial, or has more than two terms (general denominators never arise).
     """
     if p.is_zero():
         raise ValueError("zero polynomial cannot be a denominator factor")
@@ -977,19 +987,28 @@ def normalize_factor(p: SparsePoly):
     (e0, c0), (e1, c1) = sorted(ints.items(), key=lambda t: _gl_key(t[0]))
     c0 //= g
     c1 //= g
-    scale = Fraction(g, denom_lcm)
+    scale = g if denom_lcm == 1 else Fraction(g, denom_lcm)
     if c0 < 0:
         c0, c1, scale = -c0, -c1, -scale
-    factor = BinomialFactor(p.vars, e0, c0, e1, c1)
-    return factor, shift, _as_coeff(scale)
+    return BinomialFactor(p.vars, e0, c0, e1, c1), shift, scale
 
 
-def _fold_factor(num: SparsePoly, den: dict, p: SparsePoly, power: int) -> SparsePoly:
-    """Divide num / den by p^power: add p's factor to den, in place, and return
-    num with p's monomial shift and scale folded in."""
-    factor, shift, scale = normalize_factor(p)
+def _fold_factor(num: SparsePoly, den: dict, split, power: int) -> SparsePoly:
+    """Divide num / den by p^power, split = normalize_factor(p): add p's factor
+    to den, in place, and return num with p's shift and scale folded in."""
+    factor, shift, scale = split
     den[factor] = den.get(factor, 0) + power
-    return num.shift(tuple(-power * k for k in shift)).scale(Fraction(1) / scale**power)
+    num = num.shift(tuple(-power * k for k in shift))
+    return num if scale == 1 else num.scale(Fraction(1) / scale**power)
+
+
+def _factor_of(variables, c, e):
+    """normalize_factor(1 + c*x^e), built directly when that form is canonical
+    as written: c a nonzero int and 0 != e >= 0 componentwise."""
+    zero = (0,) * len(e)
+    if type(c) is int and c and any(e) and min(e) >= 0:
+        return BinomialFactor(variables, zero, 1, tuple(e), c), zero, 1
+    return normalize_factor(SparsePoly(variables, {zero: 1, e: c}))
 
 
 # -- fractions with factored binomial denominators ----------------------------
@@ -1100,16 +1119,17 @@ class FactoredFraction:
         if power < 0:
             raise ValueError("negative powers not supported here")
         den = dict(self.den)
-        return FactoredFraction(_fold_factor(self.num, den, p, power), den)
+        return FactoredFraction(_fold_factor(self.num, den, normalize_factor(p), power), den)
 
     def _times_binomial(self, c, exps, power: int):
         """Multiply by (1 + c*x^exps)^power; a negative power divides."""
+        if power > 0:
+            return self * SparsePoly(self.vars, {(0,) * len(exps): 1, tuple(exps): c})**power
         if power == 0:
             return self
-        binom = SparsePoly(self.vars, {(0,) * len(exps): 1, tuple(exps): c})
-        if power > 0:
-            return self * binom**power
-        return self.divided_by_poly(binom, -power)
+        den = dict(self.den)
+        num = _fold_factor(self.num, den, _factor_of(self.vars, c, tuple(exps)), -power)
+        return FactoredFraction(num, den)
 
     def equals(self, other) -> bool:
         """Value equality (cross-multiplied over a common denominator)."""
@@ -1158,11 +1178,11 @@ def binomial_product(variables, factors) -> FactoredFraction:
     """The product of (1 + c*x^e)^k over the (c, e, k) triples of factors.
 
     Built once, so cancelled once: a power k > 0 multiplies the numerator, a
-    power k < 0 folds the factor into the denominator (_fold_factor), and
-    k = 0 is skipped.  The numerator gets its pre-test jets at the
-    denominator's points from its binomial powers, each binomial's from its
-    monomial's, (1 + c*m0, c*m1), so no pass reads it; the folds' monomial
-    unit then carries them.
+    power k < 0 folds the factor into the denominator, built as written by
+    _factor_of when e >= 0, and k = 0 is skipped.  The numerator gets its
+    pre-test jets at the denominator's points from its binomial powers, each
+    binomial's from its monomial's, (1 + c*m0, c*m1), so no pass reads it;
+    the folds' monomial unit then carries them.
     """
     zero = (0,) * len(variables)
     num = SparsePoly.one(variables)
@@ -1170,12 +1190,11 @@ def binomial_product(variables, factors) -> FactoredFraction:
     den = {}
     powers = []
     for c, e, k in factors:
-        binom = SparsePoly(variables, {zero: 1, e: c})
         if k > 0:
-            num = num * binom**k
+            num = num * SparsePoly(variables, {zero: 1, e: c})**k
             powers.append((c, e, k))
         elif k < 0:
-            unit = _fold_factor(unit, den, binom, -k)
+            unit = _fold_factor(unit, den, _factor_of(variables, c, e), -k)
     values = {}
     for f in den:
         pt = f._point
@@ -1366,6 +1385,12 @@ def adams(fr: FactoredFraction, r: int, flavor: Flavor) -> FactoredFraction:
         return fr
     num = adams_poly(fr.num, r, flavor)
     den = {}
+    flips = [not r & 1 and v in flavor.twisted for v in fr.vars]
     for f, m in fr.den.items():
-        num = _fold_factor(num, den, adams_poly(f.as_poly(), r, flavor), m)
+        if f.low_coeff == 1 and not any(f.low):  # 1 + c*x^e -> 1 +- c*x^(r*e), canonical
+            c = -f.high_coeff if sum(k for k, s in zip(f.high, flips) if s) & 1 else f.high_coeff
+            split = _factor_of(fr.vars, c, tuple(r * k for k in f.high))
+        else:
+            split = normalize_factor(adams_poly(f.as_poly(), r, flavor))
+        num = _fold_factor(num, den, split, m)
     return FactoredFraction(num, den)

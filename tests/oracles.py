@@ -16,9 +16,9 @@ kept here as an oracle for it:
 - ``zeta_power`` and ``cyc_times_conjugate`` are Z[zeta_e] arithmetic on
   coordinate tuples, one product at a time, the reference for the packed
   orthogonality check;
-- ``tuple_add``, ``tuple_mul`` and ``tuple_divide_two_term`` are the sum,
-  product and bucketed long division on exponent-tuple term dicts, the
-  reference for the kernels on packed keys;
+- ``tuple_add``, ``tuple_mul``, ``tuple_scale`` and ``tuple_divide_two_term``
+  are the sum, product, rational scale and bucketed long division on
+  exponent-tuple term dicts, the reference for the kernels on packed keys;
 - ``jet_by_pass`` evaluates a polynomial's pre-test jet term by term, the
   reference for the jets that the kernels carry instead.
 """
@@ -36,6 +36,7 @@ from charvar.polynomials import (
     _fold_factor,
     adams,
     frac_sum,
+    normalize_factor,
 )
 from charvar.series import TruncatedSeries
 
@@ -103,7 +104,7 @@ def specialize_fraction(fr: FactoredFraction, assignment) -> FactoredFraction:
             ((e, c),) = fp.terms.items()
             num = num.shift(tuple(-m * k for k in e)).scale(Fraction(1) / Fraction(c) ** m)
         else:
-            num = _fold_factor(num, den, fp, m)
+            num = _fold_factor(num, den, normalize_factor(fp), m)
     return FactoredFraction(num, den)
 
 
@@ -197,6 +198,11 @@ def tuple_add(a, b):
         elif e in out:
             del out[e]
     return out
+
+
+def tuple_scale(a, c):
+    """The terms of a term dict times a nonzero rational, each product in Fraction."""
+    return {e: _as_coeff(Fraction(v) * c) for e, v in a.items()}
 
 
 def tuple_mul(a, b):

@@ -257,7 +257,7 @@ class TestCrossInvariantIdentities:
         assert specialize_invariant(h, "pure_extract") == pp.polynomial
 
     @pytest.mark.parametrize(
-        "n, g", [(n, g) for n in (1, 2, 3) for g in (0, 1, 2, 3)] + [(4, 2)]
+        "n, g", [(n, g) for n in (1, 2, 3) for g in (0, 1, 2, 3)] + [(4, 2), (4, 3)]
     )
     def test_xy_specializes_to_qt(self, n, g):
         hxy = compute_invariant("hxy", n, g)

@@ -22,16 +22,21 @@ from charvar.errors import NotDivisible
 from charvar.invariants import InvariantCache, attached_checks, compute_invariant
 from charvar.polynomials import (
     FLAVOR_E,
+    FLAVOR_PURE,
     FLAVOR_QT,
     FLAVOR_XY,
+    FactoredFraction,
     SparsePoly,
     _divide_by_factor,
     _divide_two_term,
+    _factor_of,
+    _fold_factor,
+    adams,
     adams_poly,
     divide_exact,
     normalize_factor,
 )
-from oracles import tuple_add, tuple_divide_two_term, tuple_mul
+from oracles import tuple_add, tuple_divide_two_term, tuple_mul, tuple_scale
 
 CONTEXTS = {1: FLAVOR_E, 2: FLAVOR_QT, 3: FLAVOR_XY}
 
@@ -353,13 +358,102 @@ def test_integral_results_of_fraction_inputs_are_stored_as_int():
     assert (half + q).terms == {(1,): Fraction(3, 2)} and flag_is_exact(half + q)
 
 
-def test_a_cold_compute_scans_only_its_final_scale(monkeypatch):
-    """Every numerator of the layer pipeline has int coefficients, so on a cold
-    Hqt n=2 g=3 the one dict scanned for Fractions is the final scale by 1/2."""
+def test_a_cold_compute_scans_no_dict(monkeypatch):
+    """Every numerator of the layer pipeline has int coefficients, and the
+    final scale by 1/2 divides them exactly in ints, so a cold Hqt n=2 g=3
+    scans no dict for Fractions."""
     scanned = []
     real = polynomials._ints
     monkeypatch.setattr(polynomials, "_ints", lambda out: scanned.append(out) or real(out))
     invariants.clear_memo()
     poly = compute_invariant("Hqt", 2, 3).polynomial
     invariants.clear_memo()
-    assert len(scanned) == 1 and scanned[0] is poly._packed[0]
+    assert scanned == [] and poly.is_integral() and poly._packed[3] is False
+
+
+def test_a_cold_compute_normalizes_no_factor_and_builds_one_fraction(monkeypatch):
+    """On a cold Hqt n=3 g=3 every denominator factor is built directly
+    (_factor_of) and no coefficient leaves the ints: the one Fraction built
+    is invariant_from_layer's 1/n."""
+    normalized, built = [], []
+    real_normalize = polynomials.normalize_factor
+    monkeypatch.setattr(polynomials, "normalize_factor",
+                        lambda p: normalized.append(p) or real_normalize(p))
+    real_new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    invariants.clear_memo()
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    if hasattr(Fraction, "_from_coprime_ints"):  # arithmetic bypasses __new__ there
+        real_coprime = Fraction._from_coprime_ints
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(
+            lambda cls, n, d: built.append((n, d)) or real_coprime(n, d)))
+    compute_invariant("hqt", 3, 3)
+    monkeypatch.undo()
+    invariants.clear_memo()
+    assert normalized == [] and built == [(1, 3)]
+
+
+# -- rational scales and shape checks ------------------------------------------------
+
+
+@given(ks.flatmap(lambda k: polys(k, min_terms=1)), st.integers(-6, 6).filter(bool),
+       st.integers(2, 6), st.booleans())
+@example(SparsePoly(QT, {(0, 0): 4, (1, 2): 6, (2, 0): 3}), 1, 2, False)  # 3 does not divide
+@example(SparsePoly(QT, {(0, 0): 4, (1, 2): -6}), 3, 2, False)
+@settings(max_examples=200, deadline=None)
+def test_a_fraction_scale_matches_the_fraction_path(p, num, den, multiple):
+    """An int polynomial divides by the denominator exactly in ints while it
+    can; the terms, their types and the Fraction flag match the Fraction path."""
+    if multiple and p.is_integral():  # the exact path in ints then succeeds
+        p = p.scale(den)
+    c = Fraction(num, den)
+    got = p.scale(c)
+    want = tuple_scale(p.terms, c)
+    assert got.terms == want and coefficient_types(got.terms) == coefficient_types(want)
+    assert flag_is_exact(got) and got.is_integral() == (Fraction not in map(type, want.values()))
+
+
+def test_a_hull_with_a_negative_corner_is_scanned():
+    """(1 + q^-1) + (-q^-1) = 1: the sum's box keeps the corner -1."""
+    total = SparsePoly(("q",), {(0,): 1, (-1,): 1}) + SparsePoly(("q",), {(-1,): -1})
+    assert polynomials._box(total) == ((-1,), (0,)) and total.terms == {(0,): 1}
+    assert not total.has_negative_exponents()
+    laurent = SparsePoly.one(("q",)) * SparsePoly(("q",), {(0,): 1, (-1,): 1})
+    assert laurent.has_negative_exponents()
+
+
+# -- denominator factors built directly --------------------------------------------
+
+
+@pytest.mark.parametrize("flavor", [FLAVOR_E, FLAVOR_QT, FLAVOR_XY, FLAVOR_PURE], ids=lambda f: f.name)
+def test_direct_factors_equal_the_normalized_ones(flavor):
+    """Every flavor's cell factor 1 + c*x^e with h <= 4, l <= 3, and its Adams
+    images for r <= 3, come out as normalize_factor would split them."""
+    one = SparsePoly.one(flavor.variables)
+    zero = (0,) * len(flavor.variables)
+    for c, exps, _ in flavor.cell_factors:
+        for h in range(1, 5):
+            for l in range(4):
+                e = exps(h, l)
+                split = _factor_of(flavor.variables, c, e)
+                binom = SparsePoly(flavor.variables, {zero: 1, e: c})
+                assert split == normalize_factor(binom) and split[1:] == (zero, 1)
+                for r in (2, 3):
+                    got = adams(FactoredFraction._reduced(one, {split[0]: 1}), r, flavor)
+                    den = {}
+                    image = normalize_factor(adams_poly(binom, r, flavor))
+                    want = _fold_factor(one, den, image, 1)
+                    assert got.den == den and got.num == want == one
+
+
+@pytest.mark.parametrize("c, e", [(1, (-1, 2)), (-3, (0, -2)), (Fraction(1, 2), (1, 0)), (2, (3, 1))])
+def test_other_binomials_take_the_normalized_factor(c, e):
+    """A negative exponent or a rational coefficient goes through normalize_factor;
+    1 + 2*q^3*t, with a coefficient other than +-1, is canonical as written."""
+    split = _factor_of(QT, c, e)
+    assert split == normalize_factor(SparsePoly(QT, {(0, 0): 1, e: c}))
+    assert split[1:] != ((0, 0), 1) or e == (3, 1)

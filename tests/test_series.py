@@ -248,13 +248,15 @@ class TestInvariantFromLayer:
         layer = FactoredFraction.from_poly(
             SparsePoly.constant(("t",), Fraction(1, 2))
         )
-        with pytest.raises(NonIntegerCoefficient):
+        with pytest.raises(NonIntegerCoefficient) as err:
             invariant_from_layer(FLAVOR_PURE, 1, 1, layer)
+        assert str(err.value) == "coefficient 1/2 of exponent (0,) in 1/2 - 1/2*t^2"
 
     def test_division_by_rank_must_be_exact(self):
         layer = FactoredFraction.one(("t",))
-        with pytest.raises(NonIntegerCoefficient):
+        with pytest.raises(NonIntegerCoefficient) as err:
             invariant_from_layer(FLAVOR_PURE, 2, 1, layer)
+        assert str(err.value) == "coefficient 1/2 of exponent (0,) in 1/2 - 1/2*t^2"
 
     def test_not_polynomial_is_detected(self):
         layer = FactoredFraction.one(("t",)).divided_by_poly(
