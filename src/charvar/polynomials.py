@@ -33,7 +33,7 @@ pack.  Coefficients are exact; integer-valued coefficients are stored as int
 (a fast path: Python's numeric tower makes int and Fraction interoperable),
 anything else as Fraction; only a kernel that a Fraction can enter scans its
 result for them (_ints).  A cold layer pass builds and scans none: its
-factors 1 + c*x^e (e >= 0) are canonical as written, and its scale by 1/n
+denominator factors are normalized in ints (_split), and its scale by 1/n
 divides in ints.  The zero polynomial has no terms; negative exponents are
 allowed everywhere (Laurent support is required by the hook normalizations).
 
@@ -87,7 +87,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from math import gcd
+from math import gcd, lcm
 from operator import add, mul, neg, sub
 
 from .errors import (
@@ -315,7 +315,9 @@ class SparsePoly:
             raise ContextError(f"context mismatch: {self.vars} vs {other.vars}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, SparsePoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = SparsePoly.constant(self.vars, other)
         self._check_context(other)
         _, _, ba, fa = _own(self)
@@ -344,16 +346,16 @@ class SparsePoly:
         return _carry(self, out, lambda pt: (-1, 0))
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = SparsePoly.constant(self.vars, other)
+        if not isinstance(other, (SparsePoly, int, Fraction)):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self).__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+        if not isinstance(other, SparsePoly):
+            return self.scale(other) if isinstance(other, (int, Fraction)) else NotImplemented
         self._check_context(other)
         _, _, ba, fa = _own(self)
         _, _, bb, fb = _own(other)
@@ -972,43 +974,35 @@ def normalize_factor(p: SparsePoly):
     """
     if p.is_zero():
         raise ValueError("zero polynomial cannot be a denominator factor")
-    shift = p.min_exponents()
-    terms = {tuple(a - b for a, b in zip(e, shift)): c for e, c in p.terms.items()}
-    if len(terms) == 1:
+    if len(p) == 1:
         raise ValueError(f"unit monomial factor {poly_text(p)}")
-    if len(terms) > 2:
+    if len(p) > 2:
         raise ValueError(f"factor {poly_text(p)} is not a binomial")
-    denom_lcm = 1
-    for c in terms.values():
-        if type(c) is Fraction:
-            denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    ints = {e: int(c * denom_lcm) for e, c in terms.items()}
-    g = gcd(*ints.values())
-    (e0, c0), (e1, c1) = sorted(ints.items(), key=lambda t: _gl_key(t[0]))
-    c0 //= g
-    c1 //= g
-    scale = g if denom_lcm == 1 else Fraction(g, denom_lcm)
-    if c0 < 0:
-        c0, c1, scale = -c0, -c1, -scale
-    return BinomialFactor(p.vars, e0, c0, e1, c1), shift, scale
+    return _split(p.vars, *p.terms.items())
+
+
+def _split(variables, t0, t1):
+    """normalize_factor of c0*x^e0 + c1*x^e1, (ei, ci) = ti with c0, c1 nonzero
+    and e0 != e1: the one rule that builds a BinomialFactor.  Int coefficients
+    give an int scale and build no Fraction."""
+    (e0, c0), (e1, c1) = (t0, t1) if _gl_key(t0[0]) < _gl_key(t1[0]) else (t1, t0)
+    shift = tuple(map(min, e0, e1))
+    if any(shift):
+        e0, e1 = tuple(map(sub, e0, shift)), tuple(map(sub, e1, shift))
+    d = lcm(c0.denominator, c1.denominator)
+    c0, c1 = c0.numerator * (d // c0.denominator), c1.numerator * (d // c1.denominator)
+    g = gcd(c0, c1) if c0 > 0 else -gcd(c0, c1)  # the smaller term's sign
+    scale = g if d == 1 else Fraction(g, d)
+    return BinomialFactor(variables, e0, c0 // g, e1, c1 // g), shift, scale
 
 
 def _fold_factor(num: SparsePoly, den: dict, split, power: int) -> SparsePoly:
-    """Divide num / den by p^power, split = normalize_factor(p): add p's factor
-    to den, in place, and return num with p's shift and scale folded in."""
+    """Divide num / den by p^power, split = p's (factor, shift, scale): add the
+    factor to den, in place, and return num with the shift and scale folded in."""
     factor, shift, scale = split
     den[factor] = den.get(factor, 0) + power
     num = num.shift(tuple(-power * k for k in shift))
     return num if scale == 1 else num.scale(Fraction(1) / scale**power)
-
-
-def _factor_of(variables, c, e):
-    """normalize_factor(1 + c*x^e), built directly when that form is canonical
-    as written: c a nonzero int and 0 != e >= 0 componentwise."""
-    zero = (0,) * len(e)
-    if type(c) is int and c and any(e) and min(e) >= 0:
-        return BinomialFactor(variables, zero, 1, tuple(e), c), zero, 1
-    return normalize_factor(SparsePoly(variables, {zero: 1, e: c}))
 
 
 # -- fractions with factored binomial denominators ----------------------------
@@ -1073,11 +1067,20 @@ class FactoredFraction:
 
     # -- arithmetic -------------------------------------------------------
 
-    def __add__(self, other):
+    def _operand(self, other):
+        """A rational, SparsePoly or fraction in self's context, else NotImplemented."""
         if isinstance(other, (int, Fraction)):
-            other = FactoredFraction.from_poly(SparsePoly.constant(self.vars, other))
+            other = SparsePoly.constant(self.vars, other)
+        if isinstance(other, SparsePoly):
+            other = FactoredFraction.from_poly(other)
+        elif not isinstance(other, FactoredFraction):
+            return NotImplemented
         self.num._check_context(other.num)
-        return frac_sum([self, other], self.vars)
+        return other
+
+    def __add__(self, other):
+        other = self._operand(other)
+        return other if other is NotImplemented else frac_sum([self, other], self.vars)
 
     __radd__ = __add__
 
@@ -1087,16 +1090,18 @@ class FactoredFraction:
         return FactoredFraction._reduced(-self.num, self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = FactoredFraction.from_poly(SparsePoly.constant(self.vars, other))
-        return self + (-other)
+        other = self._operand(other)
+        return other if other is NotImplemented else self + (-other)
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        if isinstance(other, SparsePoly):
-            return FactoredFraction(_product(self.num, other, self.den), self.den)
-        self.num._check_context(other.num)
+        other = self._operand(other)
+        if other is NotImplemented:
+            return other
         den = dict(self.den)
         for f, m in other.den.items():
             den[f] = den.get(f, 0) + m
@@ -1112,39 +1117,27 @@ class FactoredFraction:
     def shift(self, exps):
         return FactoredFraction._reduced(self.num.shift(exps), self.den)
 
-    def divided_by_poly(self, p: SparsePoly, power: int = 1):
-        """Divide by p^power where p normalizes to a binomial factor."""
-        if power == 0:
-            return self
-        if power < 0:
-            raise ValueError("negative powers not supported here")
-        den = dict(self.den)
-        return FactoredFraction(_fold_factor(self.num, den, normalize_factor(p), power), den)
-
     def _times_binomial(self, c, exps, power: int):
         """Multiply by (1 + c*x^exps)^power; a negative power divides."""
-        if power > 0:
-            return self * SparsePoly(self.vars, {(0,) * len(exps): 1, tuple(exps): c})**power
-        if power == 0:
+        if not _is_binomial(c, exps, power):
             return self
+        one = (0,) * len(exps)
+        if power > 0:
+            return self * SparsePoly(self.vars, {one: 1, exps: c})**power
         den = dict(self.den)
-        num = _fold_factor(self.num, den, _factor_of(self.vars, c, tuple(exps)), -power)
+        num = _fold_factor(self.num, den, _split(self.vars, (one, 1), (exps, c)), -power)
         return FactoredFraction(num, den)
 
     def equals(self, other) -> bool:
         """Value equality (cross-multiplied over a common denominator)."""
-        if isinstance(other, (int, Fraction)):
-            other = FactoredFraction.from_poly(SparsePoly.constant(self.vars, other))
-        elif isinstance(other, SparsePoly):
-            other = FactoredFraction.from_poly(other)
-        self.num._check_context(other.num)
-        common = _common_denominator([self, other])
-        return _lift_numerator(self, common) == _lift_numerator(other, common)
+        return self == other
 
     def __eq__(self, other):
-        if isinstance(other, (FactoredFraction, SparsePoly, int, Fraction)):
-            return self.equals(other)
-        return NotImplemented
+        other = self._operand(other)
+        if other is NotImplemented:
+            return other
+        common = _common_denominator([self, other])
+        return _lift_numerator(self, common) == _lift_numerator(other, common)
 
     def __hash__(self):
         raise TypeError("FactoredFraction is not hashable")
@@ -1174,15 +1167,22 @@ class FactoredFraction:
         return f"FactoredFraction({poly_text(self.num)})"
 
 
+def _is_binomial(c, e, k):
+    """Whether (1 + c*x^e)^k is other than 1 (c, k != 0); ValueError for e = 0."""
+    if c and k and not any(e):
+        raise ValueError(f"factor 1 + {c}*x^{tuple(e)} is the constant {1 + c}, not a binomial")
+    return bool(c and k)
+
+
 def binomial_product(variables, factors) -> FactoredFraction:
     """The product of (1 + c*x^e)^k over the (c, e, k) triples of factors.
 
     Built once, so cancelled once: a power k > 0 multiplies the numerator, a
-    power k < 0 folds the factor into the denominator, built as written by
-    _factor_of when e >= 0, and k = 0 is skipped.  The numerator gets its
-    pre-test jets at the denominator's points from its binomial powers, each
-    binomial's from its monomial's, (1 + c*m0, c*m1), so no pass reads it;
-    the folds' monomial unit then carries them.
+    power k < 0 folds the factor (_split) into the denominator, a factor 1
+    (c = 0 or k = 0) is skipped and e = 0 raises ValueError.  The numerator
+    gets its pre-test jets at the denominator's points from its binomial
+    powers if every c is an int, each binomial's (1 + c*m0, c*m1) from its
+    monomial's, so no pass reads it; the folds' monomial unit carries them.
     """
     zero = (0,) * len(variables)
     num = SparsePoly.one(variables)
@@ -1190,15 +1190,17 @@ def binomial_product(variables, factors) -> FactoredFraction:
     den = {}
     powers = []
     for c, e, k in factors:
+        if not _is_binomial(c, e, k):
+            continue
         if k > 0:
             num = num * SparsePoly(variables, {zero: 1, e: c})**k
             powers.append((c, e, k))
-        elif k < 0:
-            unit = _fold_factor(unit, den, _factor_of(variables, c, e), -k)
+        else:
+            unit = _fold_factor(unit, den, _split(variables, (zero, 1), (e, c)), -k)
     values = {}
     for f in den:
         pt = f._point
-        if pt is not None:
+        if pt is not None and all(type(c) is int for c, _, _ in powers):
             jet = (1, 0)
             for c, e, k in powers:
                 m0, m1 = _monomial_jet(e, pt)
@@ -1376,8 +1378,8 @@ def _sum_values(fracs, common):
 def adams(fr: FactoredFraction, r: int, flavor: Flavor) -> FactoredFraction:
     """Adams substitution on a factored fraction (exact, denominator-safe).
 
-    Substituted denominator factors are renormalized, with sign and monomial
-    compensation absorbed into the numerator.
+    A denominator factor's image is its two terms substituted as in adams_poly,
+    renormalized (_split); its shift and scale go into the numerator.
     """
     if r == 1:
         if fr.vars != flavor.variables:
@@ -1387,10 +1389,7 @@ def adams(fr: FactoredFraction, r: int, flavor: Flavor) -> FactoredFraction:
     den = {}
     flips = [not r & 1 and v in flavor.twisted for v in fr.vars]
     for f, m in fr.den.items():
-        if f.low_coeff == 1 and not any(f.low):  # 1 + c*x^e -> 1 +- c*x^(r*e), canonical
-            c = -f.high_coeff if sum(k for k, s in zip(f.high, flips) if s) & 1 else f.high_coeff
-            split = _factor_of(fr.vars, c, tuple(r * k for k in f.high))
-        else:
-            split = normalize_factor(adams_poly(f.as_poly(), r, flavor))
-        num = _fold_factor(num, den, split, m)
+        image = [(tuple(r * k for k in e), -c if sum(k for k, s in zip(e, flips) if s) & 1 else c)
+                 for e, c in ((f.low, f.low_coeff), (f.high, f.high_coeff))]
+        num = _fold_factor(num, den, _split(fr.vars, *image), m)
     return FactoredFraction(num, den)

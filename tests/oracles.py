@@ -7,6 +7,9 @@ kept here as an oracle for it:
   from its rank layers, the round trip of ``extract_layers``;
 - ``specialize_fraction`` specializes a FactoredFraction, folding each
   denominator factor that stays a binomial back through the cancellation;
+- ``divided_by`` divides a FactoredFraction by a power of a two-term
+  polynomial, and ``reference_normalize_factor`` is the normalization of one
+  on its term dict, the reference for the two-term normalizer;
 - ``direct_mul_table`` multiplies every pair of matrices and looks the
   product up, the reference for the row-composed ``MatrixGroup.mul``;
 - ``mat_inv`` inverts a 2x2 matrix by its adjugate over F_p, the reference
@@ -25,18 +28,22 @@ kept here as an oracle for it:
 
 from fractions import Fraction
 from heapq import heappop, heappush
+from math import gcd
 from operator import add, mul, sub
 
 from charvar.characters import _reduce_mod_cyclotomic
 from charvar.polynomials import (
+    BinomialFactor,
     FactoredFraction,
     SparsePoly,
     _as_coeff,
     _PRIME,
     _fold_factor,
+    _gl_key,
     adams,
     frac_sum,
     normalize_factor,
+    poly_text,
 )
 from charvar.series import TruncatedSeries
 
@@ -106,6 +113,42 @@ def specialize_fraction(fr: FactoredFraction, assignment) -> FactoredFraction:
         else:
             num = _fold_factor(num, den, normalize_factor(fp), m)
     return FactoredFraction(num, den)
+
+
+# -- two-term denominator factors ------------------------------------------------
+
+
+def divided_by(fr: FactoredFraction, p: SparsePoly, power: int = 1) -> FactoredFraction:
+    """fr / p^power for a two-term p, its normalized factor folded into fr."""
+    den = dict(fr.den)
+    return FactoredFraction(_fold_factor(fr.num, den, normalize_factor(p), power), den)
+
+
+def reference_normalize_factor(p: SparsePoly):
+    """(factor, shift, scale) of a two-term p on its term dict: shift out the
+    minimum exponents, clear denominators, divide out the gcd and make the
+    graded-lex smaller term's coefficient positive."""
+    if p.is_zero():
+        raise ValueError("zero polynomial cannot be a denominator factor")
+    shift = p.min_exponents()
+    terms = {tuple(a - b for a, b in zip(e, shift)): c for e, c in p.terms.items()}
+    if len(terms) == 1:
+        raise ValueError(f"unit monomial factor {poly_text(p)}")
+    if len(terms) > 2:
+        raise ValueError(f"factor {poly_text(p)} is not a binomial")
+    denom_lcm = 1
+    for c in terms.values():
+        if type(c) is Fraction:
+            denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
+    ints = {e: int(c * denom_lcm) for e, c in terms.items()}
+    g = gcd(*ints.values())
+    (e0, c0), (e1, c1) = sorted(ints.items(), key=lambda t: _gl_key(t[0]))
+    c0 //= g
+    c1 //= g
+    scale = g if denom_lcm == 1 else Fraction(g, denom_lcm)
+    if c0 < 0:
+        c0, c1, scale = -c0, -c1, -scale
+    return BinomialFactor(p.vars, e0, c0, e1, c1), shift, scale
 
 
 # -- matrix groups -------------------------------------------------------------------

@@ -4,7 +4,9 @@ Products, sums, Adams images and exact divisions by binomials run on one int
 key per monomial (see charvar.polynomials).  Each is checked here against the
 reference kernel on exponent tuples in tests/oracles.py, in one, two and three
 variables with Laurent exponents, including exponents at the edge of the
-narrowest slot width, where a product or an Adams image must widen.
+narrowest slot width, where a product or an Adams image must widen.  The
+two-term normalizer that builds every denominator factor is checked against
+the normalization on a term dict there too.
 """
 
 import sys
@@ -29,14 +31,20 @@ from charvar.polynomials import (
     SparsePoly,
     _divide_by_factor,
     _divide_two_term,
-    _factor_of,
     _fold_factor,
+    _split,
     adams,
     adams_poly,
     divide_exact,
     normalize_factor,
 )
-from oracles import tuple_add, tuple_divide_two_term, tuple_mul, tuple_scale
+from oracles import (
+    reference_normalize_factor,
+    tuple_add,
+    tuple_divide_two_term,
+    tuple_mul,
+    tuple_scale,
+)
 
 CONTEXTS = {1: FLAVOR_E, 2: FLAVOR_QT, 3: FLAVOR_XY}
 
@@ -372,9 +380,9 @@ def test_a_cold_compute_scans_no_dict(monkeypatch):
 
 
 def test_a_cold_compute_normalizes_no_factor_and_builds_one_fraction(monkeypatch):
-    """On a cold Hqt n=3 g=3 every denominator factor is built directly
-    (_factor_of) and no coefficient leaves the ints: the one Fraction built
-    is invariant_from_layer's 1/n."""
+    """On a cold Hqt n=3 g=3 every denominator factor is normalized from its
+    two terms (_split, never through normalize_factor) and no coefficient
+    leaves the ints: the one Fraction built is invariant_from_layer's 1/n."""
     normalized, built = [], []
     real_normalize = polynomials.normalize_factor
     monkeypatch.setattr(polynomials, "normalize_factor",
@@ -426,34 +434,64 @@ def test_a_hull_with_a_negative_corner_is_scanned():
     assert laurent.has_negative_exponents()
 
 
-# -- denominator factors built directly --------------------------------------------
+# -- the two-term normalizer --------------------------------------------------------
+
+
+_factor_coeffs = st.one_of(
+    st.integers(-6, 6), st.fractions(-3, 3, max_denominator=4), st.just(Fraction(4, 2))
+).filter(bool)
+
+
+@st.composite
+def two_terms(draw):
+    """Two terms (exponents, coefficient) with distinct Laurent exponents in 1-3 variables."""
+    k = draw(ks)
+    term = st.tuples(st.tuples(*[st.integers(-4, 5)] * k), _factor_coeffs)
+    return draw(st.lists(term, min_size=2, max_size=2, unique_by=lambda t: t[0]))
+
+
+@given(two_terms())
+@example([((0, 0), Fraction(4, 2)), ((1, 2), -6)])
+@example([((2, -1), Fraction(3, 2)), ((0, 3), -3)])
+@settings(max_examples=300, deadline=None)
+def test_the_normalizer_matches_the_reference(terms):
+    """In either term order, the factor, shift and scale and their types are
+    the reference's; an int scale wherever the coefficients are integral."""
+    t0, t1 = terms
+    variables = CONTEXTS[len(t0[0])].variables
+    poly = SparsePoly(variables, dict(terms))
+    want = reference_normalize_factor(poly)
+    for got in (_split(variables, t0, t1), _split(variables, t1, t0), normalize_factor(poly)):
+        assert got == want and type(got[2]) is type(want[2])
+        assert type(got[0].low_coeff) is type(got[0].high_coeff) is int
 
 
 @pytest.mark.parametrize("flavor", [FLAVOR_E, FLAVOR_QT, FLAVOR_XY, FLAVOR_PURE], ids=lambda f: f.name)
 def test_direct_factors_equal_the_normalized_ones(flavor):
     """Every flavor's cell factor 1 + c*x^e with h <= 4, l <= 3, and its Adams
-    images for r <= 3, come out as normalize_factor would split them."""
+    images for r <= 3, come out as the reference normalization splits them;
+    the cell factors as written, with no shift and scale 1."""
     one = SparsePoly.one(flavor.variables)
     zero = (0,) * len(flavor.variables)
     for c, exps, _ in flavor.cell_factors:
         for h in range(1, 5):
             for l in range(4):
                 e = exps(h, l)
-                split = _factor_of(flavor.variables, c, e)
+                split = _split(flavor.variables, (zero, 1), (e, c))
                 binom = SparsePoly(flavor.variables, {zero: 1, e: c})
-                assert split == normalize_factor(binom) and split[1:] == (zero, 1)
+                assert split == reference_normalize_factor(binom) and split[1:] == (zero, 1)
                 for r in (2, 3):
                     got = adams(FactoredFraction._reduced(one, {split[0]: 1}), r, flavor)
                     den = {}
-                    image = normalize_factor(adams_poly(binom, r, flavor))
+                    image = reference_normalize_factor(adams_poly(binom, r, flavor))
                     want = _fold_factor(one, den, image, 1)
                     assert got.den == den and got.num == want == one
 
 
 @pytest.mark.parametrize("c, e", [(1, (-1, 2)), (-3, (0, -2)), (Fraction(1, 2), (1, 0)), (2, (3, 1))])
 def test_other_binomials_take_the_normalized_factor(c, e):
-    """A negative exponent or a rational coefficient goes through normalize_factor;
+    """A negative exponent gives a shift and a rational coefficient a scale;
     1 + 2*q^3*t, with a coefficient other than +-1, is canonical as written."""
-    split = _factor_of(QT, c, e)
-    assert split == normalize_factor(SparsePoly(QT, {(0, 0): 1, e: c}))
+    split = _split(QT, ((0, 0), 1), (e, c))
+    assert split == reference_normalize_factor(SparsePoly(QT, {(0, 0): 1, e: c}))
     assert split[1:] != ((0, 0), 1) or e == (3, 1)

@@ -1,5 +1,7 @@
 """Unit and property tests for the exact sparse-polynomial kernel."""
 
+import operator
+import re
 import time
 from fractions import Fraction
 
@@ -29,7 +31,7 @@ from charvar.polynomials import (
 )
 import charvar.polynomials as polynomials
 from charvar.polynomials import _cancel, _jet, _test_point
-from oracles import jet_by_pass, specialize_fraction
+from oracles import divided_by, jet_by_pass, specialize_fraction
 
 Q = ("q",)
 QT = ("q", "t")
@@ -114,31 +116,63 @@ class TestDivideExact:
 
 class TestFractions:
     def test_add_additive_inverse(self):
-        f = FactoredFraction.one(Q).divided_by_poly(p(Q, {(0,): 1, (1,): -1}))
+        f = divided_by(FactoredFraction.one(Q), p(Q, {(0,): 1, (1,): -1}))
         assert (f + (-f)).is_zero()
 
     def test_add_no_spurious_cancellation(self):
         one_minus_q = p(Q, {(0,): 1, (1,): -1})
-        a = FactoredFraction.one(Q).divided_by_poly(one_minus_q)
-        b = FactoredFraction.from_poly(p(Q, {(1,): 1})).divided_by_poly(one_minus_q)
+        a = divided_by(FactoredFraction.one(Q), one_minus_q)
+        b = divided_by(FactoredFraction.from_poly(p(Q, {(1,): 1})), one_minus_q)
         total = a + b
         assert total.num == p(Q, {(0,): 1, (1,): 1})
         assert len(total.denominator_factors()) == 1
+
+    def test_polynomials_and_fractions_mix_in_either_order(self):
+        """A SparsePoly operand acts as its fraction, on either side of the
+        operator, and so does a rational on the left of a subtraction."""
+        poly = p(Q, {(0,): 2, (1,): 1})
+        f = divided_by(FactoredFraction.from_poly(p(Q, {(2,): 1})), p(Q, {(0,): 1, (1,): -1}))
+        as_frac = FactoredFraction.from_poly(poly)
+        one = FactoredFraction.one(Q)
+        pairs = [(f + poly, f + as_frac), (poly + f, as_frac + f), (f - poly, f - as_frac),
+                 (poly - f, as_frac - f), (poly * f, as_frac * f), (f * poly, f * as_frac),
+                 (1 - f, one - f), (Fraction(1, 2) - f, one.scale(Fraction(1, 2)) - f)]
+        for got, want in pairs:
+            assert type(got) is FactoredFraction and got == want
+            assert (got.num, got.den) == (want.num, want.den)
+        assert poly == as_frac and as_frac == poly and (1 - poly) == p(Q, {(0,): -1, (1,): -1})
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    def test_a_foreign_operand_is_a_type_error(self, op):
+        poly = p(Q, {(0,): 1, (1,): 1})
+        f = divided_by(FactoredFraction.one(Q), p(Q, {(0,): 1, (1,): -1}))
+        for a, b in [(poly, "x"), ("x", poly), (f, "x"), ("x", f), (poly, None), (f, 1.5)]:
+            with pytest.raises(TypeError):
+                op(a, b)
+        assert f != "x" and poly != "x"
+
+    def test_mixed_contexts_raise_context_error(self):
+        f = divided_by(FactoredFraction.one(Q), p(Q, {(0,): 1, (1,): -1}))
+        other = p(QT, {(0, 0): 1, (1, 1): 1})
+        for make in (lambda: f + other, lambda: other + f, lambda: other - f,
+                     lambda: other * f, lambda: f == other, lambda: other + one(Q)):
+            with pytest.raises(ContextError):
+                make()
 
     def test_mul_cancels_via_exact_division(self):
         one_minus_q = p(QT, {(0, 0): 1, (1, 0): -1})
         one_minus_qt = p(QT, {(0, 0): 1, (1, 1): -1})
         a = FactoredFraction.from_poly(p(QT, {(0, 0): 1, (2, 0): -1}))
-        a = a.divided_by_poly(one_minus_qt)
-        b = FactoredFraction.one(QT).divided_by_poly(one_minus_q)
+        a = divided_by(a, one_minus_qt)
+        b = divided_by(FactoredFraction.one(QT), one_minus_q)
         out = a * b
         assert out.num == divide_exact(p(QT, {(0, 0): 1, (2, 0): -1}), one_minus_q)
         assert [f.as_poly() for f, _ in out.denominator_factors()] == [one_minus_qt]
 
     def test_common_denominator_is_multiset_max(self):
         one_minus_q = p(Q, {(0,): 1, (1,): -1})
-        a = FactoredFraction.one(Q).divided_by_poly(one_minus_q, 2)
-        b = FactoredFraction.one(Q).divided_by_poly(one_minus_q)
+        a = divided_by(FactoredFraction.one(Q), one_minus_q, 2)
+        b = divided_by(FactoredFraction.one(Q), one_minus_q)
         total = a + b
         assert dict(total.denominator_factors()).popitem()[1] == 2
         assert total.num == p(Q, {(0,): 2, (1,): -1})
@@ -147,12 +181,8 @@ class TestFractions:
         one_minus_q2 = p(Q, {(0,): 1, (2,): -1})
         one_minus_q = p(Q, {(0,): 1, (1,): -1})
         one_plus_q = p(Q, {(0,): 1, (1,): 1})
-        a = FactoredFraction.one(Q).divided_by_poly(one_minus_q2)
-        b = (
-            FactoredFraction.one(Q)
-            .divided_by_poly(one_minus_q)
-            .divided_by_poly(one_plus_q)
-        )
+        a = divided_by(FactoredFraction.one(Q), one_minus_q2)
+        b = divided_by(divided_by(FactoredFraction.one(Q), one_minus_q), one_plus_q)
         assert a == b
 
     def test_normalize_factor_sign_and_shift(self):
@@ -167,19 +197,19 @@ class TestFractions:
 class TestAsPolynomial:
     def test_geometric(self):
         f = FactoredFraction.from_poly(p(Q, {(0,): 1, (2,): -1}))
-        f = f.divided_by_poly(p(Q, {(0,): 1, (1,): -1}))
+        f = divided_by(f, p(Q, {(0,): 1, (1,): -1}))
         assert f.as_polynomial() == p(Q, {(0,): 1, (1,): 1})
 
     def test_sign_paired_cancellation(self):
         num = p(QT, {(1, 2): 1, (0, 0): -1}) * p(QT, {(1, 0): 1, (0, 0): -1})
         f = FactoredFraction.from_poly(num)
-        f = f.divided_by_poly(p(QT, {(0, 0): 1, (1, 2): -1}))
-        f = f.divided_by_poly(p(QT, {(0, 0): 1, (1, 0): -1}))
+        f = divided_by(f, p(QT, {(0, 0): 1, (1, 2): -1}))
+        f = divided_by(f, p(QT, {(0, 0): 1, (1, 0): -1}))
         assert f.as_polynomial() == SparsePoly.one(QT)
 
     def test_not_polynomial_carries_factor(self):
         f = FactoredFraction.from_poly(p(Q, {(0,): 1, (1,): 1}))
-        f = f.divided_by_poly(p(Q, {(0,): 1, (1,): -1}))
+        f = divided_by(f, p(Q, {(0,): 1, (1,): -1}))
         with pytest.raises(NotPolynomial) as err:
             f.as_polynomial()
         assert err.value.factor == p(Q, {(0,): 1, (1,): -1})
@@ -200,7 +230,7 @@ class TestAdams:
 
     def test_denominator_renormalized(self):
         # 1/(1+qt) under r=2 becomes 1/(1-q^2 t^2)
-        f = FactoredFraction.one(QT).divided_by_poly(p(QT, {(0, 0): 1, (1, 1): 1}))
+        f = divided_by(FactoredFraction.one(QT), p(QT, {(0, 0): 1, (1, 1): 1}))
         out = adams(f, 2, FLAVOR_QT)
         ((factor, mult),) = out.denominator_factors()
         assert factor.as_poly() == p(QT, {(0, 0): 1, (2, 2): -1}) and mult == 1
@@ -285,7 +315,7 @@ def fractions(draw):
     num = draw(sparse_polys())
     out = FactoredFraction.from_poly(num)
     for idx in draw(st.lists(st.integers(0, len(_denominator_pool) - 1), max_size=3)):
-        out = out.divided_by_poly(_denominator_pool[idx])
+        out = divided_by(out, _denominator_pool[idx])
     return out
 
 
@@ -493,7 +523,7 @@ _assignments = [{"q": 1}, {"t": -1}, {"t": 1}, {"q": 2}, {"t": "q"}, {"q": -1, "
 
 @st.composite
 def built_fractions(draw):
-    """Fractions from products, sums, divided_by_poly and specialize_fraction."""
+    """Fractions from products, sums, divided_by and specialize_fraction."""
     out = draw(fractions())
     for _ in range(draw(st.integers(0, 2))):
         other = draw(fractions())
@@ -742,12 +772,41 @@ def test_binomial_product_skips_a_zero_power():
     assert (with_zero.num, with_zero.den) == (plain.num, plain.den)
 
 
+@pytest.mark.parametrize("c, k, value", [(2, 1, 3), (-1, 2, 0), (2, -1, 3)])
+def test_a_constant_factor_is_refused_by_name(c, k, value):
+    """1 + c*x^0 is the constant 1 + c, no binomial: both builders say so."""
+    message = re.escape(f"factor 1 + {c}*x^(0,) is the constant {value}, not a binomial")
+    with pytest.raises(ValueError, match=message):
+        binomial_product(Q, [(c, (0,), k)])
+    with pytest.raises(ValueError, match=message):
+        FactoredFraction.one(Q)._times_binomial(c, (0,), k)
+
+
+@pytest.mark.parametrize("k", [-1, 1])
+def test_a_zero_coefficient_is_the_factor_one(k):
+    f = binomial_product(Q, [(-1, (1,), -2)])
+    with_zero = binomial_product(Q, [(0, (1,), k), (-1, (1,), -2)])
+    for out in (with_zero, f._times_binomial(0, (1,), k)):
+        assert (out.num, out.den) == (f.num, f.den)
+    assert binomial_product(Q, [(0, (1,), k)]).equals(1)
+
+
+def test_a_rational_power_carries_no_jet_and_still_cancels():
+    """A rational coefficient has no value at a test point: the numerator
+    gets no jet, and the long division decides."""
+    out = binomial_product(QT, [(Fraction(1, 2), (1, 0), 2), (-1, (1, 1), -1)])
+    assert out.num == p(QT, {(0, 0): 1, (1, 0): 1, (2, 0): Fraction(1, 4)})
+    assert out.num._values is None and len(out.den) == 1
+    out = binomial_product(QT, [(Fraction(1, 2), (1, 0), 1), (-1, (1, 1), 1), (-1, (1, 1), -1)])
+    assert (out.num, out.den) == (p(QT, {(0, 0): 1, (1, 0): Fraction(1, 2)}), {})
+
+
 def test_binomial_product_of_negative_powers_is_the_division_chain():
     """Each fold takes the factor's monomial shift and scale into the numerator."""
     factors = [(-1, (1, 0), -2), (1, (1, 1), -1), (Fraction(1, 2), (0, 1), -1), (-4, (2, 1), -3)]
     chain = FactoredFraction.one(QT)
     for c, e, k in factors:
-        chain = chain.divided_by_poly(p(QT, {(0, 0): 1, e: c}), -k)
+        chain = divided_by(chain, p(QT, {(0, 0): 1, e: c}), -k)
     out = binomial_product(QT, factors)
     assert (out.num, out.den) == (chain.num, chain.den)
 

@@ -21,7 +21,6 @@ from charvar.polynomials import (
     adams,
     adams_poly,
     frac_sum,
-    normalize_factor,
 )
 from charvar.series import (
     TruncatedSeries,
@@ -30,7 +29,13 @@ from charvar.series import (
     invariant_from_layer,
     series_log,
 )
-from oracles import jet_by_pass, plethystic_exp_of_layers, series_exp
+from oracles import (
+    divided_by,
+    jet_by_pass,
+    plethystic_exp_of_layers,
+    reference_normalize_factor,
+    series_exp,
+)
 
 Q = ("q",)
 QT = ("q", "t")
@@ -139,8 +144,8 @@ class TestExtractLayers:
         expected = FactoredFraction.from_poly(
             SparsePoly(QT, {(0, 0): 1, (1, 1): 2, (2, 2): 1})
         )
-        expected = expected.divided_by_poly(SparsePoly(QT, {(0, 0): 1, (1, 2): -1}))
-        expected = expected.divided_by_poly(SparsePoly(QT, {(0, 0): 1, (1, 0): -1}))
+        expected = divided_by(expected, SparsePoly(QT, {(0, 0): 1, (1, 2): -1}))
+        expected = divided_by(expected, SparsePoly(QT, {(0, 0): 1, (1, 0): -1}))
         assert v1 == expected
 
     @pytest.mark.parametrize(
@@ -190,11 +195,12 @@ def test_continued_extraction_matches_scratch(flavor):
 
 def reference_adams(fr, r, flavor):
     """Reference: the numerator shifted and scaled factor by factor inside an
-    empty-denominator fraction, the substituted factors merged in at the end."""
+    empty-denominator fraction, the substituted factors (each factor's Adams
+    image as a polynomial, normalized on its term dict) merged in at the end."""
     out = FactoredFraction(adams_poly(fr.num, r, flavor), {})
     den = {}
     for f, m in fr.den.items():
-        factor, shift, scale = normalize_factor(adams_poly(f.as_poly(), r, flavor))
+        factor, shift, scale = reference_normalize_factor(adams_poly(f.as_poly(), r, flavor))
         den[factor] = den.get(factor, 0) + m
         if any(shift):
             out = out.shift(tuple(-m * k for k in shift))
@@ -208,14 +214,23 @@ def reference_adams(fr, r, flavor):
 
 @pytest.mark.parametrize("flavor", FLAVORS, ids=lambda f: f.name)
 def test_adams_matches_reference_on_layers(flavor):
-    """On the layers at g = 0..3, and on a fraction over v - q with v twisted:
-    its low term is v, so an even Adams image renormalizes with scale -1."""
+    """On the layers at g = 0..3; on a fraction over v - q with v twisted: its
+    low term is v, so an even Adams image renormalizes with scale -1; and on
+    fractions over factors not of the form 1 + c*x^e, such as t - 2q,
+    2 + 3q^3 and q^-1 - t, whose images take a shift, a scale or both."""
     nmax = 2 if flavor is FLAVOR_XY else 3
     fracs = [layer for g in range(4) for layer in extract_layers(flavor, g, nmax)]
+    variables = flavor.variables
+    u = SparsePoly.variable(variables, variables[0])
+    v = SparsePoly.variable(variables, variables[-1]) ** (1 if len(variables) > 1 else 2)
     if flavor.twisted:
-        v = SparsePoly.variable(flavor.variables, flavor.twisted[-1])
-        q = SparsePoly.variable(flavor.variables, "q")
-        fracs.append(FactoredFraction.from_poly(v + 1).divided_by_poly(v - q))
+        q = SparsePoly.variable(variables, "q")
+        fracs.append(divided_by(FactoredFraction.from_poly(v + 1), v - q))
+    others = [v - 2 * u, 2 + 3 * u**3, u.shift([-2] + [0] * (len(variables) - 1)) - v]
+    for d in others:
+        fracs.append(divided_by(FactoredFraction.from_poly(v + 3), d))
+        fracs.append(divided_by(FactoredFraction.from_poly(u - 1), d, 2))
+    fracs.append(divided_by(divided_by(FactoredFraction.from_poly(v), others[0]), others[2]))
     for fr in fracs:
         for r in range(2, 5):
             ours, ref = adams(fr, r, flavor), reference_adams(fr, r, flavor)
@@ -259,9 +274,7 @@ class TestInvariantFromLayer:
         assert str(err.value) == "coefficient 1/2 of exponent (0,) in 1/2 - 1/2*t^2"
 
     def test_not_polynomial_is_detected(self):
-        layer = FactoredFraction.one(("t",)).divided_by_poly(
-            SparsePoly(("t",), {(0,): 1, (4,): -1})
-        )
+        layer = divided_by(FactoredFraction.one(("t",)), SparsePoly(("t",), {(0,): 1, (4,): -1}))
         with pytest.raises(NotPolynomial):
             invariant_from_layer(FLAVOR_PURE, 1, 1, layer)
 
