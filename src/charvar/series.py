@@ -43,6 +43,7 @@ from .polynomials import (
     FactoredFraction,
     Flavor,
     SparsePoly,
+    _unreduced_product,
     adams,
     frac_sum,
     poly_text,
@@ -84,7 +85,9 @@ def series_log(s: TruncatedSeries, start=None) -> TruncatedSeries:
     """The coefficients W_m = m*[T^m] log S of T*d/dT log S.
 
     Newton's identity W_m = m*S_m - sum_{k<m} W_k*S_{m-k} keeps integer
-    numerators integer.  Continues ``start``, the log of a truncation of s.
+    numerators integer.  Each product goes into the sum uncancelled, and the
+    sum's one cancel decides, so every W_m is reduced.  Continues ``start``,
+    the log of a truncation of s.
     """
     if not s.coeffs[0].equals(1):
         raise ConstantTermNotOne("series_log wants constant coefficient exactly 1")
@@ -95,7 +98,7 @@ def series_log(s: TruncatedSeries, start=None) -> TruncatedSeries:
         for k in range(1, m):
             if w[k].is_zero() or s.coeffs[m - k].is_zero():
                 continue
-            terms.append(-(w[k] * s.coeffs[m - k]))
+            terms.append(_unreduced_product(-w[k], s.coeffs[m - k]))
         w.append(frac_sum(terms, variables))
     return TruncatedSeries(s.flavor, tuple(w))
 

@@ -10,6 +10,8 @@ kept here as an oracle for it:
 - ``divided_by`` divides a FactoredFraction by a power of a two-term
   polynomial, and ``reference_normalize_factor`` is the normalization of one
   on its term dict, the reference for the two-term normalizer;
+- ``reference_frac_sum`` sums fractions over the multiset maximum of their
+  binomials, the reference for the sum over the lcm on each line;
 - ``direct_mul_table`` multiplies every pair of matrices and looks the
   product up, the reference for the row-composed ``MatrixGroup.mul``;
 - ``mat_inv`` inverts a 2x2 matrix by its adjugate over F_p, the reference
@@ -122,6 +124,23 @@ def divided_by(fr: FactoredFraction, p: SparsePoly, power: int = 1) -> FactoredF
     """fr / p^power for a two-term p, its normalized factor folded into fr."""
     den = dict(fr.den)
     return FactoredFraction(_fold_factor(fr.num, den, normalize_factor(p), power), den)
+
+
+def reference_frac_sum(fracs) -> FactoredFraction:
+    """The sum over the multiset maximum of the summands' binomials: each
+    numerator lifted by every factor its summand lacks, the total cancelled."""
+    common = {}
+    for fr in fracs:
+        for f, m in fr.den.items():
+            common[f] = max(common.get(f, 0), m)
+    total = SparsePoly.zero(fracs[0].vars)
+    for fr in fracs:
+        num = fr.num
+        for f, m in common.items():
+            for _ in range(m - fr.den.get(f, 0)):
+                num = num * f.as_poly()
+        total = total + num
+    return FactoredFraction(total, common)
 
 
 def reference_normalize_factor(p: SparsePoly):

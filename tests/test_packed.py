@@ -285,6 +285,34 @@ def test_threads_that_pack_one_polynomial_at_once_store_consistent_keys():
         sys.setswitchinterval(interval)
 
 
+def test_a_quotient_widened_by_its_walk_is_rekeyed_at_its_own_width(monkeypatch):
+    """A numerator whose box fits the narrowest width of two slots (15 bits)
+    but whose walk needs the next one (30) leaves a quotient keyed at 15, so
+    the kernels that take it later re-pack nothing."""
+    variables = FLAVOR_QT.variables
+    factor = SparsePoly(variables, {(0, 0): 1, (1, 1): -1})
+    quotient = SparsePoly(variables, {(0, 0): 1, (9000, 0): 2, (10, 8000): -3})
+    num = quotient * factor
+    assert num._packed[1] == 15
+    repacks = []
+    real = polynomials._keys_at
+
+    def counted(p, w):
+        if p._packed[1] != w:
+            repacks.append(w)
+        return real(p, w)
+
+    monkeypatch.setattr(polynomials, "_keys_at", counted)
+    out = divide_exact(num, factor)
+    assert out == quotient and out._packed[1] == 15
+    assert repacks == [30]  # the walk's own re-pack of the numerator
+    del repacks[:]
+    small = SparsePoly(variables, {(0, 0): 1, (1, 2): 5})
+    assert out * small == quotient * small and out + small == quotient + small
+    assert out.shift((3, -2)) == quotient.shift((3, -2))
+    assert repacks == []
+
+
 # -- the cache-serve path never packs -----------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Unit and property tests for the exact sparse-polynomial kernel."""
 
 import operator
+import pickle
 import re
 import time
 from fractions import Fraction
@@ -19,6 +20,7 @@ from charvar.polynomials import (
     FLAVOR_E,
     FLAVOR_PURE,
     FLAVOR_QT,
+    BinomialFactor,
     FactoredFraction,
     SparsePoly,
     adams,
@@ -30,8 +32,14 @@ from charvar.polynomials import (
     poly_text,
 )
 import charvar.polynomials as polynomials
-from charvar.polynomials import _cancel, _jet, _test_point
-from oracles import divided_by, jet_by_pass, specialize_fraction
+from charvar.polynomials import (
+    _cancel,
+    _common_denominator,
+    _jet,
+    _test_point,
+    _unreduced_product,
+)
+from oracles import divided_by, jet_by_pass, reference_frac_sum, specialize_fraction
 
 Q = ("q",)
 QT = ("q", "t")
@@ -755,6 +763,111 @@ def test_a_factor_that_vanishes_at_another_factors_point():
     jets = polynomials._sum_values(fracs, common)
     assert fresh_b._values is None  # read from the memo, never computed
     assert jets == {pt: (jet_by_pass(lifted, pt)[0], None) for pt in points}
+
+
+# -- sums over the lcm of each line ----------------------------------------------
+
+
+def _over(vars_, num, *exps):
+    """num / prod (1 - x^e) over the exponent vectors exps."""
+    out = FactoredFraction.from_poly(p(vars_, num))
+    for e in exps:
+        out = divided_by(out, p(vars_, {(0,) * len(vars_): 1, e: -1}))
+    return out
+
+
+def _seed_all(fracs):
+    """Give each summand the reference jet at every denominator factor's point,
+    as the pipeline carries them."""
+    points = {f._point for fr in fracs for f in fr.den} - {None}
+    for fr in fracs:
+        object.__setattr__(fr.num, "_values", {pt: jet_by_pass(fr.num, pt) for pt in points})
+    return fracs
+
+
+def test_a_factor_that_divides_another_is_not_lifted_in(walks):
+    """1/(1-q) + 1/(1-q^2) = (2+q)/(1-q^2), lifted by 1+q: no walk divides 1-q out."""
+    total = frac_sum([_over(Q, {(0,): 1}, (1,)), _over(Q, {(0,): 1}, (2,))])
+    assert (total.num, [f.as_poly() for f in total.den]) == (
+        p(Q, {(0,): 2, (1,): 1}), [p(Q, {(0,): 1, (2,): -1})])
+    assert walks == []
+    # a geometric sum of three terms: 1/(1-q^3) + 1/(1-q) = (2+q+q^2)/(1-q^3)
+    total = frac_sum([_over(Q, {(0,): 1}, (3,)), _over(Q, {(0,): 1}, (1,))])
+    assert total.num == p(Q, {(0,): 2, (1,): 1, (2,): 1}) and len(total.den) == 1
+    # a cofactor of geometric sums alone, (1+q)(1+q+q^2), is 6 at q = 1, the
+    # point of both factors, so the total's jet there takes its closed form
+    fracs = _seed_all([_over(Q, {(0,): 1}, (2,), (3,)), _over(Q, {(0,): 1}, (1,), (1,))])
+    total = frac_sum(fracs)
+    assert total.num == p(Q, {(0,): 2, (1,): 2, (2,): 2, (3,): 1}) and len(total.den) == 2
+    assert [deriv is not None for _, deriv in total.num._values.values()] == [True]
+    _assert_memo_is_fresh(total.num)
+
+
+def test_a_cofactor_that_costs_more_than_the_lifts_is_not_taken():
+    """Lifting a long numerator by 1+q+q^2 costs two rows of it, more than the
+    binomials (one row each) that the multiset maximum lifts by."""
+    long_num = {(i,): 1 for i in range(0, 20, 2)}
+    fracs = [_over(Q, {(0,): 1}, (3,)), _over(Q, long_num, (1,))]
+    assert sorted(f.high for f in _common_denominator(fracs)) == [(1,), (3,)]
+    fracs[1] = _over(Q, {(0,): 1}, (1,))
+    assert [f.high for f in _common_denominator(fracs)] == [(3,)]
+
+
+def test_a_binomial_factor_is_immutable_and_hashed_once():
+    f = normalize_factor(p(QT, {(0, 0): 1, (2, 4): -1}))[0]
+    g = BinomialFactor(QT, (0, 0), 1, (2, 4), -1)
+    assert f == g and hash(f) == hash(g) and f is not g and {f: 1}[g] == 1
+    assert f != BinomialFactor(QT, (0, 0), 1, (2, 4), 1) and f != (QT, (0, 0), 1, (2, 4), -1)
+    assert f.sort_key() == g.sort_key() and repr(f) == "BinomialFactor(1 - q^2*t^4)"
+    for change in (lambda: setattr(f, "low", (1, 1)), lambda: delattr(f, "high")):
+        with pytest.raises(AttributeError, match="immutable"):
+            change()
+    copy = pickle.loads(pickle.dumps(f))
+    assert copy == f and hash(copy) == hash(f) and copy._line == f._line == ((1, 2), 2)
+    other = normalize_factor(p(QT, {(0, 0): 1, (1, 3): 1}))[0]  # 1 + x^D: its own line
+    assert other._line == (other, 1)
+
+
+_LINE_VARS = {1: Q, 2: QT, 3: ("q", "x", "y")}
+
+
+@st.composite
+def line_sums(draw):
+    """Summands over factors 1 - x^(a*d) on one line d, with multiplicities,
+    Laurent shifts, rational coefficients, a 1 + x^D factor, and products left
+    uncancelled as the formal log makes them; and that 1 + x^D."""
+    vars_ = _LINE_VARS[draw(st.integers(1, 3))]
+    k = len(vars_)
+    d = draw(st.tuples(*[st.integers(0, 2)] * k).filter(any))
+    plus = draw(st.tuples(*[st.integers(0, 3)] * k).filter(any))
+    zero = (0,) * k
+    coeffs = st.one_of(st.integers(-3, 3), st.sampled_from([Fraction(1, 2), Fraction(-2, 3)]))
+    fracs = []
+    for _ in range(draw(st.integers(2, 4))):
+        num = draw(st.dictionaries(st.tuples(*[st.integers(-2, 4)] * k), coeffs, max_size=4))
+        exps = [tuple(a * v for v in d) for a in draw(st.lists(st.integers(1, 6), max_size=4))]
+        fr = _over(vars_, num, *exps)
+        if draw(st.booleans()):
+            fr = divided_by(fr, p(vars_, {zero: 1, plus: 1}))
+        if draw(st.booleans()):
+            fr = _unreduced_product(fr, _over(vars_, {zero: 1, d: 1}, *exps[:2]))
+        fracs.append(fr.shift(draw(st.tuples(*[st.integers(-2, 2)] * k))))
+    return fracs, normalize_factor(p(vars_, {zero: 1, plus: 1}))[0]
+
+
+@given(line_sums())
+@settings(max_examples=120, deadline=None)
+def test_a_sum_over_the_lcm_equals_the_multiset_maximum_sum(case):
+    """The value, a reduced result, exact carried jets, and 1 + x^D left as it is."""
+    fracs, plus = case
+    total = frac_sum(_seed_all(fracs))
+    assert reference_frac_sum([total, -reference_frac_sum(fracs)]).is_zero()
+    for factor, _ in total.denominator_factors():
+        with pytest.raises(NotDivisible):
+            divide_exact(total.num, factor.as_poly())
+    _assert_memo_is_fresh(total.num)
+    top = max(fr.den.get(plus, 0) for fr in fracs)
+    assert _common_denominator(fracs).get(plus, 0) == top
 
 
 # -- binomial_product ------------------------------------------------------------
