@@ -15,13 +15,18 @@ integers, no modular square-root ambiguity); and lift every value to an exact
 cyclotomic integer through the eigenvalue multiplicities m_j = (1/o) * sum_s
 chi(g^s) z^(-js) of the o-th roots of unity.  The inverse-DFT rows z^(-js) mod
 p and 1/o are built once per element order and shared by every character and
-class, so each multiplicity is one dot product of int lists.  Both
-orthogonality relations are verified exactly in Z[zeta] before a table is
-returned.  The check packs every value into one int with signed slots, so a
-relation's total is a sum of int products in Z[x]/(x^e - 1); the slot width
-comes from a bound proven from the l1 norms of the coordinates, so no slot
-overflows, and each total is unpacked and reduced mod the cyclotomic
-polynomial once.
+class, so each multiplicity is one dot product of int lists, and the value is
+sum_j m_j times the reduced coordinates of a root of unity, precomputed once
+per e.  Both orthogonality relations are verified exactly in Z[zeta] before a
+table is returned.  The check packs every value into one int with signed
+slots, so a relation's total T is a sum of int products in Z[x]/(x^e - 1).
+T equals the wanted |G| or 0 in Z[zeta] exactly when x^e - 1 divides
+(T - want) * Psi_e, with the cofactor Psi_e = (x^e - 1) / Phi_e multiplied
+into the row and column values once; so each relation is one residue modulo
+2^(width*e) - 1, with nothing unpacked or reduced.  The slot width is proven
+from the l1 norms of the coordinates and |Psi_e|_inf: as deg Psi_e < e, no
+folded coefficient of (T - want) * Psi_e exceeds (|T|_1 + |G|) * |Psi_e|_inf,
+so a zero residue is the zero polynomial.
 
 A character value is its coordinate tuple: integers in the power basis of a
 primitive e-th root of unity, reduced modulo the e-th cyclotomic polynomial,
@@ -86,12 +91,25 @@ def _reduce_mod_cyclotomic(coeffs, e):
     return tuple(coeffs)
 
 
+@lru_cache(maxsize=None)
+def _roots_of_unity(e: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The coordinates of zeta_e^k for each k < e, as their nonzero (index, value) pairs."""
+    return tuple(
+        tuple((i, c) for i, c in enumerate(_reduce_mod_cyclotomic([0] * k + [1], e)) if c)
+        for k in range(e)
+    )
+
+
 def _from_root_multiplicities(e: int, step: int, mults) -> tuple[int, ...]:
-    """Coordinates of sum_j mults[j] * zeta_e^(j*step)."""
-    coeffs = [0] * e
+    """Coordinates of sum_j mults[j] * zeta_e^(j*step), summed from the reduced
+    coordinates of each root (reduction mod Phi_e is linear)."""
+    roots = _roots_of_unity(e)
+    coeffs = [0] * (len(cyclotomic_polynomial(e)) - 1)
     for j, m in enumerate(mults):
-        coeffs[(j * step) % e] += m
-    return _reduce_mod_cyclotomic(coeffs, e)
+        if m:
+            for i, c in roots[(j * step) % e]:
+                coeffs[i] += m * c
+    return tuple(coeffs)
 
 
 # -- dense linear algebra mod p -------------------------------------------------
@@ -351,24 +369,36 @@ def _pack(coords, width, e, sign=1):
     return sum(c << (width * ((sign * j) % e)) for j, c in enumerate(coords) if c)
 
 
-def _reduced_total(total, e, width):
-    """Coordinates in Z[zeta_e] of a packed element of Z[x], 2^width standing for x.
+@lru_cache(maxsize=None)
+def _cofactor(e: int) -> tuple[int, ...]:
+    """Coefficients (ascending) of Psi_e = (x^e - 1) / Phi_e, of degree e - deg Phi_e < e."""
+    return tuple(_int_poly_div([-1] + [0] * (e - 1) + [1], cyclotomic_polynomial(e)))
 
-    As 2^(width*e) = 1 modulo 2^(width*e) - 1, the residue folds x^(i+e) onto
-    x^i, as in Z[x]/(x^e - 1), which maps onto Z[zeta_e].  When every folded
-    coefficient lies strictly inside +-2^(width-1), the centred residue is the
-    folded int itself.  Its e slots are read with a bias of 2^(width-1) in
-    each, then reduced once.
+
+def _relation(e: int, bound: int):
+    """The slot width, the packed cofactor psi = Psi_e(2^width) and the test
+    holds(total, want) for packed elements T of Z[x] with |T - want|_1 <= bound.
+
+    T = want in Z[zeta_e] exactly when Phi_e divides T - want in Z[x], that is
+    when x^e - 1 = Phi_e * Psi_e divides (T - want) * Psi_e.  holds takes
+    total = T(2^width) * psi and asks whether total - want * psi is 0 modulo
+    2^(width*e) - 1, where 2^(width*e) = 1, so x^(i+e) folds onto x^i as in
+    Z[x]/(x^e - 1).  As deg Psi_e < e, each coefficient of the folded product
+    takes each coefficient of the folded T - want once, times one of Psi_e's,
+    so none exceeds bound * |Psi_e|_inf < 2^(width-1).  The folded value is then
+    below half the modulus, so a zero residue means a zero value, and a zero
+    value with every slot inside +-2^(width-1) is the zero polynomial.  Nothing
+    is unpacked and nothing is reduced mod Phi_e.
     """
+    psi = _cofactor(e)
+    width = (bound * max(map(abs, psi))).bit_length() + 1
+    packed = _pack(psi, width, e)
     modulus = (1 << (width * e)) - 1
-    folded = total % modulus
-    if folded > modulus >> 1:
-        folded -= modulus
-    mask = (1 << width) - 1
-    half = 1 << (width - 1)
-    biased = folded + half * (modulus // mask)
-    coeffs = [((biased >> (width * i)) & mask) - half for i in range(e)]
-    return _reduce_mod_cyclotomic(coeffs, e)
+
+    def holds(total, want):
+        return (total - want * packed) % modulus == 0
+
+    return width, packed, holds
 
 
 def verify_orthogonality(table: CharacterTable):
@@ -376,14 +406,16 @@ def verify_orthogonality(table: CharacterTable):
 
     Every value is packed into one int with signed slots of `width` bits, its
     conjugate likewise with x^j moved to slot -j mod e, so each relation's
-    total is a sum of int products: a packed element of Z[x]/(x^e - 1).  The
-    width is proven: the l1 norm of a row total is at most
-    sum_k |C_k| |a_k|_1 |b_k|_1 (the l1 norms of the coordinate vectors), that
-    of a column total at most |C_k| sum_a |a_k|_1 |a_l|_1, so no slot exceeds
-    the largest of these, before or after folding.  Each total is then
-    unpacked, folded and reduced once, and must equal |G| or 0.  Row pairs
-    are tried before column pairs, each in ascending order, and the first
-    failing pair is named.
+    total is a sum of int products: a packed element T of Z[x]/(x^e - 1).  The
+    l1 norm of a row total is at most sum_k |C_k| |a_k|_1 |b_k|_1 (the l1 norms
+    of the coordinate vectors), that of a column total at most
+    |C_k| sum_a |a_k|_1 |a_l|_1; with the wanted |G| or 0 added, that bounds
+    |T - want|_1.  The class-size-scaled row values and the column values are
+    multiplied once by the packed cofactor Psi_e = (x^e - 1) / Phi_e, so each
+    total comes out as T * Psi_e, and T = want in Z[zeta] exactly when it is
+    want * Psi_e modulo 2^(width*e) - 1 (_relation, which proves the width
+    from that bound and |Psi_e|_inf).  Row pairs are tried before column
+    pairs, each in ascending order, and the first failing pair is named.
     """
     sizes = table.conjugacy.sizes
     order = table.group.order
@@ -403,21 +435,17 @@ def verify_orthogonality(table: CharacterTable):
             for l in range(k, r)
         ),
     )
-    width = bound.bit_length() + 1
+    width, psi, holds = _relation(e, bound + order)
     packed = [[_pack(v, width, e) for v in row] for row in table.rows]
     conj = [[_pack(v, width, e, -1) for v in row] for row in table.rows]
 
-    def holds(total, want):
-        coords = _reduced_total(total, e, width)
-        return coords[0] == want and not any(coords[1:])
-
-    scaled = [[s * x for s, x in zip(sizes, row)] for row in packed]
+    scaled = [[s * x * psi for s, x in zip(sizes, row)] for row in packed]
     for a in range(r):
         for b in range(a, r):
             total = sum(map(mul, scaled[a], conj[b]))
             if not holds(total, order if a == b else 0):
                 raise LiftFailure(f"row orthogonality fails for characters {a}, {b}")
-    packed_cols = list(zip(*packed))
+    packed_cols = [[x * psi for x in col] for col in zip(*packed)]
     conj_cols = list(zip(*conj))
     for k in range(r):
         for l in range(k, r):

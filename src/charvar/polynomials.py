@@ -1178,7 +1178,8 @@ class FactoredFraction:
         other = self._operand(other)
         if other is NotImplemented:
             return other
-        a, b = _lift_numerators([self, other], _common_denominator([self, other]))
+        pair = [self, other]
+        a, b = _lift_numerators(pair, _cofactors(pair, _common_denominator(pair)))
         return a == b
 
     def __hash__(self):
@@ -1430,10 +1431,10 @@ def _cofactors(fracs, common):
     return out
 
 
-def _lift_numerators(fracs, common):
+def _lift_numerators(fracs, cofactors):
     """Each summand's numerator times its cofactor (_cofactors)."""
     out = []
-    for fr, (binomials, runs) in zip(fracs, _cofactors(fracs, common)):
+    for fr, (binomials, runs) in zip(fracs, cofactors):
         num = fr.num
         if num:
             for g, c in binomials.items():
@@ -1473,16 +1474,18 @@ def frac_sum(fracs, variables=None) -> FactoredFraction:
         if fr.vars != variables:
             raise ContextError(f"context mismatch: {variables} vs {fr.vars}")
     common = _common_denominator(fracs)
+    cofactors = _cofactors(fracs, common)
     total = SparsePoly.zero(variables)
-    for num in _lift_numerators(fracs, common):
+    for num in _lift_numerators(fracs, cofactors):
         total = total + num
     if total:
-        _set_values(total, _sum_values(fracs, common))
+        _set_values(total, _sum_values(fracs, common, cofactors))
     return FactoredFraction(total, common)
 
 
-def _sum_values(fracs, common):
-    """The jets of the lifted sum at the test point of each factor f of common.
+def _sum_values(fracs, common, cofactors):
+    """The jets of the lifted sum at the test point of each factor f of common,
+    given each summand's cofactor (_cofactors).
 
     The total is sum_i N_i * L_i, with L_i = common / den_i the cofactor of
     N_i, so its jet is sum_i jet(N_i) * jet(L_i): a binomial's closed form
@@ -1496,7 +1499,7 @@ def _sum_values(fracs, common):
     """
     if not all(fr.num.is_integral() for fr in fracs):
         return {}
-    lifts = list(zip((fr.num for fr in fracs), _cofactors(fracs, common)))
+    lifts = list(zip((fr.num for fr in fracs), cofactors))
     values = {}
     for f in common:
         pt = f._point

@@ -20,7 +20,8 @@ kept here as an oracle for it:
   whose digest pins the Dixon splitting byte for byte;
 - ``zeta_power`` and ``cyc_times_conjugate`` are Z[zeta_e] arithmetic on
   coordinate tuples, one product at a time, the reference for the packed
-  orthogonality check;
+  orthogonality check, and ``from_root_multiplicities`` reduces a sum of
+  roots of unity once, the reference for the lift from reduced roots;
 - ``tuple_add``, ``tuple_mul``, ``tuple_scale`` and ``tuple_divide_two_term``
   are the sum, product, rational scale and bucketed long division on
   exponent-tuple term dicts, the reference for the kernels on packed keys;
@@ -244,6 +245,14 @@ def cyc_times_conjugate(e: int, a, b) -> tuple[int, ...]:
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             coeffs[(i - j) % e] += x * y
+    return _reduce_mod_cyclotomic(coeffs, e)
+
+
+def from_root_multiplicities(e: int, step: int, mults) -> tuple[int, ...]:
+    """Coordinates of sum_j mults[j] * zeta_e^(j*step), reduced once."""
+    coeffs = [0] * e
+    for j, m in enumerate(mults):
+        coeffs[(j * step) % e] += m
     return _reduce_mod_cyclotomic(coeffs, e)
 
 

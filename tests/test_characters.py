@@ -9,8 +9,9 @@ import pytest
 
 import charvar.characters
 from charvar.characters import (
+    _from_root_multiplicities,
     _pack,
-    _reduced_total,
+    _relation,
     character_table,
     cyclotomic_polynomial,
     dixon_prime,
@@ -26,7 +27,12 @@ from charvar.groups import (
     tuple_count,
 )
 from charvar.invariants import document_bytes
-from oracles import cyc_times_conjugate, table_document, zeta_power
+from oracles import (
+    cyc_times_conjugate,
+    from_root_multiplicities,
+    table_document,
+    zeta_power,
+)
 
 
 class TestCyclotomic:
@@ -236,10 +242,17 @@ def _reference_total(e, sizes, a_values, b_values):
     return tuple(total)
 
 
-@pytest.mark.parametrize("e", [1, 2, 3, 4, 6, 8, 12, 24, 60, 120])
+_ORDERS = [1, 2, 3, 4, 6, 8, 12, 24, 60, 120]
+
+
+@pytest.mark.parametrize("e", _ORDERS)
 def test_packed_total_matches_cyclotomic_arithmetic(e):
+    """The packed total times Psi_e holds against the reference total, and
+    against it plus any multiple of Phi_e, and against no reference total off
+    by one in a single coordinate."""
     rng = random.Random(e)
-    deg = len(cyclotomic_polynomial(e)) - 1
+    phi = cyclotomic_polynomial(e)
+    deg = len(phi) - 1
     negative_totals = 0
     for trial in range(100):
         n = rng.randint(1, 8)
@@ -248,19 +261,40 @@ def test_packed_total_matches_cyclotomic_arithmetic(e):
         a_range, b_range = ((-9, 9), (-9, 9)) if trial % 4 else ((-9, 0), (0, 9))
         a_values = [tuple(rng.randint(*a_range) for _ in range(deg)) for _ in range(n)]
         b_values = [tuple(rng.randint(*b_range) for _ in range(deg)) for _ in range(n)]
+        want = _reference_total(e, sizes, a_values, b_values)
+        # the l1 norm of T - want, with room for a unit off in one coordinate
         bound = sum(
             s * sum(map(abs, a)) * sum(map(abs, b))
             for s, a, b in zip(sizes, a_values, b_values)
-        )
-        width = bound.bit_length() + 1
+        ) + sum(map(abs, want)) + 1
+        width, psi, holds = _relation(e, bound)
         total = sum(
-            s * _pack(a, width, e) * _pack(b, width, e, -1)
+            s * _pack(a, width, e) * psi * _pack(b, width, e, -1)
             for s, a, b in zip(sizes, a_values, b_values)
         )
         negative_totals += total < 0  # the top nonzero slot decodes negative
-        want = _reference_total(e, sizes, a_values, b_values)
-        assert _reduced_total(total, e, width) == want
+        assert holds(total, _pack(want, width, e))
+        multiple = [rng.randint(-9, 9) for _ in range(e - deg)]
+        shifted = [sum(m * phi[k - i] for i, m in enumerate(multiple) if 0 <= k - i <= deg)
+                   for k in range(e)]
+        assert holds(total, _pack(want, width, e) + _pack(shifted, width, e))
+        for i in range(deg):
+            for unit in (1, -1):
+                off = want[:i] + (want[i] + unit,) + want[i + 1:]
+                assert not holds(total, _pack(off, width, e))
     assert negative_totals >= 25
+
+
+@pytest.mark.parametrize("e", _ORDERS)
+def test_lifted_value_matches_the_reduced_sum(e):
+    """Summing precomputed reduced roots of unity equals reducing the summed
+    powers, for every element order o | e."""
+    rng = random.Random(e)
+    for o in (o for o in range(1, e + 1) if e % o == 0):
+        for _ in range(20):
+            mults = [rng.choice((0, 0, 1, 2, 7)) for _ in range(o)]
+            got = _from_root_multiplicities(e, e // o, mults)
+            assert got == from_root_multiplicities(e, e // o, mults)
 
 
 def test_raised_coordinate_names_the_first_failing_pair(tables):

@@ -755,12 +755,12 @@ def test_a_factor_that_vanishes_at_another_factors_point():
     common = {_F: 1, g: 1}
     lifted = q * g.as_poly() + b * _F.as_poly()
     fracs = [FactoredFraction._reduced(q, {_F: 1}), FactoredFraction._reduced(b, {g: 1})]
-    jets = polynomials._sum_values(fracs, common)
+    jets = polynomials._sum_values(fracs, common, polynomials._cofactors(fracs, common))
     assert jets == {pt: jet_by_pass(lifted, pt) for pt in points}
     # a summand with no memoized value there leaves the derivative unknown
     fresh_b = p(QT, dict(b.terms))
     fracs[1] = FactoredFraction._reduced(fresh_b, {g: 1})
-    jets = polynomials._sum_values(fracs, common)
+    jets = polynomials._sum_values(fracs, common, polynomials._cofactors(fracs, common))
     assert fresh_b._values is None  # read from the memo, never computed
     assert jets == {pt: (jet_by_pass(lifted, pt)[0], None) for pt in points}
 
