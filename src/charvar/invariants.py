@@ -655,7 +655,7 @@ class InvariantCache:
         return path
 
     def entries(self):
-        """Sorted (kind, n, g) keys of the cached documents."""
+        """Sorted (kind, n, g) keys of the cached documents: regular files only."""
         if not self.root.is_dir():
             return []
         out = []
@@ -665,7 +665,7 @@ class InvariantCache:
                 key = (parse_kind(kind_text), int(n_text[1:]), int(g_text[1:]))
             except (KindMismatch, ValueError):
                 continue  # not a <kind>_n<N>_g<G> name
-            if key[1] >= 1 and key[2] >= 0 and self._path(*key) == path:
+            if key[1] >= 1 and key[2] >= 0 and self._path(*key) == path and path.is_file():
                 out.append(key)
         return sorted(out, key=lambda kng: (kng[0].value, kng[1], kng[2]))
 

@@ -71,18 +71,20 @@ jet (phi(N), phi(D*N)), with D = x_j*d/dx_j, and multiplies jets as
 (a0, a1)*(b0, b1) = (a0*b0, a0*b1 + a1*b0).  A jet is memoized on its
 polynomial and carried into the results of the operations that build
 numerators, without reading the result: negation, an integer scale and a
-monomial shift; a fraction product (the Leibniz rule on its factors' jets); a
-fraction sum (from the summands' jets and the cofactors' closed forms); an exact
-quotient by a binomial f (the quotient rule where phi(f) is nonzero, and
+monomial shift; a product (the Leibniz rule on its factors' jets), of two
+fractions or of a summand and its cofactor, whose closed form gives its jets,
+when a fraction sum lifts it (the total's jet is the sum of its lifts'); an
+exact quotient by a binomial f (the quotient rule where phi(f) is nonzero, and
 phi(D*N)/phi(D*f) on f's own zero set, where the derivative of the quotient is
 unknown); and the numerator of a product of binomial powers (from its powers,
 in ``binomial_product``, which builds every hook term).  A derivative may be
-unknown, never guessed.  The pre-test reads only carried values (and a
-factor's or monomial's closed form): a numerator with none goes straight to
-the long division, which costs about what a pass over its terms would.
-Values are lost where an operand's was, and where no rule builds the
-numerator: a factor that a layer's normalization or an Adams substitution
-brings in.
+unknown, never guessed, and an unknown part times 0 is 0: a lift by a cofactor
+that vanishes at a point keeps a known value there.  The pre-test reads only
+carried values (and a factor's or monomial's closed form): a numerator with
+none goes straight to the long division, which costs about what a pass over
+its terms would.  Values are lost where an operand's was, and where no rule
+builds the numerator: a factor that a layer's normalization or an Adams
+substitution brings in.
 
 The monomial order used for canonical output and for a binomial factor's
 leading term is graded lexicographic, ascending, with the variable order of
@@ -872,14 +874,19 @@ def _jet(poly, pt):
     values = poly._values or {}
     if pt in values or len(poly) > 2:
         return values.get(pt, _UNKNOWN)
+    jet = _terms_jet(poly, pt)
+    object.__setattr__(poly, "_values", {**values, pt: jet})
+    return jet
+
+
+def _terms_jet(poly, pt):
+    """poly's jet at pt by a pass over its terms, _UNKNOWN where one is rational."""
     jet = (0, 0)
     for e, c in poly.terms.items():
         if type(c) is not int:  # a rational coefficient has no value
-            jet = _UNKNOWN
-            break
+            return _UNKNOWN
         m0, m1 = _monomial_jet(e, pt)
         jet = (jet[0] + c * m0) % _PRIME, (jet[1] + c * m1) % _PRIME
-    object.__setattr__(poly, "_values", {**values, pt: jet})
     return jet
 
 
@@ -893,10 +900,25 @@ def _monomial_jet(exps, pt):
 
 
 def _jet_mul(a, b):
-    """The jet of a product, (a0*b0, a0*b1 + a1*b0), unknown where a1 or b1 is."""
+    """The jet of a product, (a0*b0, a0*b1 + a1*b0).
+
+    A part may be unknown, None (a jet with an unknown value has an unknown
+    derivative).  An unknown part times 0 is 0, not unknown: a lift by a
+    cofactor that vanishes at the point keeps its jet exact there.
+    """
     (a0, a1), (b0, b1) = a, b
-    deriv = None if a1 is None or b1 is None else (a0 * b1 + a1 * b0) % _PRIME
-    return a0 * b0 % _PRIME, deriv
+    if a1 is not None and b1 is not None:
+        return a0 * b0 % _PRIME, (a0 * b1 + a1 * b0) % _PRIME
+    deriv = _times(a0, b1), _times(a1, b0)
+    return _times(a0, b0), None if None in deriv else sum(deriv) % _PRIME
+
+
+def _times(x, y):
+    """x*y modulo _PRIME where x or y may be None: 0 where the other is 0."""
+    if x is not None and y is not None:
+        return x * y % _PRIME
+    known = y if x is None else x
+    return None if known is None or known % _PRIME else 0
 
 
 def _jet_pow(jet, k):
@@ -1179,7 +1201,8 @@ class FactoredFraction:
         if other is NotImplemented:
             return other
         pair = [self, other]
-        a, b = _lift_numerators(pair, _cofactors(pair, _common_denominator(pair)))
+        common, cofactors = _common_denominator(pair)
+        a, b = _lift_numerators(pair, cofactors, common)
         return a == b
 
     def __hash__(self):
@@ -1259,17 +1282,18 @@ def _product(a, b, den):
 
     The Leibniz rule gives the product's jet from its operands' (_jet): a
     carried jet, or a factor's or monomial's closed form.  Where an operand's
-    value is unknown, so is the product's.
+    value is unknown, so is the product's, but where the other's is 0
+    (_jet_mul); a rational operand has no value, so its product has none.
     """
     out = a * b
-    if out:
+    if out and a.is_integral() and b.is_integral():
         values = {}
         for f in den:
             pt = f._point
             if pt is not None:
-                ja, jb = _jet(a, pt), _jet(b, pt)
-                if ja[0] is not None and jb[0] is not None:
-                    values[pt] = _jet_mul(ja, jb)
+                jet = _jet_mul(_jet(a, pt), _jet(b, pt))
+                if jet[0] is not None:
+                    values[pt] = jet
         _set_values(out, values)
     return out
 
@@ -1336,39 +1360,43 @@ def _quotient_jets(num, fp):
 
 def _common_denominator(fracs):
     """A sub-multiset of the summands' multiset maximum that still holds the
-    lcm of their denominators on each line (see frac_sum).
+    lcm of their denominators on each line (see frac_sum), and each summand's
+    cofactor common / den_i from the matches kept on each line (_match): its
+    binomials {factor: count} and geometric sums [(e, r)], sum_(i < r) x^(i*e).
 
     A copy of a factor is dropped, smallest k first, while every summand
-    matches into the line (_match) and the lifts cost no more rows of term
-    products: one per binomial and r - 1 per geometric sum of r terms, each as
-    long as the summand's numerator (timed against a binomial's row: 1.0-2.6
-    at r = 3, 2.4-6.5 at r = 6).  Each dropped copy is a long division saved.
+    matches into the line and the lifts cost no more rows of term products:
+    one per binomial and r - 1 per geometric sum of r terms, each as long as
+    the summand's numerator (timed against a binomial's row: 1.0-2.6 at r = 3,
+    2.4-6.5 at r = 6).  Each dropped copy is a long division saved.
     """
     common = {}
     for fr in fracs:
         for f, m in fr.den.items():
             if common.get(f, 0) < m:
                 common[f] = m
+    index = {f._line: f for f in common}
     sizes = [len(fr.num) for fr in fracs]
     held = [_lines(fr.den) for fr in fracs]
-    lines = _lines(common)
-    for d, line in lines.items():
+    kept, cofactors = {}, [({}, []) for _ in fracs]
+    for d, line in _lines(common).items():
         dens = [h.get(d, {}) for h in held]
         # a match is one-to-one, so the line keeps as many factors as any summand holds
         spare = sum(line.values()) - max(sum(den.values()) for den in dens)
-        if not spare:
-            continue
-        cost = _lift_rows(dens, sizes, line)
+        cost, matches = _lift_rows(dens, sizes, line)
         for k in sorted(line):
             while line[k] and spare:
                 line[k] -= 1
                 new = _lift_rows(dens, sizes, line)
-                if new is None or new > cost:
+                if new is None or new[0] > cost:
                     line[k] += 1
                     break
-                cost, spare = new, spare - 1
-    index = {f._line: f for f in common}
-    return {index[d, k]: c for d, line in lines.items() for k, c in line.items() if c}
+                (cost, matches), spare = new, spare - 1
+        kept.update((index[d, k], c) for k, c in line.items() if c)
+        for (binomials, runs), (free, more) in zip(cofactors, matches):
+            binomials.update((index[d, k], c) for k, c in free.items() if c)
+            runs += [(tuple(k * v for v in d), r) for k, r in more]
+    return kept, cofactors
 
 
 def _lines(den):
@@ -1407,41 +1435,30 @@ def _match(held, line):
 
 def _lift_rows(dens, sizes, line):
     """The rows of term products that lift numerators of these sizes over dens
-    onto line, or None where one does not match (_common_denominator)."""
+    onto line, with each one's match (_match), or None where one does not
+    match (_common_denominator)."""
     matches = [_match(den, line) for den in dens]
     if None not in matches:
         return sum(n * (sum(free.values()) + sum(r - 1 for _, r in runs))
-                   for n, (free, runs) in zip(sizes, matches))
+                   for n, (free, runs) in zip(sizes, matches)), matches
 
 
-def _cofactors(fracs, common):
-    """Each summand's cofactor common / den_i, by _match line by line: its
-    binomials {factor: count} and geometric sums [(e, r)], sum_(i < r) x^(i*e)."""
-    lines = _lines(common)
-    index = {f._line: f for f in common}
-    out = []
-    for fr in fracs:
-        held = _lines(fr.den)
-        binomials, runs = {}, []
-        for d, line in lines.items():
-            free, more = _match(held.get(d, {}), line)
-            binomials.update((index[d, k], c) for k, c in free.items() if c)
-            runs += [(tuple(k * v for v in d), r) for k, r in more]
-        out.append((binomials, runs))
-    return out
-
-
-def _lift_numerators(fracs, cofactors):
-    """Each summand's numerator times its cofactor (_cofactors)."""
+def _lift_numerators(fracs, cofactors, common):
+    """Each summand's numerator times its cofactor (_common_denominator), with
+    its jets at the test points of common's factors: each lift is a _product,
+    and a geometric sum gets its closed form from its terms (_terms_jet)."""
+    points = [f._point for f in common if f._point is not None]
     out = []
     for fr, (binomials, runs) in zip(fracs, cofactors):
         num = fr.num
         if num:
             for g, c in binomials.items():
                 for _ in range(c):
-                    num = num * g.as_poly()
+                    num = _product(num, g.as_poly(), common)
             for e, r in runs:
-                num = num * SparsePoly._raw(num.vars, {tuple(i * v for v in e): 1 for i in range(r)})
+                run = SparsePoly._raw(num.vars, {tuple(i * v for v in e): 1 for i in range(r)})
+                _set_values(run, {pt: _terms_jet(run, pt) for pt in points})
+                num = _product(num, run, common)
         out.append(num)
     return out
 
@@ -1453,14 +1470,15 @@ def frac_sum(fracs, variables=None) -> FactoredFraction:
     j | k, so 1 - x^d divides 1 - x^(2d): a multiset maximum of binomials
     overstates the lcm, and a sum over it lifts a summand by a factor that the
     total then divides back out.  Each summand is lifted by its cofactor
-    common / den_i (_common_denominator, _cofactors), built in closed form.  A
-    factor of another form (1 + x^D, or c0 != 1) is its own line.
+    common / den_i (_common_denominator), built in closed form.  A factor of
+    another form (1 + x^D, or c0 != 1) is its own line.
 
     Cancellation runs once, on the total, so the summands need not be reduced
     and a long summation (a series recursion) does not re-cancel at every
     step.  The partition sum calls this pairwise, as a balanced tree, so that
-    each node lifts reduced children.  The total's pre-test values come from
-    the summands' and the cofactors' (_sum_values).
+    each node lifts reduced children.  The lifts carry their jets
+    (_lift_numerators), and the total's pre-test value at a point is the sum
+    of theirs where every one is known: none where a summand is rational.
     """
     fracs = list(fracs)
     if not fracs:
@@ -1473,67 +1491,22 @@ def frac_sum(fracs, variables=None) -> FactoredFraction:
     for fr in fracs[1:]:
         if fr.vars != variables:
             raise ContextError(f"context mismatch: {variables} vs {fr.vars}")
-    common = _common_denominator(fracs)
-    cofactors = _cofactors(fracs, common)
+    common, cofactors = _common_denominator(fracs)
+    lifts = _lift_numerators(fracs, cofactors, common)
     total = SparsePoly.zero(variables)
-    for num in _lift_numerators(fracs, cofactors):
+    for num in lifts:
         total = total + num
     if total:
-        _set_values(total, _sum_values(fracs, common, cofactors))
+        values = {}
+        for f in common:
+            pt = f._point
+            if pt is not None:
+                value, deriv = zip(*[_jet(num, pt) for num in lifts])
+                if None not in value:
+                    deriv = None if None in deriv else sum(deriv) % _PRIME
+                    values[pt] = sum(value) % _PRIME, deriv
+        _set_values(total, values)
     return FactoredFraction(total, common)
-
-
-def _sum_values(fracs, common, cofactors):
-    """The jets of the lifted sum at the test point of each factor f of common,
-    given each summand's cofactor (_cofactors).
-
-    The total is sum_i N_i * L_i, with L_i = common / den_i the cofactor of
-    N_i, so its jet is sum_i jet(N_i) * jet(L_i): a binomial's closed form
-    (_jet), a geometric sum's from its monomial's.  A cofactor that vanishes
-    at the point (one with a binomial on f's line, where x^d = 1) adds nothing
-    to the value, and to the derivative only n0*l1 when it vanishes to first
-    order: that needs N_i's memoized value, and where there is none the
-    derivative is unknown.  A summand whose cofactor does not vanish needs
-    N_i's jet (_jet); where N_i has none, the total has none there either,
-    nor where a summand has a rational coefficient, vanishing cofactor or not.
-    """
-    if not all(fr.num.is_integral() for fr in fracs):
-        return {}
-    lifts = list(zip((fr.num for fr in fracs), cofactors))
-    values = {}
-    for f in common:
-        pt = f._point
-        if pt is None:
-            continue
-        acc0 = acc1 = 0
-        for num, (binomials, runs) in lifts:
-            lift = (1, 0)
-            for g, k in binomials.items():
-                lift = _jet_mul(lift, _jet_pow(_jet(g.as_poly(), pt), k))
-                if lift == (0, 0):
-                    break
-            else:
-                for e, r in runs:
-                    y = _monomial_jet(e, pt)
-                    power = jet = (1, 0)
-                    for _ in range(r - 1):
-                        power = _jet_mul(power, y)
-                        jet = (jet[0] + power[0]) % _PRIME, (jet[1] + power[1]) % _PRIME
-                    lift = _jet_mul(lift, jet)
-            l0, l1 = lift
-            if l0:
-                n0, n1 = _jet(num, pt)
-                if n0 is None:
-                    break
-                acc0 += n0 * l0
-                if acc1 is not None:
-                    acc1 = None if n1 is None else acc1 + n1 * l0 + n0 * l1
-            elif l1 and acc1 is not None:
-                n0 = (num._values or {}).get(pt, (None,))[0]
-                acc1 = None if n0 is None else acc1 + n0 * l1
-        else:
-            values[pt] = acc0 % _PRIME, None if acc1 is None else acc1 % _PRIME
-    return values
 
 
 def adams(fr: FactoredFraction, r: int, flavor: Flavor) -> FactoredFraction:

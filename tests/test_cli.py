@@ -319,6 +319,16 @@ class TestCache:
         assert run(capsys, "cache", "--clear")[0] == 0
         assert sorted(p.name for p in isolated_cache.iterdir()) == sorted(foreign)
 
+    def test_a_directory_named_like_a_document_is_no_entry(self, capsys, isolated_cache):
+        run(capsys, "compute", "--kind", "E", "--n", "2", "--g", "3")
+        (isolated_cache / "E_n2_g2.json").mkdir()
+        assert run(capsys, "cache", "--list") == (0, "E/2/3\n", "")
+        assert run(capsys, "cache", "--clear") == (0, "", "")
+        assert [p.name for p in isolated_cache.iterdir()] == ["E_n2_g2.json"]
+        assert (isolated_cache / "E_n2_g2.json").is_dir()
+        code, out, err = run(capsys, "compute", "--kind", "E", "--n", "2", "--g", "2")
+        assert (code, out) == (2, "") and err.startswith("error: ")
+
     def test_clear_of_a_missing_directory_creates_nothing(self, capsys, tmp_path):
         missing = tmp_path / "a" / "b"
         assert run(capsys, "cache", "--clear", "--cache-dir", str(missing)) == (0, "", "")

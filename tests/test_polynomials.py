@@ -749,20 +749,52 @@ def test_a_factor_that_vanishes_at_another_factors_point():
     assert (q, den) == (_A, {g: 1})
     assert all(q._values[pt][0] is not None for pt in points)
     _assert_memo_is_fresh(q)
-    # in q/f + b/g each lift vanishes to first order at both points, so the
-    # sum's jets come from the memoized values alone
-    b = _seed(p(QT, {(1, 0): 1, (0, 1): -4}))
+    # over f*g, q/f + b/g lifts q by g and b by f: each lift vanishes to first
+    # order at both points, so its jet takes its numerator's value alone, and
+    # q's derivative, unknown on f's zero set, is not needed
+    assert all(q._values[pt][1] is None for pt in points)
+    b = _seed(p(QT, {(1, 0): 1, (0, 1): -4, (1, 2): 3}))
     common = {_F: 1, g: 1}
-    lifted = q * g.as_poly() + b * _F.as_poly()
     fracs = [FactoredFraction._reduced(q, {_F: 1}), FactoredFraction._reduced(b, {g: 1})]
-    jets = polynomials._sum_values(fracs, common, polynomials._cofactors(fracs, common))
-    assert jets == {pt: jet_by_pass(lifted, pt) for pt in points}
-    # a summand with no memoized value there leaves the derivative unknown
+    cofactors = [({g: 1}, []), ({_F: 1}, [])]
+    lifts = polynomials._lift_numerators(fracs, cofactors, common)
+    assert lifts == [q * g.as_poly(), b * _F.as_poly()]
+    for lift in lifts:
+        assert lift._values == {pt: jet_by_pass(lift, pt) for pt in points}
+    # b with no memoized value: its lift's value is still 0 there, its
+    # derivative unknown, and no pass computes b's jet
     fresh_b = p(QT, dict(b.terms))
     fracs[1] = FactoredFraction._reduced(fresh_b, {g: 1})
-    jets = polynomials._sum_values(fracs, common, polynomials._cofactors(fracs, common))
-    assert fresh_b._values is None  # read from the memo, never computed
-    assert jets == {pt: (jet_by_pass(lifted, pt)[0], None) for pt in points}
+    lift = polynomials._lift_numerators(fracs, cofactors, common)[1]
+    assert fresh_b._values is None
+    assert lift._values == {pt: (0, None) for pt in points}
+    # a/(f*g) + b/g over f*g lifts b alone, by f: the total's jets are a's
+    # plus those of b's lift, which vanishes at both points
+    for summand, known in ((b, True), (fresh_b, False)):
+        a = _seed(p(QT, dict(_A.terms)))
+        fracs = [FactoredFraction._reduced(a, common), FactoredFraction._reduced(summand, {g: 1})]
+        total = frac_sum(fracs)
+        assert (total.num, total.den) == (a + summand * _F.as_poly(), common)
+        assert total.num._values == {
+            pt: jet_by_pass(total.num, pt) if known else (jet_by_pass(total.num, pt)[0], None)
+            for pt in points
+        }
+    assert fresh_b._values is None
+
+
+def test_an_unknown_part_times_zero_is_zero():
+    """The product rule where a jet's part is unknown (None): 0 absorbs it."""
+    mul = polynomials._jet_mul
+    for a, b, product in (
+        ((None, None), (0, 5), (0, None)),
+        ((3, None), (0, 5), (0, 15)),
+        ((None, None), (0, 0), (0, 0)),
+        ((None, None), (2, 5), (None, None)),
+        ((None, None), (2, 0), (None, None)),
+        ((3, None), (2, 5), (6, None)),
+        ((3, 4), (2, 5), (6, 23)),
+    ):
+        assert mul(a, b) == mul(b, a) == product
 
 
 # -- sums over the lcm of each line ----------------------------------------------
@@ -808,9 +840,9 @@ def test_a_cofactor_that_costs_more_than_the_lifts_is_not_taken():
     binomials (one row each) that the multiset maximum lifts by."""
     long_num = {(i,): 1 for i in range(0, 20, 2)}
     fracs = [_over(Q, {(0,): 1}, (3,)), _over(Q, long_num, (1,))]
-    assert sorted(f.high for f in _common_denominator(fracs)) == [(1,), (3,)]
+    assert sorted(f.high for f in _common_denominator(fracs)[0]) == [(1,), (3,)]
     fracs[1] = _over(Q, {(0,): 1}, (1,))
-    assert [f.high for f in _common_denominator(fracs)] == [(3,)]
+    assert [f.high for f in _common_denominator(fracs)[0]] == [(3,)]
 
 
 def test_a_binomial_factor_is_immutable_and_hashed_once():
@@ -867,7 +899,7 @@ def test_a_sum_over_the_lcm_equals_the_multiset_maximum_sum(case):
             divide_exact(total.num, factor.as_poly())
     _assert_memo_is_fresh(total.num)
     top = max(fr.den.get(plus, 0) for fr in fracs)
-    assert _common_denominator(fracs).get(plus, 0) == top
+    assert _common_denominator(fracs)[0].get(plus, 0) == top
 
 
 # -- binomial_product ------------------------------------------------------------

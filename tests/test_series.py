@@ -286,8 +286,13 @@ class TestInvariantFromLayer:
 
 
 @pytest.mark.parametrize(
-    "kind, n, g, walks, failed", [("hxy", 2, 2, 16, 7), ("hqt", 2, 3, 18, 7)],
-    ids=["hxy-2-2", "hqt-2-3"],
+    "kind, n, g, walks, failed", [
+        ("hxy", 2, 2, 16, 7),
+        ("hqt", 2, 3, 18, 7),
+        ("hqt", 4, 2, 53, 24),
+        ("pp", 6, 2, 31, 11),
+    ],
+    ids=["hxy-2-2", "hqt-2-3", "hqt-4-2", "pp-6-2"],
 )
 def test_a_cold_compute_walks_a_fixed_number_of_long_divisions(
     monkeypatch, kind, n, g, walks, failed
