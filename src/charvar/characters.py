@@ -1,7 +1,7 @@
 """Exact character tables via Dixon's modular eigenvector method.
 
-The pipeline: walk the powers of each class representative once, which gives
-its order, the classes of its powers and the exponent e of G; take the class-
+The pipeline: the conjugacy data's power walks give each representative's
+order and the classes of its powers, and e, their lcm; take the class-
 multiplication matrices M_i[j][k] = a_ijk over a prime p with p ≡ 1 (mod e)
 and p > 2|G| (every a_ijk <= |G| is already reduced); deterministically refine
 the full space into their one-dimensional common eigenspaces.  Every basis in
@@ -42,7 +42,7 @@ from math import isqrt, lcm
 from operator import mul
 
 from .errors import LiftFailure, NonIntegralCount
-from .groups import ConjugacyData, MatrixGroup, _is_prime
+from .groups import ConjugacyData, MatrixGroup, _is_prime, _prime_factors
 
 
 # -- exact cyclotomic integers -------------------------------------------------
@@ -185,20 +185,8 @@ def _poly_roots_mod(coeffs, p):
 
 
 def _primitive_root(p):
-    if p == 2:
-        return 1
-    factors = []
-    n = p - 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            factors.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        factors.append(n)
-    for g in range(2, p):
+    factors = _prime_factors(p - 1)
+    for g in range(1, p):
         if all(pow(g, (p - 1) // f, p) != 1 for f in factors):
             return g
     raise AssertionError("no primitive root found")
@@ -246,18 +234,8 @@ def character_table(group: MatrixGroup) -> CharacterTable:
     sizes = data.sizes
     ident = data.identity_class
 
-    # one walk rep^0, rep^1, ... per class representative: the classes it
-    # passes, its length (the representative's order), and e, their lcm
-    cayley = group.mul
-    power_class = []
-    for rep in data.representatives:
-        walk = [ident]
-        x = rep
-        while x != group.identity:
-            walk.append(data.class_of[x])
-            x = cayley[x][rep]
-        power_class.append(walk)
-    e = lcm(*map(len, power_class))
+    # e, the exponent of G: the lcm of the representatives' orders
+    e = lcm(*map(len, data.powers))
     p = dixon_prime(group.order, e)
 
     # deterministic refinement into common eigenspaces; every basis is the
@@ -321,7 +299,7 @@ def character_table(group: MatrixGroup) -> CharacterTable:
     # every character and every class whose representative has order o
     w = pow(_primitive_root(p), (p - 1) // e, p)
     dft = {}
-    for o in set(map(len, power_class)):
+    for o in set(map(len, data.powers)):
         zinv = pow(pow(w, e // o, p), p - 2, p)
         zrows = []
         for j in range(o):
@@ -336,7 +314,7 @@ def character_table(group: MatrixGroup) -> CharacterTable:
     for chi, d in enumerate(degrees):
         values = chi_mod[chi]
         row = []
-        for k, walk in enumerate(power_class):
+        for k, walk in enumerate(data.powers):
             o = len(walk)
             zrows, o_inv = dft[o]
             powers = [values[c] for c in walk]

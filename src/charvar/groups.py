@@ -5,7 +5,10 @@ with a multiplication table built once on demand.  A few of its rows come from
 matrix products, which also check that the elements are closed; every other
 row is a composition of two known rows as lists of element indices.
 Everything downstream (conjugacy classes, class-multiplication coefficients,
-commutator counts) works with element indices into that table.  Every group
+commutator counts) works with element indices into that table.  The
+coefficients a_ijk take one pass of |G| per class representative z_k, over
+the x in C_i with x^-1 z_k in C_j (asserted class-constant), and the same
+pass walks the powers of z_k, which give every element order.  Every group
 is enumerated in full, so build_group refuses one with more than max_order
 elements; the default bound of 500 admits |GL(2,5)| = 480.
 
@@ -26,15 +29,23 @@ from .errors import CentralElementUnavailable, GroupTooLarge
 DEFAULT_MAX_ORDER = 500
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    factors = []
     d = 2
     while d * d <= n:
         if n % d == 0:
-            return False
+            factors.append(d)
+            while n % d == 0:
+                n //= d
         d += 1
-    return True
+    if n > 1:
+        factors.append(n)
+    return factors
+
+
+def _is_prime(n: int) -> bool:
+    return n > 1 and _prime_factors(n) == [n]
 
 
 def _require_prime(q: int):
@@ -126,13 +137,8 @@ class MatrixGroup:
         return self._inv
 
     def element_order(self, i: int) -> int:
-        mul = self.mul
-        k = 1
-        x = i
-        while x != self.identity:
-            x = mul[x][i]
-            k += 1
-        return k
+        data = self.conjugacy()
+        return len(data.powers[data.class_of[i]])
 
     def center(self):
         """Indices of central elements (the singleton conjugacy classes)."""
@@ -202,10 +208,14 @@ def diagonal_group(q: int) -> MatrixGroup:
 
 @dataclass(frozen=True)
 class ConjugacyData:
-    """Conjugacy classes, the element->class map, and the coefficients a_ijk.
+    """Conjugacy classes, the element->class map, the coefficients a_ijk and
+    the power walks of the class representatives.
 
     a_ijk = #{(x, y) in C_i x C_j : x*y = z_k} for the fixed representative
-    z_k; the tensor is exact (counts divided by |C_k| verified integral).
+    z_k, counted at z_k alone: each x has the one partner y = x^-1 z_k.  The
+    counts are asserted class-constant through sum_k a_ijk |C_k| = |C_i| |C_j|.
+    powers[k] lists the classes of z_k^0, z_k^1, ... up to the last power
+    before the identity, so its length is the order of z_k.
     """
 
     classes: tuple[tuple[int, ...], ...]
@@ -215,6 +225,7 @@ class ConjugacyData:
     a_ijk: tuple  # a_ijk[i][j][k]
     inverse_class: tuple[int, ...]
     identity_class: int
+    powers: tuple[tuple[int, ...], ...]
 
 
 def _conjugacy_classes(group: MatrixGroup) -> ConjugacyData:
@@ -236,35 +247,32 @@ def _conjugacy_classes(group: MatrixGroup) -> ConjugacyData:
     r = len(classes)
     sizes = tuple(len(c) for c in classes)
     assert sum(sizes) == n
-    counts = [[[0] * r for _ in range(r)] for _ in range(r)]
-    for x in range(n):
-        row = mul[x]
-        cx = class_of[x]
-        cnt_x = counts[cx]
-        for y in range(n):
-            cnt_x[class_of[y]][class_of[row[y]]] += 1
-    a_ijk = []
-    for i in range(r):
-        plane = []
-        for j in range(r):
-            line = []
-            for k in range(r):
-                total = counts[i][j][k]
-                q, rem = divmod(total, sizes[k])
-                assert rem == 0, "class products not class-constant"
-                line.append(q)
-            plane.append(tuple(line))
-        a_ijk.append(tuple(plane))
     reps = tuple(c[0] for c in classes)
-    inverse_class = tuple(class_of[inv[rep]] for rep in reps)
+    ident = class_of[group.identity]
+    a_ijk = [[[0] * r for _ in range(r)] for _ in range(r)]
+    powers = []
+    for k, z in enumerate(reps):
+        for cx, xi in zip(class_of, inv):  # x in C_cx pairs with y = x^-1 z
+            a_ijk[cx][class_of[mul[xi][z]]][k] += 1
+        walk = [ident]
+        x = z
+        while x != group.identity:
+            walk.append(class_of[x])
+            x = mul[x][z]
+        powers.append(tuple(walk))
+    for i in range(r):
+        for j in range(r):
+            total = sum(a * s for a, s in zip(a_ijk[i][j], sizes))
+            assert total == sizes[i] * sizes[j], "class products not class-constant"
     return ConjugacyData(
         classes=tuple(classes),
         class_of=tuple(class_of),
         representatives=reps,
         sizes=sizes,
-        a_ijk=tuple(a_ijk),
-        inverse_class=inverse_class,
-        identity_class=class_of[group.identity],
+        a_ijk=tuple(tuple(map(tuple, plane)) for plane in a_ijk),
+        inverse_class=tuple(class_of[inv[rep]] for rep in reps),
+        identity_class=ident,
+        powers=tuple(powers),
     )
 
 

@@ -34,9 +34,11 @@ import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 from .errors import CharvarError, KindMismatch, UnsupportedGenus
+from .groups import _prime_factors
 from .polynomials import (
     FLAVOR_E,
     FLAVOR_PURE,
@@ -143,18 +145,8 @@ def moebius(n: int) -> int:
     """(-1)^k for squarefree n with k prime factors, 0 otherwise."""
     if n < 1:
         raise ValueError("moebius wants a positive integer")
-    result = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            result = -result
-        d += 1
-    if n > 1:
-        result = -result
-    return result
+    primes = _prime_factors(n)
+    return (-1) ** len(primes) if prod(primes) == n else 0
 
 
 def dimension_2n(kind: InvariantKind, n: int, g: int) -> int:

@@ -12,10 +12,14 @@ kept here as an oracle for it:
   on its term dict, the reference for the two-term normalizer;
 - ``reference_frac_sum`` sums fractions over the multiset maximum of their
   binomials, the reference for the sum over the lcm on each line;
-- ``direct_mul_table`` multiplies every pair of matrices and looks the
-  product up, the reference for the row-composed ``MatrixGroup.mul``;
+- ``direct_mul_table`` multiplies every pair of matrices (``mat_mul``) and
+  looks the product up, the reference for the row-composed ``MatrixGroup.mul``;
 - ``mat_inv`` inverts a 2x2 matrix by its adjugate over F_p, the reference
   for ``MatrixGroup.inv``, which reads inverses off the Cayley table;
+- ``reference_class_constants`` counts a_ijk over all |G|^2 products, the
+  reference for the count at each class representative, and ``power_walk``
+  multiplies out the powers of one element, the reference for
+  ``ConjugacyData.powers``;
 - ``table_document`` is the canonical JSON document of a character table,
   whose digest pins the Dixon splitting byte for byte;
 - ``zeta_power`` and ``cyc_times_conjugate`` are Z[zeta_e] arithmetic on
@@ -174,23 +178,22 @@ def reference_normalize_factor(p: SparsePoly):
 # -- matrix groups -------------------------------------------------------------------
 
 
+def mat_mul(a, b, p):
+    """The product of the 2x2 matrices a = (a0, a1, a2, a3) and b over F_p."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (
+        (a0 * b0 + a1 * b2) % p,
+        (a0 * b1 + a1 * b3) % p,
+        (a2 * b0 + a3 * b2) % p,
+        (a2 * b1 + a3 * b3) % p,
+    )
+
+
 def direct_mul_table(group) -> list[list[int]]:
     """mul[i][j] = index of elements[i] * elements[j], one matrix product per pair."""
-    p = group.q
     idx = group.index
-    table = []
-    for a0, a1, a2, a3 in group.elements:
-        row = []
-        for b0, b1, b2, b3 in group.elements:
-            key = (
-                (a0 * b0 + a1 * b2) % p,
-                (a0 * b1 + a1 * b3) % p,
-                (a2 * b0 + a3 * b2) % p,
-                (a2 * b1 + a3 * b3) % p,
-            )
-            row.append(idx[key])
-        table.append(row)
-    return table
+    return [[idx[mat_mul(a, b, group.q)] for b in group.elements] for a in group.elements]
 
 
 def mat_inv(m, p):
@@ -199,6 +202,40 @@ def mat_inv(m, p):
     det = (a * d - b * c) % p
     di = pow(det, p - 2, p)
     return ((d * di) % p, (-b * di) % p, (-c * di) % p, (a * di) % p)
+
+
+def reference_class_constants(group):
+    """a_ijk from all |G|^2 products x*y, counted by the classes of x, y and
+    x*y and divided by |C_k|, each division asserted exact."""
+    data = group.conjugacy()
+    class_of = data.class_of
+    r = len(data.classes)
+    counts = [[[0] * r for _ in range(r)] for _ in range(r)]
+    for x, row in enumerate(group.mul):
+        plane = counts[class_of[x]]
+        for y, xy in enumerate(row):
+            plane[class_of[y]][class_of[xy]] += 1
+    a_ijk = []
+    for plane in counts:
+        lines = []
+        for line in plane:
+            assert all(c % s == 0 for c, s in zip(line, data.sizes))
+            lines.append(tuple(c // s for c, s in zip(line, data.sizes)))
+        a_ijk.append(tuple(lines))
+    return tuple(a_ijk)
+
+
+def power_walk(group, i) -> tuple[int, ...]:
+    """The classes of m^0, m^1, ... up to the last power before the identity,
+    for m = elements[i], by matrix products over F_q."""
+    class_of = group.conjugacy().class_of
+    m = group.elements[i]
+    walk = [class_of[group.identity]]
+    power = m
+    while power != (1, 0, 0, 1):
+        walk.append(class_of[group.index[power]])
+        power = mat_mul(power, m, group.q)
+    return tuple(walk)
 
 
 # -- character tables ----------------------------------------------------------------

@@ -21,6 +21,7 @@ from charvar.characters import (
 from charvar.errors import LiftFailure, NonIntegralCount
 from charvar.groups import (
     MatrixGroup,
+    _is_prime,
     build_group,
     commutator_distribution,
     diagonal_group,
@@ -65,6 +66,11 @@ class TestCyclotomic:
         assert dixon_prime(48, 24) == 97
         assert dixon_prime(120, 60) == 241
         assert dixon_prime(480, 120) == 1201
+
+    def test_primitive_root_has_order_p_minus_1(self):
+        for p in filter(_is_prime, range(2000)):
+            g = charvar.characters._primitive_root(p)
+            assert len({pow(g, k, p) for k in range(1, p)}) == p - 1, p
 
 
 @pytest.fixture(scope="module")

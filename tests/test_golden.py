@@ -12,6 +12,9 @@ tree-shaped partition sum and the pre-test's carried values do the most work.
 The JSON output and exit code of ``charvar check`` are pinned too, for every
 suite at six (n, g), so that a change to how the checks are assembled must
 reproduce every entry, detail and witness, and refuse the same suites.
+So are those of ``charvar count --format json`` over GL(2,q) and SL(2,q) at
+q = 3, 5, central orders 1, 2, 4 and g = 1, 2, so that both oracles must
+reproduce every count and refuse the same missing central elements.
 The printed closed forms are pinned by the digest of their ``poly_text``:
 E2, H2, H3 and PP3 at g = 1..6 and the y-genus at n = 1..7, g = 2..6.
 The names that ``charvar`` exports are pinned as a sorted list, so a removed
@@ -192,6 +195,53 @@ def test_check_all_json_matches_golden_digest(n, g, tmp_path, capsys):
         code = cli.main(argv + ["--cache-dir", str(tmp_path)])
         out = capsys.readouterr().out
         got[suite] = (code, hashlib.sha256(out.encode()).hexdigest())
+    assert got == expected
+
+
+# (family, q, zeta order, g) -> (exit code, digest of stdout) of
+# ``charvar count --family <family> --q <q> --zeta-order <order> --g <g>
+# --format json``; SL(2,q) and GL(2,3) have no central element of order 4
+COUNTS = {
+    ("gl", 3, 1, 1): (0, "8a2a218f1285389301adc3be5e0cfbb00d643ca1d560ddb88a5ba50e748e07fd"),
+    ("gl", 3, 1, 2): (0, "3a96d7d429f6ec735f9f3d5eb58c14b7972e352d9cff1a6d7df14cac6da90f29"),
+    ("gl", 3, 2, 1): (0, "11c95f64d0cec42e25a454c2b08cc1773e4436f86f780b9b48a1ae199df50510"),
+    ("gl", 3, 2, 2): (0, "e6a2e20bcee840c4387e5a7dc42215cfe18a43d30ac35b53eed617c67e516f0b"),
+    ("gl", 3, 4, 1): (2, NO_OUTPUT),
+    ("gl", 3, 4, 2): (2, NO_OUTPUT),
+    ("gl", 5, 1, 1): (0, "0674d73edc674a0dd27b082b6417e4fc8ce6bb985a52f450efe367feaddba6c4"),
+    ("gl", 5, 1, 2): (0, "206498945ec82dfad72b296465ee3c7725798ff43ed731b9452fd503964609ce"),
+    ("gl", 5, 2, 1): (0, "5229dc7d9177fb9b7204fb58e29266a6243696f240653fbd6175d6915e2f5b08"),
+    ("gl", 5, 2, 2): (0, "9baaeebc6273ec1bfb3d7465aab73480bfdeb9bb207bd2a42a48afa092883fbc"),
+    ("gl", 5, 4, 1): (0, "46268df6d2b2117b0e54ee6a70acc256e22caa2cee26a9dd4c2e7ee734da4162"),
+    ("gl", 5, 4, 2): (0, "ddf972646550b9dfbaf89d61bb2cf518a6592d1b12b83f65156f85bbf1558e7d"),
+    ("sl", 3, 1, 1): (0, "c8da676aa0c41842dafdc3dd9829c43f82ba68ad98642de9b1856bcf8dda070e"),
+    ("sl", 3, 1, 2): (0, "a36365514d2de5ef91475291bb81519c38b5d916870e5f6b8f40b8204f672d15"),
+    ("sl", 3, 2, 1): (0, "b2d9c67f42b766d0858c973acb0959bf86697dfb4bbfd2300bc98a284054583f"),
+    ("sl", 3, 2, 2): (0, "42ecf406bbaeb3db3d315bc43fe1fd93752332e282cf317a21a7eb39e63d7489"),
+    ("sl", 3, 4, 1): (2, NO_OUTPUT),
+    ("sl", 3, 4, 2): (2, NO_OUTPUT),
+    ("sl", 5, 1, 1): (0, "d995aac5807892d7627552f1f393b9e37b93930e10c9cc5809e8752d8bf14b9a"),
+    ("sl", 5, 1, 2): (0, "4cd72bcfdde7954742019144509fbd0ad4ae0120698b3f7ade963d7f9de854df"),
+    ("sl", 5, 2, 1): (0, "3a42b6c615f9ecf2cf0b647ca7cfd95df526c3050a3d20806580fbe9d19582c6"),
+    ("sl", 5, 2, 2): (0, "c94ad1773c29909595f27f9d8cc8400570f87bf10a5daeddbfc712d62b24640c"),
+    ("sl", 5, 4, 1): (2, NO_OUTPUT),
+    ("sl", 5, 4, 2): (2, NO_OUTPUT),
+}
+
+
+@pytest.mark.parametrize("family,q", sorted({key[:2] for key in COUNTS}))
+def test_count_json_matches_golden_digest(family, q, capsys):
+    """Both oracles on one group at each pinned central order and genus: exit
+    code and JSON output of ``charvar count``."""
+    expected = {key: v for key, v in COUNTS.items() if key[:2] == (family, q)}
+    got = {}
+    for key in expected:
+        _, _, order, g = key
+        argv = ["count", "--family", family, "--q", str(q), "--zeta-order", str(order),
+                "--g", str(g), "--format", "json"]
+        code = cli.main(argv)
+        out = capsys.readouterr().out
+        got[key] = (code, hashlib.sha256(out.encode()).hexdigest())
     assert got == expected
 
 

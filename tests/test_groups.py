@@ -13,7 +13,7 @@ from charvar.groups import (
     diagonal_group,
     tuple_count,
 )
-from oracles import direct_mul_table, mat_inv
+from oracles import direct_mul_table, mat_inv, power_walk, reference_class_constants
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +82,9 @@ TABLE_GROUPS = [
 ]
 
 
+CONSTANT_GROUPS = [("SL", 3), ("GL", 3), ("SL", 5), ("GL", 5), ("DIAG", 5)]
+
+
 def _table_group(family, q):
     if family == "DIAG":
         return diagonal_group(q)
@@ -144,6 +147,40 @@ class TestConjugacy:
             for j in range(r):
                 total = sum(data.a_ijk[i][j][k] * data.sizes[k] for k in range(r))
                 assert total == data.sizes[i] * data.sizes[j]
+
+    @pytest.mark.parametrize("family, q", CONSTANT_GROUPS)
+    def test_class_constants_equal_the_all_pairs_count(self, family, q):
+        group = _table_group(family, q)
+        assert group.conjugacy().a_ijk == reference_class_constants(group)
+
+    @pytest.mark.parametrize("family, q", CONSTANT_GROUPS)
+    def test_powers_are_the_walk_of_each_representative(self, family, q):
+        group = _table_group(family, q)
+        data = group.conjugacy()
+        assert data.powers == tuple(power_walk(group, z) for z in data.representatives)
+        for i in range(group.order):
+            assert group.element_order(i) == len(power_walk(group, i))
+
+
+def _sieve(n):
+    """is_prime[k] for k <= n, by the sieve of Eratosthenes."""
+    is_prime = [k > 1 for k in range(n + 1)]
+    for p in range(2, n + 1):
+        if is_prime[p]:
+            for m in range(p * p, n + 1, p):
+                is_prime[m] = False
+    return is_prime
+
+
+class TestPrimes:
+    def test_prime_factors_are_the_distinct_prime_divisors(self):
+        is_prime = _sieve(2000)
+        for n in range(1, 2001):
+            divisors = [p for p in range(2, n + 1) if is_prime[p] and n % p == 0]
+            assert charvar.groups._prime_factors(n) == divisors, n
+
+    def test_is_prime_matches_a_sieve(self):
+        assert [charvar.groups._is_prime(n) for n in range(2001)] == _sieve(2000)
 
 
 class TestCommutatorDistribution:

@@ -288,6 +288,9 @@ def test_moebius_values():
     expected = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1, 8: 0, 9: 0, 12: 0, 30: -1, 36: 0}
     for n, mu in expected.items():
         assert moebius(n) == mu
+    # sum of mu(d) over the divisors d of n is 1 at n = 1 and 0 above
+    for n in range(1, 501):
+        assert sum(moebius(d) for d in range(1, n + 1) if n % d == 0) == (n == 1), n
     with pytest.raises(ValueError):
         moebius(0)
 
