@@ -9,8 +9,10 @@ Subcommands and exit codes:
 
   0 success, 1 check/agreement failure, 2 usage error (also a SUITE of
   invariants.SUITES that does not apply at (n, g), or a central element of
-  --zeta-order the group lacks), 3 internal assertion
-  (a polynomiality/integrality failure, surfaced with diagnostics).
+  --zeta-order the group lacks), 3 internal assertion (a polynomiality/
+  integrality failure, whose diagnostic compute writes to stdout, or any other
+  internal error).  Commands raise; main maps each error to its code and one
+  stderr line.  A closed stdout ends the process by SIGPIPE, as it does cat.
 
 Output is byte-deterministic: JSON documents are canonical (sorted keys,
 compact separators, one trailing newline) and text output uses the canonical
@@ -26,16 +28,16 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import signal
 import sys
 
 from .characters import character_table, frobenius_sums
 from .errors import (
     CentralElementUnavailable,
+    CharvarError,
     GroupTooLarge,
     KindMismatch,
-    LiftFailure,
     NonIntegerCoefficient,
-    NonIntegralCount,
     NotPolynomial,
     UnsupportedGenus,
 )
@@ -111,21 +113,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_compute(args) -> int:
-    try:
-        kind = parse_kind(args.kind)
-    except KindMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+class _UsageError(Exception):
+    """A value on the command line that the command cannot use."""
+
+
+def _require_rank_and_genus(args) -> None:
     if args.n < 1 or args.g < 0:
-        print("error: need --n >= 1 and --g >= 0", file=sys.stderr)
-        return EXIT_USAGE
-    cache = _cache_from(args)
+        raise _UsageError("need --n >= 1 and --g >= 0")
+
+
+def cmd_compute(args) -> int:
+    kind = parse_kind(args.kind)
+    _require_rank_and_genus(args)
     try:
-        result = compute_invariant(kind, args.n, args.g, cache=cache)
+        result = compute_invariant(kind, args.n, args.g, cache=_cache_from(args))
     except OSError as exc:
-        print(f"error: cache directory unusable: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(f"cache directory unusable: {exc}") from exc
     except (NotPolynomial, NonIntegerCoefficient) as exc:
         diagnostic = {
             "error": {"type": type(exc).__name__, "message": str(exc)},
@@ -147,21 +150,11 @@ def cmd_compute(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.n < 1 or args.g < 0:
-        print("error: need --n >= 1 and --g >= 0", file=sys.stderr)
-        return EXIT_USAGE
-    cache = _cache_from(args)
+    _require_rank_and_genus(args)
     try:
-        report = run_check(args.suite, args.n, args.g, cache=cache)
+        report = run_check(args.suite, args.n, args.g, cache=_cache_from(args))
     except OSError as exc:
-        print(f"error: cache directory unusable: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (NotPolynomial, NonIntegerCoefficient) as exc:
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return EXIT_ASSERTION
-    except UnsupportedGenus as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(f"cache directory unusable: {exc}") from exc
     if args.format == "json":
         summary = {
             "suite": args.suite,
@@ -182,18 +175,12 @@ def cmd_check(args) -> int:
 
 def cmd_count(args) -> int:
     if args.g < 1:
-        print("error: need --g >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("need --g >= 1")
     try:
         group = build_group(args.family.upper(), 2, args.q)
-    except (GroupTooLarge, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        xi = group.central_of_order(args.zeta_order)
-    except CentralElementUnavailable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+    xi = group.central_of_order(args.zeta_order)
     payload: dict = {
         "family": args.family,
         "q": args.q,
@@ -206,12 +193,7 @@ def cmd_count(args) -> int:
         payload["brute_tuples"] = tuple_count(group, args.g, xi)
         counts.append(payload["brute_tuples"])
     if args.oracle in ("character", "both"):
-        try:
-            table = character_table(group)
-            sums = frobenius_sums(table, args.g, xi)
-        except (LiftFailure, NonIntegralCount) as exc:
-            print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-            return EXIT_ASSERTION
+        sums = frobenius_sums(character_table(group), args.g, xi)
         payload["character_tuples"] = sums.tuple_prediction
         payload["point_formula"] = str(sums.point_count)
         counts.append(payload["character_tuples"])
@@ -235,8 +217,7 @@ def cmd_cache(args) -> int:
             return EXIT_OK
         entries = cache.entries()
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(str(exc)) from exc
     for kind, n, g in entries:
         print(f"{kind.value}/{n}/{g}")
     return EXIT_OK
@@ -253,10 +234,20 @@ def main(argv=None) -> int:
         args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (_UsageError, KindMismatch, UnsupportedGenus, GroupTooLarge,
+            CentralElementUnavailable) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (CharvarError, AssertionError) as exc:
+        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
+        return EXIT_ASSERTION
 
 
 def console_main() -> None:
+    if hasattr(signal, "SIGPIPE"):  # a closed stdout ends the process, as for cat
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -9,8 +9,8 @@ commutator counts) works with element indices into that table.  The
 coefficients a_ijk take one pass of |G| per class representative z_k, over
 the x in C_i with x^-1 z_k in C_j (asserted class-constant), and the same
 pass walks the powers of z_k, which give every element order.  Every group
-is enumerated in full, so build_group refuses one with more than max_order
-elements; the default bound of 500 admits |GL(2,5)| = 480.
+is enumerated in full, so build_group refuses one with more than
+DEFAULT_MAX_ORDER = 500 elements, a constant that admits |GL(2,5)| = 480.
 
 The brute-force side is organized as the |G|^2 commutator distribution
 c(z) = #{(A,B) : A B A^-1 B^-1 = z} followed by class-algebra convolution, so
@@ -167,8 +167,8 @@ class MatrixGroup:
         return f"MatrixGroup({self.family}, dim=2, q={self.q}, order={self.order})"
 
 
-def build_group(family: str, dim: int = 2, q: int = 3, *, max_order: int = DEFAULT_MAX_ORDER) -> MatrixGroup:
-    """Enumerate GL(2,q) or SL(2,q) for prime q, up to max_order elements.
+def build_group(family: str, dim: int, q: int) -> MatrixGroup:
+    """Enumerate GL(2,q) or SL(2,q) for prime q, up to DEFAULT_MAX_ORDER elements.
 
     The order bound comes before the primality test, whose trial division
     takes about sqrt(q) steps.
@@ -180,9 +180,9 @@ def build_group(family: str, dim: int = 2, q: int = 3, *, max_order: int = DEFAU
         raise ValueError("only 2x2 matrix groups are enumerated here")
     expected = q * (q * q - 1) * (q - 1 if family == "GL" else 1)
     # below 2 this is no group order, and the primality test refuses q
-    if q > 1 and expected > max_order:
+    if q > 1 and expected > DEFAULT_MAX_ORDER:
         raise GroupTooLarge(
-            f"|{family}(2,{q})| = {expected} exceeds the bound {max_order}"
+            f"|{family}(2,{q})| = {expected} exceeds the bound {DEFAULT_MAX_ORDER}"
         )
     _require_prime(q)
     want = 1 if family == "SL" else None

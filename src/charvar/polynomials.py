@@ -1514,6 +1514,13 @@ def adams(fr: FactoredFraction, r: int, flavor: Flavor) -> FactoredFraction:
 
     A denominator factor's image is its two terms substituted as in adams_poly,
     renormalized (_split); its shift and scale go into the numerator.
+
+    A reduced fraction has a reduced image, built with no cancel: x_i -> +-x_i^r
+    is an injective ring map phi of Q[x^+-1] onto the ring fixed by x_i ->
+    zeta_i*x_i, zeta_i^r = 1.  If phi(f) divides phi(N), the quotient is fixed
+    too, so it is phi(Q) and N = f*Q: an image factor divides the image's
+    numerator only if its source factor divides N.  The units that _fold_factor
+    moves into the numerator change no divisibility.
     """
     if r == 1:
         if fr.vars != flavor.variables:
@@ -1526,4 +1533,4 @@ def adams(fr: FactoredFraction, r: int, flavor: Flavor) -> FactoredFraction:
         image = [(tuple(r * k for k in e), -c if sum(k for k, s in zip(e, flips) if s) & 1 else c)
                  for e, c in ((f.low, f.low_coeff), (f.high, f.high_coeff))]
         num = _fold_factor(num, den, _split(fr.vars, *image), m)
-    return FactoredFraction(num, den)
+    return FactoredFraction._reduced(num, den)

@@ -1,7 +1,9 @@
 """CLI behavior: golden outputs, determinism, cache transparency, exit codes."""
 
+import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -10,8 +12,9 @@ from pathlib import Path
 import pytest
 
 from charvar import cli
-from charvar.errors import NotPolynomial
+from charvar.errors import ContextError, NotPolynomial
 from charvar.invariants import (
+    SUITES,
     clear_memo,
     compute_invariant,
     document_bytes,
@@ -140,6 +143,30 @@ class TestCompute:
         assert code == 3
         assert json.loads(out)["error"]["type"] == "NotPolynomial"
 
+    def test_an_internal_error_exits_3_with_one_line(self, capsys, monkeypatch):
+        def boom(*args, **kwargs):
+            raise ContextError("operands in different contexts")
+
+        monkeypatch.setattr(cli, "compute_invariant", boom)
+        code, out, err = run(capsys, "compute", "--kind", "E", "--n", "2", "--g", "2")
+        assert (code, out) == (3, "")
+        assert err == "error[ContextError]: operands in different contexts\n"
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE here")
+    def test_a_closed_stdout_ends_the_process_quietly(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # closed before the child writes anything
+        try:
+            child = subprocess.Popen(
+                [sys.executable, "-m", "charvar", "compute", "--kind", "E", "--n", "2",
+                 "--g", "2"], stdout=write_end, stderr=subprocess.PIPE, env=env,
+            )
+        finally:
+            os.close(write_end)
+        _, err = child.communicate(timeout=120)
+        assert (child.returncode, err) == (-signal.SIGPIPE, b"")
+
 
 class TestCheck:
     def test_euler_pass(self, capsys):
@@ -267,6 +294,17 @@ class TestCount:
             "--zeta-order", "2", "--oracle", "both",
         )
         assert code == 1 and "agreement: False" in out
+
+    def test_an_internal_assert_exits_3_with_one_line(self, capsys, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("classes are not class-constant")
+
+        monkeypatch.setattr(cli, "tuple_count", boom)
+        code, out, err = run(
+            capsys, "count", "--family", "sl", "--q", "3", "--g", "1", "--zeta-order", "2"
+        )
+        assert (code, out) == (3, "")
+        assert err == "error[AssertionError]: classes are not class-constant\n"
 
     def test_json_output(self, capsys):
         code, out, _ = run(
@@ -505,3 +543,59 @@ def test_python_dash_m_runs_the_cli(capsys, monkeypatch):
                                 capture_output=True, text=True, timeout=120)
         assert (code, out, err) == (module.returncode, module.stdout, module.stderr), argv
         assert code == expected, argv
+
+
+def _transcript_grid(tmp):
+    """compute, check, count and cache over valid and invalid values that the
+    parser accepts; argparse's own messages vary between Python versions."""
+    grid = []
+    for kind in ("E", "hqt", "hxy", "pp", "HQT", "zz", ""):
+        for n in (-1, 0, 1, 2, 3):
+            for g in (-1, 0, 1, 2, 3):
+                for fmt in ("text", "json"):
+                    grid.append(["compute", "--kind", kind, "--n", str(n), "--g", str(g),
+                                 "--format", fmt])
+    for suite in (*SUITES, "all"):
+        for n in (-1, 0, 1, 2, 3):
+            for g in (-1, 0, 1, 2, 3):
+                for fmt in ("text", "json"):
+                    grid.append(["check", "--suite", suite, "--n", str(n), "--g", str(g),
+                                 "--format", fmt])
+    for family, qs in (("gl", (0, 1, 2, 3, 4, 7, 11)), ("sl", (0, 1, 2, 3, 4, 5, 7))):
+        for q in qs:
+            for g in (0, 1, 2):
+                for zeta in (0, 1, 2, 3, 4):
+                    grid.append(["count", "--family", family, "--q", str(q), "--g", str(g),
+                                 "--zeta-order", str(zeta)])
+    for oracle in ("brute", "character"):
+        for fmt in ("text", "json"):
+            grid.append(["count", "--family", "sl", "--q", "3", "--g", "2", "--zeta-order",
+                         "2", "--oracle", oracle, "--format", fmt])
+    a_file, missing = tmp / "a-file", tmp / "missing" / "dir"
+    a_file.write_bytes(b"kept")
+    for root in (tmp / "filled", missing, a_file, a_file / "below"):
+        for argv in (["cache", "--list"], ["cache", "--clear"], ["cache", "--list"],
+                     ["compute", "--kind", "E", "--n", "2", "--g", "2"],
+                     ["check", "--suite", "euler", "--n", "2", "--g", "2"],
+                     ["cache", "--list"], ["cache", "--clear"], ["cache", "--list"]):
+            grid.append([*argv, "--cache-dir", str(root)])
+    return grid
+
+
+# SHA-256 of every (argv, exit code, stdout bytes, stderr bytes) of the grid
+# above, temporary paths replaced by "<tmp>".
+TRANSCRIPT_DIGEST = "db165fa286f2a2f350010fbad42c9e82ef11307e79cde3a66e6cd2e838486ca2"
+
+
+def test_the_cli_transcript_is_pinned(capsysbinary, tmp_path):
+    """One process runs the grid in order; every byte and exit code is pinned."""
+    clear_memo()
+    digest = hashlib.sha256()
+    tmp = str(tmp_path).encode()
+    for argv in _transcript_grid(tmp_path):
+        code = cli.main(argv)
+        out, err = capsysbinary.readouterr()
+        record = (argv, code, out.replace(tmp, b"<tmp>"), err.replace(tmp, b"<tmp>"))
+        digest.update(repr(record).replace(str(tmp_path), "<tmp>").encode())
+    clear_memo()
+    assert digest.hexdigest() == TRANSCRIPT_DIGEST

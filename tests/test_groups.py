@@ -48,10 +48,6 @@ class TestBuildGroup:
         with pytest.raises(ValueError, match="not prime"):
             build_group(family, 2, q)
 
-    def test_configurable_bound(self):
-        with pytest.raises(GroupTooLarge):
-            build_group("GL", 2, 5, max_order=100)
-
     def test_central_elements(self, gl23):
         assert gl23.element_order(gl23.central_of_order(2)) == 2
         assert gl23.central_of_order(1) == gl23.identity
