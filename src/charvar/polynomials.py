@@ -33,26 +33,25 @@ pack.  Coefficients are exact; integer-valued coefficients are stored as int
 (a fast path: Python's numeric tower makes int and Fraction interoperable),
 anything else as Fraction; only a kernel that a Fraction can enter scans its
 result for them (_ints).  A cold layer pass builds and scans none: its
-denominator factors are normalized in ints (_split), and its scale by 1/n
-divides in ints.  The zero polynomial has no terms; negative exponents are
-allowed everywhere (Laurent support is required by the hook normalizations).
+denominator factors have coefficients +-1, and its scale by 1/n divides in
+ints.  The zero polynomial has no terms; negative exponents are allowed
+everywhere (Laurent support is required by the hook normalizations).
 
 On top of the polynomials sits FactoredFraction: a numerator polynomial
-divided by a multiset of normalized two-term factors ("binomials" such as
-1 - q^3*t^4).  Every denominator produced by the generating functions in this
-package is a product of such factors, so exact division by binomials replaces
-general multivariate gcd computation, and a BinomialFactor is the only divisor:
-``divide_exact`` takes a two-term divisor and divides by its normalized
-factor.  Most trial divisions fail, so ``_divide_by_factor`` gives a factor
-1 + c*x^d with c = +-1 a pre-test that can only reject: the numerator's
-value modulo the prime 2^61 - 1 at a fixed point where x^d = -c, i.e. on the
-binomial's zero set.  A multiple of the binomial vanishes there (its quotient
-has integer coefficients too), so a nonzero value proves the division fails.
-A zero or unknown value gives no verdict, and the exact division decides: a
-one-dimensional long division of the keys by c0 + c1*z^D, with D the key of
-the binomial's direction, walked upward.  A run of quotient terms that meets
-no numerator term is bounded by the top key of its residue class mod D, the
-line bound.
+divided by a multiset of binomial factors 1 + c*x^d with c = +-1 and d >= 0
+nonzero, such as 1 - q^3*t^4.  The hook terms, their Adams images and the
+printed closed forms have no other denominators, so exact division by these
+binomials replaces general multivariate gcd computation, and a BinomialFactor
+is the only divisor: ``divide_exact`` takes 1 +- x^d and refuses any other.
+Most trial divisions fail, so ``_divide_by_factor`` first runs a pre-test that
+can only reject: the numerator's value modulo the prime 2^61 - 1 at a fixed
+point where x^d = -c, i.e. on the binomial's zero set.  A multiple of the
+binomial vanishes there (its quotient has integer coefficients too), so a
+nonzero value proves the division fails.  A zero or unknown value gives no
+verdict, and the exact division decides: a one-dimensional long division of
+the keys by 1 + c*z^D, with D the key of d, walked upward.  A run of quotient
+terms that meets no numerator term is bounded by the top key of its residue
+class mod D, the line bound.
 
 A sum of fractions is taken over the lcm of their denominators, line by line.
 A factor 1 - x^(k*d) with d primitive is the product of the cyclotomic
@@ -86,9 +85,9 @@ its terms would.  Values are lost where an operand's was, and where no rule
 builds the numerator: a factor that a layer's normalization or an Adams
 substitution brings in.
 
-The monomial order used for canonical output and for a binomial factor's
-leading term is graded lexicographic, ascending, with the variable order of
-the context; the long division walks the key order instead.  All values are
+The monomial order used for canonical output and for sorting binomial
+factors is graded lexicographic, ascending, with the variable order of the
+context; the long division walks the key order instead.  All values are
 immutable after construction (a polynomial's packed form, its decoded view
 and its memo of pre-test jets only cache what its terms determine); every
 operation is a pure function, safe for concurrent use.
@@ -99,7 +98,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from math import gcd, lcm
+from math import gcd
 from operator import add, mul, neg, sub
 
 from .errors import (
@@ -130,7 +129,9 @@ class Flavor:
     operations; the others substitute plainly as v -> v^r.
 
     Every factor is a triple (c, exps, power) meaning (1 + c*x^exps)^power; a
-    negative power divides.  The term of a partition at genus g is
+    negative power divides, and a factor that can take one has c = +-1 and
+    exps >= 0, so that it is a BinomialFactor.  The term of a partition at
+    genus g is
 
         x^(leg_shift * (1-g) * sum-of-legs) * prod_z prod_cell_factors
 
@@ -631,8 +632,8 @@ def _own(p):
 
 def _ints(out):
     """Store the integral Fraction values of a fresh term dict as int, in place;
-    whether a Fraction is left.  Only a kernel whose operand, scale or divisor
-    (c0 != +-1) can bring a Fraction in calls it: an int result is not scanned."""
+    whether a Fraction is left.  Only a kernel whose operand or scale can bring
+    a Fraction in calls it: an int result is not scanned."""
     frac = False
     for e, c in out.items():
         if type(c) is Fraction:
@@ -703,46 +704,42 @@ def adams_poly(p: SparsePoly, r: int, flavor: Flavor) -> SparsePoly:
 
 
 def divide_exact(num: SparsePoly, div: SparsePoly) -> SparsePoly:
-    """Exact quotient num / div by a two-term div, raising NotDivisible when none exists.
-
-    normalize_factor splits div as scale * x^shift * f with f a
-    BinomialFactor (a ValueError for one term or more than two).  The scale
-    and the monomial are units of the Laurent ring, so the quotient is
-    num / f shifted by -shift and divided by scale.
-    """
+    """Exact quotient num / div for div = 1 + c*x^d, c = +-1 and d >= 0 (a
+    BinomialFactor), raising NotDivisible when none exists and a ValueError
+    that names any other divisor."""
     num._check_context(div)
-    if div.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    f, shift, scale = normalize_factor(div)
-    q = _divide_by_factor(num, f)
-    if q is None:
-        raise NotDivisible(f"({poly_text(div)}) does not divide ({poly_text(num)})")
-    return q.shift(tuple(-k for k in shift)).scale(Fraction(1) / scale)
+    zero = (0,) * len(div.vars)
+    rest = dict(div.terms)
+    if len(rest) == 2 and rest.pop(zero, None) == 1:
+        ((d, c),) = rest.items()
+        if c in (1, -1) and min(d) >= 0:
+            q = _divide_by_factor(num, BinomialFactor(div.vars, d, c))
+            if q is None:
+                raise NotDivisible(f"({poly_text(div)}) does not divide ({poly_text(num)})")
+            return q
+    raise ValueError(f"divisor {poly_text(div)} is not a binomial 1 +- x^d with d >= 0")
 
 
 def _divide_by_factor(num: SparsePoly, f: BinomialFactor):
     """Exact quotient num / f as SparsePoly, or None.  Handles Laurent inputs.
 
-    Most trial divisions fail, so a factor 1 + c1*x^d with c1 = +-1 first
-    gets the pre-test: the numerator's carried value at the factor's test
-    point (_jet).  A multiple Q*(1 + c1*x^d) has value 0 there: the long
-    division makes Q's coefficients integer combinations of the numerator's,
-    so Q has a value too.  A nonzero value therefore proves the division
-    fails; a zero or unknown value (none carried, a rational numerator, or no
-    test point) proves nothing, and the long division decides every success.
+    Most trial divisions fail, so f = 1 + c*x^d first gets the pre-test: the
+    numerator's carried value at the factor's test point (_jet).  A multiple
+    Q*(1 + c*x^d) has value 0 there: the long division makes Q's
+    coefficients integer combinations of the numerator's, so Q has a value
+    too.  A nonzero value therefore proves the division fails; a zero or
+    unknown value (none carried, a rational numerator, or no test point)
+    proves nothing, and the long division decides every success.
 
-    The division runs on keys, in the key order, from f's term with the
-    lower key: with l that term's exponent, the walk divides x^(-l)*N by
-    c0 + c1*x^d, d the other term's exponent minus l.  f's box is [0, top]
-    (its terms' componentwise minimum is 0), so an exact quotient lies in
-    box_Q = [lo, hi - top], with [lo, hi] num's box, and each coordinate of
-    d is at most top_i in size.  A run of quotient terms u, u + d, ..., u + k*d
-    inside box_Q has k*|d_i| <= span_i - top_i wherever d_i != 0, so k is at
-    most ``cap``; a longer run, or a negative span_i - top_i, proves failure.
-    Every vector the walk compares or looks up is then a numerator exponent
-    minus l, one step d past one, or a run's term, at most span_i + top_i
-    below lo_i or span_i above hi_i.  So the walk works in the width that
-    holds [lo - span - top, hi + span]: there every key it meets is the key of
+    The division runs on keys, in the key order, by 1 + c*z^D, D the key of
+    d.  f's box is [0, d], so an exact quotient lies in box_Q = [lo, hi - d],
+    with [lo, hi] num's box.  A run of quotient terms u, u + d, ..., u + k*d
+    inside box_Q has k*d_i <= span_i - d_i wherever d_i != 0, so k is at most
+    ``cap``; a longer run, or a negative span_i - d_i, proves failure.  Every
+    vector the walk compares or looks up is then a numerator exponent, one
+    step d past one, or a run's term, at most span_i + d_i below lo_i or
+    span_i above hi_i.  So the walk works in the width that holds
+    [lo - span - d, hi + span]: there every key it meets is the key of
     exactly that vector, the key order is a monomial order, and the walk is
     the long division of num by f.  A quotient found at a wider width than
     its own box needs is re-keyed at that box's width.
@@ -753,42 +750,37 @@ def _divide_by_factor(num: SparsePoly, f: BinomialFactor):
     if pt is not None and _jet(num, pt)[0]:
         return None
     lo, hi = _box(num)
-    top = f._top
+    d = f.exps
     span = tuple(map(sub, hi, lo))
-    room = tuple(map(sub, span, top))
+    room = tuple(map(sub, span, d))
     if min(room) < 0:
         return None
-    cap = min(r // abs(v) for r, v in zip(room, f._direction) if v)
-    w = _width(len(lo), max(max(s + t - a, b + s) for a, b, s, t in zip(lo, hi, span, top)))
-    keys = _keys_at(num, w)
-    kl, cl, kh, ch = _key(f.low, w), f.low_coeff, _key(f.high, w), f.high_coeff
-    if kl > kh:
-        kl, cl, kh, ch = kh, ch, kl, cl
-    rem = {e - kl: c for e, c in keys.items()} if kl else dict(keys)
-    out = _divide_two_term(rem, kh - kl, cl, ch, cap)
+    cap = min(r // v for r, v in zip(room, d) if v)
+    w = _width(len(lo), max(max(s + v - a, b + s) for a, b, s, v in zip(lo, hi, span, d)))
+    out = _divide_two_term(dict(_keys_at(num, w)), _key(d, w), f.c, cap)
     if out is None:
         return None
-    frac = (_own(num)[3] or cl not in (1, -1)) and _ints(out)
-    box = (lo, tuple(map(sub, hi, top)))
+    frac = _own(num)[3] and _ints(out)
+    box = (lo, tuple(map(sub, hi, d)))
     own = _width_of(len(lo), box)
     if own != w:  # re-keyed at its own box's width, so later kernels need not
         out = {_key(e, own): c for e, c in _decode(out, w, len(lo)).items()}
     return SparsePoly._from_keys(num.vars, out, own, box, frac)
 
 
-def _divide_two_term(rem, d, c0, c1, cap):
-    """Quotient of a key dict by c0 + c1*z^d (d > 0), or None; rem is consumed.
+def _divide_two_term(rem, d, c, cap):
+    """Quotient of a key dict by 1 + c*z^d (d > 0, c = +-1), or None; rem is consumed.
 
     The numerator's keys are walked upward: each key p with a nonzero
-    remainder sets Q[p] = rem[p] / c0 and subtracts c1*Q[p] from rem[p + d].
+    remainder sets Q[p] = rem[p] and subtracts c*Q[p] from rem[p + d].
     A key above the top key minus d can hold no quotient term, so a nonzero
     remainder there is left over, and the division fails.  When p + d is no
     numerator key, its remainder is final and nonzero: it must be a quotient
     term, and so must the keys of the run p + 2d, ... up to the next numerator
-    key, which the walk fills at once.  A run may take at most ``cap`` steps, and may not pass the top key
-    minus d.  On a line {p + k*d} the quotient's top term sits d below the
-    numerator's, so a run may not pass the top key of p's residue class mod d
-    minus d either: that is the line bound.  Its map from each class to its
+    key, which the walk fills at once.  A run may take at most ``cap`` steps,
+    and may not pass the top key minus d.  On a line {p + k*d} the quotient's
+    top term sits d below the numerator's, so a run may not pass the top key
+    of p's residue class mod d minus d either: that is the line bound.  Its map from each class to its
     top costs a pass over the keys, so it is built only once the runs have
     filled as many terms as there are keys, which at most doubles the work.
     Exact divisions seldom get there (no walk of Hqt n <= 3 at g = 3 does, nor
@@ -797,37 +789,34 @@ def _divide_two_term(rem, d, c0, c1, cap):
     """
     keys = sorted(rem)
     stop = keys[-1] - d
-    inv = None if c0 == 1 else c0 if c0 == -1 else Fraction(1, c0)
-    step = -c1 if inv is None else -c1 * inv  # Q[t + d] = step * Q[t] on a run
+    step = -c  # Q[t + d] = step * Q[t] on a run
     tops = None
     budget = len(keys)  # run terms to fill before the line bound pays for itself
     get = rem.get
     out = {}
     for p in keys:
-        c = rem[p]
-        if not c:
+        v = rem[p]
+        if not v:
             continue
         if p > stop:
             return None
-        if inv is not None:
-            c *= inv
-        out[p] = c
+        out[p] = v
         t = p + d
-        v = get(t)
-        if v is None:
+        u = get(t)
+        if u is None:
             limit = min(p + cap * d, stop if tops is None else tops[p % d] - d)
-            while v is None:
+            while u is None:
                 if t > limit:
                     return None
-                c *= step
-                out[t] = c
+                v *= step
+                out[t] = v
                 t += d
-                v = get(t)
+                u = get(t)
                 budget -= 1
                 if not budget:
                     tops = dict(zip(map(d.__rmod__, keys), keys))
                     limit = min(limit, tops[p % d] - d)
-        rem[t] = v - c1 * c
+        rem[t] = u - c * v
     return out
 
 
@@ -838,20 +827,20 @@ _PRIME = (1 << 61) - 1
 
 
 @cache
-def _test_point(d, c1):
-    """The pre-test's point for 1 + c1*x^d (c1 = +-1), or None where it has none.
+def _test_point(d, c):
+    """The pre-test's point for 1 + c*x^d (c = +-1), or None where it has none.
 
-    The point is x_i = 2^(w_i) modulo _PRIME, with x_s negated for c1 = 1 (s
+    The point is x_i = 2^(w_i) modulo _PRIME, with x_s negated for c = 1 (s
     the first variable with d_s odd), returned as (w, s, j); s is None for
-    c1 = -1, and j, the first variable with d_j != 0, is the coordinate of
+    c = -1, and j, the first variable with d_j != 0, is the coordinate of
     the jets' derivative D = x_j*d/dx_j.  The weights w_i = 3^i*d_j for
-    i != j and w_j = -sum_(i != j) 3^i*d_i give w.d = 0, so x^d = -c1 and the
-    divisor vanishes at x; there D(1 + c1*x^d) = -d_j != 0.  There is no point
+    i != j and w_j = -sum_(i != j) 3^i*d_i give w.d = 0, so x^d = -c and the
+    divisor vanishes at x; there D(1 + c*x^d) = -d_j != 0.  There is no point
     for 1 + x^d with every d_i even: x^d is a square and -1 is none modulo
     _PRIME.
     """
     s = None
-    if c1 == 1:
+    if c == 1:
         s = next((i for i, v in enumerate(d) if v & 1), None)
         if s is None:
             return None
@@ -949,23 +938,28 @@ def _set_values(poly, values):
         object.__setattr__(poly, "_values", values)
 
 
-# -- normalized binomial factors ---------------------------------------------
+# -- binomial factors ----------------------------------------------------------
 
 
 class BinomialFactor:
-    """A canonical two-term denominator factor.
+    """The denominator factor 1 + c*x^exps, with c = +-1 and exps >= 0 nonzero.
 
-    Invariants: integer coefficients with gcd 1; componentwise minimum of the
-    two exponent vectors is the zero vector (monomial content stripped); the
-    graded-lex smaller term has positive coefficient; not a unit monomial.
-    Immutable, equal and hashed by its five fields; the hash is computed once.
+    The fields are named like the (c, exps, power) triples of
+    ``Flavor.cell_factors``; any other c or exps raises ValueError.
+    Immutable, equal and hashed by its three fields; the hash is computed once.
     """
 
-    def __init__(self, variables, low, low_coeff, high, high_coeff):
+    def __init__(self, variables, exps, c):
+        exps = tuple(exps)
+        if type(c) is not int or c not in (1, -1) or len(exps) != len(variables) \
+                or not any(exps) or min(exps) < 0:
+            raise ValueError(
+                f"1 + {c}*x^{exps} in {tuple(variables)} is no binomial factor:"
+                " it wants c = +-1 and a nonzero exponent vector with no negative entry"
+            )
         d = self.__dict__  # past the __setattr__ that refuses changes
-        d["variables"], d["low"], d["low_coeff"] = variables, low, low_coeff
-        d["high"], d["high_coeff"] = high, high_coeff
-        d["_fields"] = fields = (variables, low, low_coeff, high, high_coeff)
+        d["variables"], d["exps"], d["c"] = variables, exps, c
+        d["_fields"] = fields = (variables, exps, c)
         d["_hash"] = hash(fields)
 
     def __setattr__(self, name, value):
@@ -991,82 +985,27 @@ class BinomialFactor:
     @cached_property
     def _poly(self):
         # one polynomial per factor, so its memo keeps the factor's values
-        return SparsePoly._raw(
-            self.variables, {self.low: self.low_coeff, self.high: self.high_coeff}
-        )
-
-    @cached_property
-    def _direction(self):
-        """high - low, the step of the long division."""
-        return tuple(map(sub, self.high, self.low))
+        return SparsePoly._raw(self.variables, {(0,) * len(self.exps): 1, self.exps: self.c})
 
     @cached_property
     def _line(self):
         """(d, k) for 1 - x^(k*d) with d primitive, the product of Phi_j(x^d)
-        over j | k; a factor of any other form is its own line, (self, 1)."""
-        if self.low_coeff != 1 or self.high_coeff != -1 or any(self.low):
+        over j | k; a factor 1 + x^exps is its own line, (self, 1)."""
+        if self.c == 1:
             return self, 1
-        k = gcd(*self.high)
-        return tuple(e // k for e in self.high), k
-
-    @cached_property
-    def _top(self):
-        """The top corner of the factor's box; its bottom corner is 0."""
-        return tuple(map(max, self.low, self.high))
+        k = gcd(*self.exps)
+        return tuple(e // k for e in self.exps), k
 
     @cached_property
     def _point(self):
         """The pre-test's point for this factor, or None when it has none."""
-        if self.low_coeff != 1 or self.high_coeff not in (1, -1):
-            return None
-        return _test_point(self._direction, self.high_coeff)
+        return _test_point(self.exps, self.c)
 
     def sort_key(self):
-        return (_gl_key(self.high), self.high_coeff, _gl_key(self.low), self.low_coeff)
+        return (_gl_key(self.exps), self.c)
 
     def __repr__(self):
         return f"BinomialFactor({poly_text(self.as_poly())})"
-
-
-def normalize_factor(p: SparsePoly):
-    """Split a nonzero polynomial as scale * monomial * BinomialFactor.
-
-    Returns (factor, shift_exponents, scale) with p ==
-    factor.as_poly().shift(shift_exponents).scale(scale), the scale an int
-    when p's coefficients are.  Raises ValueError when p is zero, a unit
-    monomial, or has more than two terms (general denominators never arise).
-    """
-    if p.is_zero():
-        raise ValueError("zero polynomial cannot be a denominator factor")
-    if len(p) == 1:
-        raise ValueError(f"unit monomial factor {poly_text(p)}")
-    if len(p) > 2:
-        raise ValueError(f"factor {poly_text(p)} is not a binomial")
-    return _split(p.vars, *p.terms.items())
-
-
-def _split(variables, t0, t1):
-    """normalize_factor of c0*x^e0 + c1*x^e1, (ei, ci) = ti with c0, c1 nonzero
-    and e0 != e1: the one rule that builds a BinomialFactor.  Int coefficients
-    give an int scale and build no Fraction."""
-    (e0, c0), (e1, c1) = (t0, t1) if _gl_key(t0[0]) < _gl_key(t1[0]) else (t1, t0)
-    shift = tuple(map(min, e0, e1))
-    if any(shift):
-        e0, e1 = tuple(map(sub, e0, shift)), tuple(map(sub, e1, shift))
-    d = lcm(c0.denominator, c1.denominator)
-    c0, c1 = c0.numerator * (d // c0.denominator), c1.numerator * (d // c1.denominator)
-    g = gcd(c0, c1) if c0 > 0 else -gcd(c0, c1)  # the smaller term's sign
-    scale = g if d == 1 else Fraction(g, d)
-    return BinomialFactor(variables, e0, c0 // g, e1, c1 // g), shift, scale
-
-
-def _fold_factor(num: SparsePoly, den: dict, split, power: int) -> SparsePoly:
-    """Divide num / den by p^power, split = p's (factor, shift, scale): add the
-    factor to den, in place, and return num with the shift and scale folded in."""
-    factor, shift, scale = split
-    den[factor] = den.get(factor, 0) + power
-    num = num.shift(tuple(-power * k for k in shift))
-    return num if scale == 1 else num.scale(Fraction(1) / scale**power)
 
 
 # -- fractions with factored binomial denominators ----------------------------
@@ -1079,7 +1018,8 @@ class FactoredFraction:
     fraction is reduced: no denominator factor exactly divides the numerator
     (the constructor cancels; _reduced builds what is reduced already), but
     for a product that _unreduced_product hands to a sum, which reduces it.
-    The canonical zero has a zero numerator and an empty denominator.
+    The canonical zero has a zero numerator and an empty denominator; else
+    the constructor drops a multiplicity 0 and refuses one below 0 (ValueError).
     """
 
     __slots__ = ("num", "den")
@@ -1183,14 +1123,7 @@ class FactoredFraction:
 
     def _times_binomial(self, c, exps, power: int):
         """Multiply by (1 + c*x^exps)^power; a negative power divides."""
-        if not _is_binomial(c, exps, power):
-            return self
-        one = (0,) * len(exps)
-        if power > 0:
-            return self * SparsePoly(self.vars, {one: 1, exps: c})**power
-        den = dict(self.den)
-        num = _fold_factor(self.num, den, _split(self.vars, (one, 1), (exps, c)), -power)
-        return FactoredFraction(num, den)
+        return self * binomial_product(self.vars, [(c, exps, power)])
 
     def equals(self, other) -> bool:
         """Value equality (cross-multiplied over a common denominator)."""
@@ -1244,15 +1177,14 @@ def binomial_product(variables, factors) -> FactoredFraction:
     """The product of (1 + c*x^e)^k over the (c, e, k) triples of factors.
 
     Built once, so cancelled once: a power k > 0 multiplies the numerator, a
-    power k < 0 folds the factor (_split) into the denominator, a factor 1
-    (c = 0 or k = 0) is skipped and e = 0 raises ValueError.  The numerator
-    gets its pre-test jets at the denominator's points from its binomial
-    powers if every c is an int, each binomial's (1 + c*m0, c*m1) from its
-    monomial's, so no pass reads it; the folds' monomial unit carries them.
+    power k < 0 puts the BinomialFactor (c = +-1, e >= 0) into the
+    denominator, a factor 1 (c = 0 or k = 0) is skipped and e = 0 raises
+    ValueError.  The numerator gets its pre-test jets at the denominator's
+    points from its binomial powers if every c is an int, each binomial's
+    (1 + c*m0, c*m1) from its monomial's, so no pass reads it.
     """
     zero = (0,) * len(variables)
     num = SparsePoly.one(variables)
-    unit = SparsePoly.one(variables)  # the monomial the folds leave
     den = {}
     powers = []
     for c, e, k in factors:
@@ -1262,7 +1194,8 @@ def binomial_product(variables, factors) -> FactoredFraction:
             num = num * SparsePoly(variables, {zero: 1, e: c})**k
             powers.append((c, e, k))
         else:
-            unit = _fold_factor(unit, den, _split(variables, (zero, 1), (e, c)), -k)
+            f = BinomialFactor(variables, e, c)
+            den[f] = den.get(f, 0) - k
     values = {}
     for f in den:
         pt = f._point
@@ -1273,8 +1206,7 @@ def binomial_product(variables, factors) -> FactoredFraction:
                 jet = _jet_mul(jet, _jet_pow((1 + c * m0, c * m1), k))
             values[pt] = jet
     _set_values(num, values)
-    ((shift, scale),) = unit.terms.items()
-    return FactoredFraction(num.shift(shift).scale(scale), den)
+    return FactoredFraction(num, den)
 
 
 def _product(a, b, den):
@@ -1322,6 +1254,8 @@ def _cancel(num, den):
     """
     out = {}
     for f, m in sorted(den.items(), key=lambda fm: fm[0].sort_key()):
+        if m < 0:
+            raise ValueError(f"denominator factor {f!r} has multiplicity {m} < 0")
         while m > 0:
             q = _divide_by_factor(num, f)
             if q is None:
@@ -1470,8 +1404,8 @@ def frac_sum(fracs, variables=None) -> FactoredFraction:
     j | k, so 1 - x^d divides 1 - x^(2d): a multiset maximum of binomials
     overstates the lcm, and a sum over it lifts a summand by a factor that the
     total then divides back out.  Each summand is lifted by its cofactor
-    common / den_i (_common_denominator), built in closed form.  A factor of
-    another form (1 + x^D, or c0 != 1) is its own line.
+    common / den_i (_common_denominator), built in closed form.  A factor
+    1 + x^D is its own line.
 
     Cancellation runs once, on the total, so the summands need not be reduced
     and a long summation (a series recursion) does not re-cancel at every
@@ -1512,25 +1446,23 @@ def frac_sum(fracs, variables=None) -> FactoredFraction:
 def adams(fr: FactoredFraction, r: int, flavor: Flavor) -> FactoredFraction:
     """Adams substitution on a factored fraction (exact, denominator-safe).
 
-    A denominator factor's image is its two terms substituted as in adams_poly,
-    renormalized (_split); its shift and scale go into the numerator.
+    The arguments are checked first, by adams_poly on the numerator.  A
+    denominator factor 1 + c*x^e has the image 1 +- x^(r*e), its two terms
+    substituted as in adams_poly: a BinomialFactor again, which goes into the
+    denominator as it is.  Distinct factors have distinct images.
 
     A reduced fraction has a reduced image, built with no cancel: x_i -> +-x_i^r
     is an injective ring map phi of Q[x^+-1] onto the ring fixed by x_i ->
     zeta_i*x_i, zeta_i^r = 1.  If phi(f) divides phi(N), the quotient is fixed
     too, so it is phi(Q) and N = f*Q: an image factor divides the image's
-    numerator only if its source factor divides N.  The units that _fold_factor
-    moves into the numerator change no divisibility.
+    numerator only if its source factor divides N.
     """
-    if r == 1:
-        if fr.vars != flavor.variables:
-            raise ContextError(f"flavor {flavor.name} does not match {fr.vars}")
-        return fr
     num = adams_poly(fr.num, r, flavor)
-    den = {}
+    if r == 1:
+        return fr
     flips = [not r & 1 and v in flavor.twisted for v in fr.vars]
+    den = {}
     for f, m in fr.den.items():
-        image = [(tuple(r * k for k in e), -c if sum(k for k, s in zip(e, flips) if s) & 1 else c)
-                 for e, c in ((f.low, f.low_coeff), (f.high, f.high_coeff))]
-        num = _fold_factor(num, den, _split(fr.vars, *image), m)
+        c = -f.c if sum(k for k, s in zip(f.exps, flips) if s) & 1 else f.c
+        den[BinomialFactor(fr.vars, tuple(r * k for k in f.exps), c)] = m
     return FactoredFraction._reduced(num, den)

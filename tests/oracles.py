@@ -7,9 +7,7 @@ kept here as an oracle for it:
   from its rank layers, the round trip of ``extract_layers``;
 - ``specialize_fraction`` specializes a FactoredFraction, folding each
   denominator factor that stays a binomial back through the cancellation;
-- ``divided_by`` divides a FactoredFraction by a power of a two-term
-  polynomial, and ``reference_normalize_factor`` is the normalization of one
-  on its term dict, the reference for the two-term normalizer;
+- ``divided_by`` divides a FactoredFraction by a power of a binomial 1 +- x^d;
 - ``reference_frac_sum`` sums fractions over the multiset maximum of their
   binomials, the reference for the sum over the lcm on each line;
 - ``direct_mul_table`` multiplies every pair of matrices (``mat_mul``) and
@@ -27,16 +25,16 @@ kept here as an oracle for it:
   orthogonality check, and ``from_root_multiplicities`` reduces a sum of
   roots of unity once, the reference for the lift from reduced roots;
 - ``tuple_add``, ``tuple_mul``, ``tuple_scale`` and ``tuple_divide_two_term``
-  are the sum, product, rational scale and bucketed long division on
-  exponent-tuple term dicts, the reference for the kernels on packed keys;
+  are the sum, product, rational scale and bucketed long division by
+  1 +- x^d on exponent-tuple term dicts, the reference for the kernels on
+  packed keys;
 - ``jet_by_pass`` evaluates a polynomial's pre-test jet term by term, the
   reference for the jets that the kernels carry instead.
 """
 
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import gcd
-from operator import add, mul, sub
+from operator import add, mul
 
 from charvar.characters import _reduce_mod_cyclotomic
 from charvar.polynomials import (
@@ -45,12 +43,8 @@ from charvar.polynomials import (
     SparsePoly,
     _as_coeff,
     _PRIME,
-    _fold_factor,
-    _gl_key,
     adams,
     frac_sum,
-    normalize_factor,
-    poly_text,
 )
 from charvar.series import TruncatedSeries
 
@@ -101,7 +95,11 @@ def plethystic_exp_of_layers(flavor, layers, order: int) -> TruncatedSeries:
 
 
 def specialize_fraction(fr: FactoredFraction, assignment) -> FactoredFraction:
-    """Specialize variables; denominator factors must stay nonzero."""
+    """Specialize variables to +-1 or to variable names.
+
+    Each denominator factor 1 + c*x^d then becomes 1 +- x^d', or the constant
+    2 where d' = 0, or 0, which raises ZeroDivisionError.
+    """
     num = fr.num.specialize(assignment)
     if not isinstance(num, SparsePoly):
         num = SparsePoly.constant((), num)
@@ -114,21 +112,29 @@ def specialize_fraction(fr: FactoredFraction, assignment) -> FactoredFraction:
             raise ZeroDivisionError(
                 f"denominator factor {f!r} vanishes under {assignment}"
             )
-        if len(fp.terms) == 1:
-            ((e, c),) = fp.terms.items()
-            num = num.shift(tuple(-m * k for k in e)).scale(Fraction(1) / Fraction(c) ** m)
+        if len(fp.terms) == 1:  # the constant 2
+            num = num.scale(Fraction(1, fp.coefficient((0,) * len(fp.vars)) ** m))
         else:
-            num = _fold_factor(num, den, normalize_factor(fp), m)
+            factor = binomial_factor(fp)
+            den[factor] = den.get(factor, 0) + m
     return FactoredFraction(num, den)
 
 
-# -- two-term denominator factors ------------------------------------------------
+# -- binomial denominator factors --------------------------------------------------
+
+
+def binomial_factor(p: SparsePoly) -> BinomialFactor:
+    """The BinomialFactor of p = 1 + c*x^d (ValueError for another p)."""
+    ((d, c),) = (p - 1).terms.items()
+    return BinomialFactor(p.vars, d, c)
 
 
 def divided_by(fr: FactoredFraction, p: SparsePoly, power: int = 1) -> FactoredFraction:
-    """fr / p^power for a two-term p, its normalized factor folded into fr."""
+    """fr / p^power for p = 1 + c*x^d, its BinomialFactor added to fr's denominator."""
     den = dict(fr.den)
-    return FactoredFraction(_fold_factor(fr.num, den, normalize_factor(p), power), den)
+    factor = binomial_factor(p)
+    den[factor] = den.get(factor, 0) + power
+    return FactoredFraction(fr.num, den)
 
 
 def reference_frac_sum(fracs) -> FactoredFraction:
@@ -146,33 +152,6 @@ def reference_frac_sum(fracs) -> FactoredFraction:
                 num = num * f.as_poly()
         total = total + num
     return FactoredFraction(total, common)
-
-
-def reference_normalize_factor(p: SparsePoly):
-    """(factor, shift, scale) of a two-term p on its term dict: shift out the
-    minimum exponents, clear denominators, divide out the gcd and make the
-    graded-lex smaller term's coefficient positive."""
-    if p.is_zero():
-        raise ValueError("zero polynomial cannot be a denominator factor")
-    shift = p.min_exponents()
-    terms = {tuple(a - b for a, b in zip(e, shift)): c for e, c in p.terms.items()}
-    if len(terms) == 1:
-        raise ValueError(f"unit monomial factor {poly_text(p)}")
-    if len(terms) > 2:
-        raise ValueError(f"factor {poly_text(p)} is not a binomial")
-    denom_lcm = 1
-    for c in terms.values():
-        if type(c) is Fraction:
-            denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    ints = {e: int(c * denom_lcm) for e, c in terms.items()}
-    g = gcd(*ints.values())
-    (e0, c0), (e1, c1) = sorted(ints.items(), key=lambda t: _gl_key(t[0]))
-    c0 //= g
-    c1 //= g
-    scale = g if denom_lcm == 1 else Fraction(g, denom_lcm)
-    if c0 < 0:
-        c0, c1, scale = -c0, -c1, -scale
-    return BinomialFactor(p.vars, e0, c0, e1, c1), shift, scale
 
 
 # -- matrix groups -------------------------------------------------------------------
@@ -334,13 +313,12 @@ def tuple_mul(a, b):
     return {e: _as_coeff(c) for e, c in out.items()}
 
 
-def tuple_divide_two_term(nterms, e0, c0, d, c1):
-    """Quotient of a term dict by c0*x^e0 + c1*x^(e0+d), or None, by bucketed long division.
+def tuple_divide_two_term(nterms, d, c):
+    """Quotient of a term dict by 1 + c*x^d (d >= 0 nonzero), or None, by bucketed long division.
 
-    e0 is graded-lex below e0 + d, so some coordinate j has d_j > 0.  The
-    numerator's terms, taken relative to e0, go into buckets by p_j, walked
-    upward off a heap of levels: each term p sets Q[p] = rem[p] / c0 and
-    subtracts c1*Q[p] from rem[p + d].  The division succeeds exactly when
+    Some coordinate j has d_j > 0.  The numerator's terms go into buckets by
+    p_j, walked upward off a heap of levels: each term p sets Q[p] = rem[p]
+    and subtracts c*Q[p] from rem[p + d].  The division succeeds exactly when
     every remainder left in the top d_j levels is 0.  A position t that a
     chain creates must become a quotient term, so the division fails when t_j
     lies above its line's top minus d_j or its line {t + k*d} holds no
@@ -348,28 +326,26 @@ def tuple_divide_two_term(nterms, e0, c0, d, c1):
     """
     j = next(i for i, v in enumerate(d) if v > 0)
     dj = d[j]
-    rem = {tuple(map(sub, e, e0)): c for e, c in nterms.items()}
+    rem = dict(nterms)
     buckets = {}
     for p in rem:
         buckets.setdefault(p[j], []).append(p)
     top = max(buckets) - dj
     levels = sorted(buckets)  # ascending, so already a heap
-    inv = None if c0 == 1 else Fraction(1, c0)
     lines = None  # line key -> its numerator's top p_j, built on demand
     out = {}
     while levels and levels[0] <= top:
         level = heappop(levels)
         for p in buckets[level]:
-            c = rem[p]
-            if c:
-                out[p] = c = _as_coeff(c if inv is None else c * inv)
+            v = rem[p]
+            if v:
+                out[p] = v = _as_coeff(v)
                 t = tuple(map(add, p, d))
                 if t not in rem:
                     if level + dj not in buckets:
                         if lines is None:
                             lines = {}
-                            for e in nterms:
-                                q = tuple(map(sub, e, e0))
+                            for q in nterms:
                                 key = _line_key(q, d, j)
                                 if lines.get(key, q[j]) <= q[j]:
                                     lines[key] = q[j]
@@ -378,7 +354,7 @@ def tuple_divide_two_term(nterms, e0, c0, d, c1):
                             return None
                         heappush(levels, level + dj)
                     buckets.setdefault(level + dj, []).append(t)
-                rem[t] = rem.get(t, 0) - c1 * c
+                rem[t] = rem.get(t, 0) - c * v
     if any(rem[p] for level in levels for p in buckets[level]):
         return None
     return out

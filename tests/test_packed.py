@@ -5,10 +5,11 @@ key per monomial (see charvar.polynomials).  Each is checked here against the
 reference kernel on exponent tuples in tests/oracles.py, in one, two and three
 variables with Laurent exponents, including exponents at the edge of the
 narrowest slot width, where a product or an Adams image must widen.  The
-two-term normalizer that builds every denominator factor is checked against
-the normalization on a term dict there too.
+divisors are the one denominator shape 1 +- x^d, and every other shape is
+refused.
 """
 
+import re
 import sys
 import threading
 import time
@@ -27,19 +28,18 @@ from charvar.polynomials import (
     FLAVOR_PURE,
     FLAVOR_QT,
     FLAVOR_XY,
+    BinomialFactor,
     FactoredFraction,
     SparsePoly,
     _divide_by_factor,
     _divide_two_term,
-    _fold_factor,
-    _split,
     adams,
     adams_poly,
+    binomial_product,
     divide_exact,
-    normalize_factor,
 )
 from oracles import (
-    reference_normalize_factor,
+    binomial_factor,
     tuple_add,
     tuple_divide_two_term,
     tuple_mul,
@@ -121,20 +121,16 @@ def test_adams_image_widens_and_matches_the_tuple_substitution(p, r):
 
 
 def reference_quotient(num, factor):
-    return tuple_divide_two_term(
-        num.terms, factor.low, factor.low_coeff, factor._direction, factor.high_coeff)
+    return tuple_divide_two_term(num.terms, factor.exps, factor.c)
 
 
 @st.composite
 def divisors(draw, k, at_edge=False):
-    """A two-term divisor c0*x^e0 + c1*x^e1 in k variables, any signs and scale."""
-    h = edge(k)
-    exps = st.sampled_from([-h, -1, 0, 1, 2, h]) if at_edge else st.integers(-3, 3)
-    e0 = draw(st.tuples(*[exps] * k))
-    e1 = draw(st.tuples(*[exps] * k).filter(lambda e: e != e0))
-    c0 = draw(st.sampled_from([1, -1, 2, 3, -5]))
-    c1 = draw(st.sampled_from([1, -1, 2, -3, Fraction(1, 2)]))
-    return SparsePoly(CONTEXTS[k].variables, {e0: c0, e1: c1})
+    """A divisor 1 + c*x^d in k variables, c = +-1 and d >= 0 nonzero, often
+    with several nonzero coordinates; at_edge draws them up to edge(k)."""
+    exps = st.sampled_from([0, 1, 2, edge(k)]) if at_edge else st.integers(0, 3)
+    d = draw(st.tuples(*[exps] * k).filter(any))
+    return BinomialFactor(CONTEXTS[k].variables, d, draw(st.sampled_from([1, -1])))
 
 
 @st.composite
@@ -146,7 +142,7 @@ def division_cases(draw):
     at_edge = draw(st.booleans())
     a = draw(polys(k, at_edge, min_terms=1))
     f = draw(divisors(k, at_edge))
-    num = a * f
+    num = a * f.as_poly()
     if not at_edge and draw(st.booleans()):
         e = draw(st.tuples(*[st.integers(-6, 6)] * k))
         num = num + SparsePoly.monomial(num.vars, e, draw(_coeffs))
@@ -158,18 +154,17 @@ def division_cases(draw):
 @given(division_cases())
 @settings(max_examples=300, deadline=None)
 def test_division_matches_the_tuple_long_division(case):
-    a, f, num = case
+    a, factor, num = case
     if not num:
         return
-    factor, shift, scale = normalize_factor(f)
     want = reference_quotient(num, factor)
     got = _divide_by_factor(num, factor)
     assert (got is None) == (want is None)
     if got is not None:
         assert got.terms == want and coefficient_types(got.terms) == coefficient_types(want)
         assert flag_is_exact(got)
-        assert divide_exact(num, f) == got.shift(tuple(-v for v in shift)).scale(1 / Fraction(scale))
-    elif num == a * f:
+        assert divide_exact(num, factor.as_poly()) == got
+    elif num == a * factor.as_poly():
         pytest.fail("a multiple of f was refused")
 
 
@@ -179,35 +174,48 @@ QT = FLAVOR_QT.variables
 def test_a_leftover_at_the_top_key_fails():
     """A perturbed top term is left over: no quotient term reaches it."""
     a = SparsePoly(QT, {(0, 0): 1, (2, 1): Fraction(1, 2), (1, 3): -3})
-    f = SparsePoly(QT, {(0, 0): 2, (1, 1): -1})  # 2 - q*t: no test point
-    num = a * f
+    factor = BinomialFactor(QT, (2, 2), 1)  # 1 + q^2*t^2: no test point
+    assert factor._point is None
+    num = a * factor.as_poly()
     top = max(num.terms, key=lambda e: e[::-1])  # the key order's top
     bad = num + SparsePoly.monomial(QT, top, 1)
-    factor = normalize_factor(f)[0]
     assert _divide_by_factor(bad, factor) is None
     assert reference_quotient(bad, factor) is None
     with pytest.raises(NotDivisible):
-        divide_exact(bad, f)
+        divide_exact(bad, factor.as_poly())
+
+
+class _Lookups(dict):
+    """A key dict that counts the long division's lookups (it reads rem.get)."""
+
+    count = 0
+
+    def get(self, key, default=None):
+        self.count += 1
+        return dict.get(self, key, default)
 
 
 def test_a_run_past_its_class_top_fails_at_the_line_bound():
-    """(1 + q^(2K+1)) / (2 + q^2): the run from 1 climbs by q^2, with halving
-    coefficients, towards q^(2K+1) in the other residue class; the line bound
-    stops it after as many steps as there are keys."""
+    """(1 + q^(2K+1)) / (1 + q^2): the run from 1 climbs by q^2, with
+    alternating signs, towards q^(2K+1) in the other residue class.  1 + q^2
+    has no test point, so only the line bound stops the run, after as many
+    steps as there are keys; the cap and the top key would allow K."""
     k = 10**6
     num = SparsePoly(("q",), {(0,): 1, (2 * k + 1,): 1})
-    f = SparsePoly(("q",), {(0,): 2, (2,): 1})
+    f = SparsePoly(("q",), {(0,): 1, (2,): 1})
+    assert BinomialFactor(("q",), (2,), 1)._point is None
     start = time.perf_counter()
     with pytest.raises(NotDivisible):
         divide_exact(num, f)
     assert time.perf_counter() - start < 1.0
-    assert _divide_two_term({0: 1, 2 * k + 1: 1}, 2, 2, 1, k) is None
+    rem = _Lookups({0: 1, 2 * k + 1: 1})
+    assert _divide_two_term(rem, 2, 1, k) is None and rem.count == 3
 
 
 def test_a_run_longer_than_the_quotient_box_fails_at_the_cap():
     """Keys 0 and 9 share a class mod 3, but a run 0, 3, 6 needs cap >= 2."""
-    assert _divide_two_term({0: 1, 9: -1}, 3, 1, -1, 2) == {0: 1, 3: 1, 6: 1}
-    assert _divide_two_term({0: 1, 9: -1}, 3, 1, -1, 1) is None
+    assert _divide_two_term({0: 1, 9: -1}, 3, -1, 2) == {0: 1, 3: 1, 6: 1}
+    assert _divide_two_term({0: 1, 9: -1}, 3, -1, 1) is None
 
 
 def test_the_division_widens_past_a_run_that_would_wrap_a_slot():
@@ -221,24 +229,13 @@ def test_the_division_widens_past_a_run_that_would_wrap_a_slot():
     w = polynomials._width(2, 1)
     h = (1 << w - 1) - 1
     keys = {-h: 1, 1 - h: -1, h - 1: 1, h: -1, 0: 1, h + 2: -1}
-    assert _divide_two_term(dict(keys), 1, 1, -1, 2 * h) is not None
+    assert _divide_two_term(dict(keys), 1, -1, 2 * h) is not None
     half = Fraction(1, 2)  # a rational numerator skips the pre-test
     num = SparsePoly(QT, {(-h, 0): half, (1 - h, 0): -half, (h - 1, 0): half,
                           (h, 0): -half, (0, 0): half, (-h, 1): -half})
     assert {polynomials._key(e, w): 2 * c for e, c in num.terms.items()} == keys
     with pytest.raises(NotDivisible):
         divide_exact(num, SparsePoly(QT, {(0, 0): 1, (1, 0): -1}))
-
-
-@given(ks.flatmap(lambda k: polys(k, min_terms=1)), st.data())
-@settings(max_examples=150, deadline=None)
-def test_divide_exact_by_a_divisor_with_another_leading_coefficient(a, data):
-    k = len(a.vars)
-    f = data.draw(divisors(k).filter(lambda f: normalize_factor(f)[0].low_coeff != 1))
-    num = a * f
-    assert divide_exact(num, f) == a
-    factor = normalize_factor(f)[0]
-    assert reference_quotient(num, factor) is not None
 
 
 # -- one polynomial, two forms ----------------------------------------------------
@@ -379,13 +376,11 @@ def test_integral_results_of_fraction_inputs_are_stored_as_int():
     """A kernel that a Fraction enters scans its result and stores integral values as int."""
     q = SparsePoly.variable(("q",), "q")
     half = q.scale(Fraction(1, 2))
-    f = SparsePoly(("q",), {(0,): 2, (1,): -1})  # 2 - q: the division multiplies by 1/2
     two_thirds = SparsePoly(QT, {(1, 0): Fraction(2, 3), (0, 1): 4})
     cases = [
         half + half,
         half * q.scale(2),
         two_thirds.scale(Fraction(3, 2)),
-        divide_exact(f * SparsePoly(("q",), {(0,): 1, (2,): -3, (3,): 5}), f),
         SparsePoly(QT, {(0, 0): 1, (1, 1): Fraction(1, 2)}) ** 2 * 4,
     ]
     for p in cases:
@@ -408,13 +403,10 @@ def test_a_cold_compute_scans_no_dict(monkeypatch):
 
 
 def test_a_cold_compute_normalizes_no_factor_and_builds_one_fraction(monkeypatch):
-    """On a cold Hqt n=3 g=3 every denominator factor is normalized from its
-    two terms (_split, never through normalize_factor) and no coefficient
-    leaves the ints: the one Fraction built is invariant_from_layer's 1/n."""
-    normalized, built = [], []
-    real_normalize = polynomials.normalize_factor
-    monkeypatch.setattr(polynomials, "normalize_factor",
-                        lambda p: normalized.append(p) or real_normalize(p))
+    """On a cold Hqt n=3 g=3 every denominator factor is built as 1 +- x^d,
+    with nothing to normalize, and no coefficient leaves the ints: the one
+    Fraction built is invariant_from_layer's 1/n."""
+    built = []
     real_new = Fraction.__new__
 
     def counted(cls, *args, **kwargs):
@@ -430,7 +422,7 @@ def test_a_cold_compute_normalizes_no_factor_and_builds_one_fraction(monkeypatch
     compute_invariant("hqt", 3, 3)
     monkeypatch.undo()
     invariants.clear_memo()
-    assert normalized == [] and built == [(1, 3)]
+    assert built == [(1, 3)]
 
 
 # -- rational scales and shape checks ------------------------------------------------
@@ -462,64 +454,60 @@ def test_a_hull_with_a_negative_corner_is_scanned():
     assert laurent.has_negative_exponents()
 
 
-# -- the two-term normalizer --------------------------------------------------------
-
-
-_factor_coeffs = st.one_of(
-    st.integers(-6, 6), st.fractions(-3, 3, max_denominator=4), st.just(Fraction(4, 2))
-).filter(bool)
-
-
-@st.composite
-def two_terms(draw):
-    """Two terms (exponents, coefficient) with distinct Laurent exponents in 1-3 variables."""
-    k = draw(ks)
-    term = st.tuples(st.tuples(*[st.integers(-4, 5)] * k), _factor_coeffs)
-    return draw(st.lists(term, min_size=2, max_size=2, unique_by=lambda t: t[0]))
-
-
-@given(two_terms())
-@example([((0, 0), Fraction(4, 2)), ((1, 2), -6)])
-@example([((2, -1), Fraction(3, 2)), ((0, 3), -3)])
-@settings(max_examples=300, deadline=None)
-def test_the_normalizer_matches_the_reference(terms):
-    """In either term order, the factor, shift and scale and their types are
-    the reference's; an int scale wherever the coefficients are integral."""
-    t0, t1 = terms
-    variables = CONTEXTS[len(t0[0])].variables
-    poly = SparsePoly(variables, dict(terms))
-    want = reference_normalize_factor(poly)
-    for got in (_split(variables, t0, t1), _split(variables, t1, t0), normalize_factor(poly)):
-        assert got == want and type(got[2]) is type(want[2])
-        assert type(got[0].low_coeff) is type(got[0].high_coeff) is int
+# -- the one denominator shape -----------------------------------------------------
 
 
 @pytest.mark.parametrize("flavor", [FLAVOR_E, FLAVOR_QT, FLAVOR_XY, FLAVOR_PURE], ids=lambda f: f.name)
 def test_direct_factors_equal_the_normalized_ones(flavor):
-    """Every flavor's cell factor 1 + c*x^e with h <= 4, l <= 3, and its Adams
-    images for r <= 3, come out as the reference normalization splits them;
-    the cell factors as written, with no shift and scale 1."""
+    """Every flavor's cell factor 1 + c*x^e with h <= 4, l <= 3 is the
+    BinomialFactor (c, e) as written, and for r <= 3 its Adams image is the
+    factor read off the terms of the substituted binomial, with numerator 1."""
     one = SparsePoly.one(flavor.variables)
     zero = (0,) * len(flavor.variables)
     for c, exps, _ in flavor.cell_factors:
         for h in range(1, 5):
             for l in range(4):
                 e = exps(h, l)
-                split = _split(flavor.variables, (zero, 1), (e, c))
+                factor = BinomialFactor(flavor.variables, e, c)
                 binom = SparsePoly(flavor.variables, {zero: 1, e: c})
-                assert split == reference_normalize_factor(binom) and split[1:] == (zero, 1)
+                assert factor.as_poly() == binom and binomial_factor(binom) == factor
                 for r in (2, 3):
-                    got = adams(FactoredFraction._reduced(one, {split[0]: 1}), r, flavor)
-                    den = {}
-                    image = reference_normalize_factor(adams_poly(binom, r, flavor))
-                    want = _fold_factor(one, den, image, 1)
-                    assert got.den == den and got.num == want == one
+                    got = adams(FactoredFraction._reduced(one, {factor: 1}), r, flavor)
+                    want = binomial_factor(adams_poly(binom, r, flavor))
+                    assert got.den == {want: 1} and got.num == one
 
 
 @pytest.mark.parametrize("c, e", [(1, (-1, 2)), (-3, (0, -2)), (Fraction(1, 2), (1, 0)), (2, (3, 1))])
-def test_other_binomials_take_the_normalized_factor(c, e):
-    """A negative exponent gives a shift and a rational coefficient a scale;
-    1 + 2*q^3*t, with a coefficient other than +-1, is canonical as written."""
-    split = _split(QT, ((0, 0), 1), (e, c))
-    assert split == reference_normalize_factor(SparsePoly(QT, {(0, 0): 1, e: c}))
-    assert split[1:] != ((0, 0), 1) or e == (3, 1)
+def test_other_binomials_are_refused(c, e):
+    """A negative exponent, or a coefficient other than +-1, is no
+    BinomialFactor, and no divisor: 1 + c*x^e is refused either way."""
+    div = SparsePoly(QT, {(0, 0): 1, e: c})
+    with pytest.raises(ValueError, match="no binomial factor"):
+        BinomialFactor(QT, e, c)
+    with pytest.raises(ValueError, match=re.escape(f"divisor {polynomials.poly_text(div)} ")):
+        divide_exact(div, div)
+    with pytest.raises(ValueError, match="no binomial factor"):
+        binomial_product(QT, [(c, e, -1)])
+
+
+@pytest.mark.parametrize("variables, e, c", [
+    (QT, (0, 0), -1),
+    (QT, (1,), -1),
+    (("q", "x", "y"), (1, 1), 1),
+], ids=["zero-vector", "short-vector", "long-context"])
+def test_a_binomial_factor_refuses_other_exponent_vectors(variables, e, c):
+    with pytest.raises(ValueError, match="no binomial factor"):
+        BinomialFactor(variables, e, c)
+
+
+@pytest.mark.parametrize("div", [
+    SparsePoly(QT, {(1, 0): 1, (0, 0): -1}),
+    SparsePoly(QT, {(0, 1): 1, (1, 0): -1}),
+    SparsePoly(QT, {(0, 0): 2, (1, 0): -1}),
+    SparsePoly.zero(QT),
+    SparsePoly.monomial(QT, (1, 2), 1),
+], ids=["q-1", "t-q", "2-q", "zero", "monomial"])
+def test_divide_exact_refuses_every_other_divisor_by_name(div):
+    num = SparsePoly(QT, {(0, 0): 1, (2, 0): -1})
+    with pytest.raises(ValueError, match=re.escape(f"divisor {polynomials.poly_text(div)} ")):
+        divide_exact(num, div)

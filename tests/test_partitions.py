@@ -1,7 +1,5 @@
 """Partition enumeration, cell statistics, and hook-term tests."""
 
-from fractions import Fraction
-
 import pytest
 
 from charvar.partitions import Partition, cell_stats, hook_term, partitions_of
@@ -11,7 +9,6 @@ from charvar.polynomials import (
     FLAVOR_QT,
     FLAVOR_XY,
     FactoredFraction,
-    Flavor,
     SparsePoly,
 )
 from oracles import divided_by, specialize_fraction
@@ -143,21 +140,9 @@ def chained_hook_term(flavor, partition, g):
     return out.shift(tuple(s * (1 - g) * stats.leg_sum for s in flavor.leg_shift))
 
 
-# Denominators with a Fraction coefficient and a negative exponent, so that
-# normalize_factor's shift and scale are folded into the numerator.
-FLAVOR_SKEW = Flavor(
-    "skew", QT, (),
-    cell_factors=(
-        (Fraction(1, 2), lambda h, l: (h, -l - 1), lambda g: -1),
-        (-3, lambda h, l: (l, h), lambda g: g),
-    ),
-    leg_shift=(0, 2),
-)
-
-
 @pytest.mark.parametrize(
     "flavor",
-    [FLAVOR_E, FLAVOR_QT, FLAVOR_XY, FLAVOR_PURE, FLAVOR_SKEW],
+    [FLAVOR_E, FLAVOR_QT, FLAVOR_XY, FLAVOR_PURE],
     ids=lambda f: f.name,
 )
 def test_hook_term_matches_chained_construction(flavor):

@@ -36,10 +36,10 @@ from charvar.series import (
     series_log,
 )
 from oracles import (
+    binomial_factor,
     divided_by,
     jet_by_pass,
     plethystic_exp_of_layers,
-    reference_normalize_factor,
     series_exp,
 )
 
@@ -200,39 +200,26 @@ def test_continued_extraction_matches_scratch(flavor):
 
 
 def reference_adams(fr, r, flavor):
-    """Reference: the numerator shifted and scaled factor by factor inside an
-    empty-denominator fraction, the substituted factors (each factor's Adams
-    image as a polynomial, normalized on its term dict) merged in at the end."""
-    out = FactoredFraction(adams_poly(fr.num, r, flavor), {})
+    """Reference: the numerator's image over each factor's image, read off
+    the terms of the factor's substituted polynomial, cancelled."""
     den = {}
     for f, m in fr.den.items():
-        factor, shift, scale = reference_normalize_factor(adams_poly(f.as_poly(), r, flavor))
-        den[factor] = den.get(factor, 0) + m
-        if any(shift):
-            out = out.shift(tuple(-m * k for k in shift))
-        if scale != 1:
-            out = out.scale(Fraction(1, 1) / Fraction(scale) ** m)
-    merged = dict(out.den)
-    for f, m in den.items():
-        merged[f] = merged.get(f, 0) + m
-    return FactoredFraction(out.num, merged)
+        image = binomial_factor(adams_poly(f.as_poly(), r, flavor))
+        den[image] = den.get(image, 0) + m
+    return FactoredFraction(adams_poly(fr.num, r, flavor), den)
 
 
 @pytest.mark.parametrize("flavor", FLAVORS, ids=lambda f: f.name)
 def test_adams_matches_reference_on_layers(flavor):
-    """On the layers at g = 0..3; on a fraction over v - q with v twisted: its
-    low term is v, so an even Adams image renormalizes with scale -1; and on
-    fractions over factors not of the form 1 + c*x^e, such as t - 2q,
-    2 + 3q^3 and q^-1 - t, whose images take a shift, a scale or both."""
+    """On the layers at g = 0..3, and on fractions over 1 + u*v, 1 - u^3 and
+    1 + v, with v twisted where the flavor twists a variable: an even Adams
+    image flips the sign of a factor with an odd twisted exponent."""
     nmax = 2 if flavor is FLAVOR_XY else 3
     fracs = [layer for g in range(4) for layer in extract_layers(flavor, g, nmax)]
     variables = flavor.variables
     u = SparsePoly.variable(variables, variables[0])
     v = SparsePoly.variable(variables, variables[-1]) ** (1 if len(variables) > 1 else 2)
-    if flavor.twisted:
-        q = SparsePoly.variable(variables, "q")
-        fracs.append(divided_by(FactoredFraction.from_poly(v + 1), v - q))
-    others = [v - 2 * u, 2 + 3 * u**3, u.shift([-2] + [0] * (len(variables) - 1)) - v]
+    others = [1 + u * v, 1 - u**3, 1 + v]
     for d in others:
         fracs.append(divided_by(FactoredFraction.from_poly(v + 3), d))
         fracs.append(divided_by(FactoredFraction.from_poly(u - 1), d, 2))
@@ -241,6 +228,16 @@ def test_adams_matches_reference_on_layers(flavor):
         for r in range(2, 5):
             ours, ref = adams(fr, r, flavor), reference_adams(fr, r, flavor)
             assert (ours.num.terms, ours.den) == (ref.num.terms, ref.den), (fr, r)
+
+
+@pytest.mark.parametrize("r", [0, -1])
+def test_adams_refuses_r_below_one_before_it_reads_a_factor(r):
+    """The arguments are checked first: an image factor 1 +- x^(r*e) would
+    have a zero or negative exponent vector and raise an error of its own."""
+    term = hook_term(FLAVOR_QT, Partition((2,)), 2)
+    assert term.den
+    with pytest.raises(ValueError, match="Adams operations want r >= 1"):
+        adams(term, r, FLAVOR_QT)
 
 
 @pytest.mark.parametrize("flavor, nmax", [(FLAVOR_QT, 4), (FLAVOR_XY, 3)],
