@@ -24,9 +24,12 @@ T equals the wanted |G| or 0 in Z[zeta] exactly when x^e - 1 divides
 (T - want) * Psi_e, with the cofactor Psi_e = (x^e - 1) / Phi_e multiplied
 into the row and column values once; so each relation is one residue modulo
 2^(width*e) - 1, with nothing unpacked or reduced.  The slot width is proven
-from the l1 norms of the coordinates and |Psi_e|_inf: as deg Psi_e < e, no
-folded coefficient of (T - want) * Psi_e exceeds (|T|_1 + |G|) * |Psi_e|_inf,
-so a zero residue is the zero polynomial.
+from one closed-form bound |T - want|_1 <= |G| s N^2 + |G| (s rows, N the
+largest l1 norm of a value's coordinates) and |Psi_e|_inf: as deg Psi_e < e,
+no folded coefficient of (T - want) * Psi_e exceeds their product, so a zero
+residue is the zero polynomial.  One monic long division gives Phi_e, Psi_e
+and every reduction mod Phi_e; the Frobenius sum is summed in ints, as chi(1)
+divides |G|.
 
 A character value is its coordinate tuple: integers in the power basis of a
 primitive e-th root of unity, reduced modulo the e-th cyclotomic polynomial,
@@ -48,54 +51,37 @@ from .groups import ConjugacyData, MatrixGroup, _is_prime, _prime_factors
 # -- exact cyclotomic integers -------------------------------------------------
 
 
+def _divmod_monic(num, den):
+    """(quotient, remainder) of integer polynomials (ascending coefficients) by a
+    monic divisor; the remainder has exactly len(den) - 1 coefficients."""
+    deg = len(den) - 1
+    rem = list(num) + [0] * (deg - len(num))
+    quot = [0] * (len(rem) - deg)
+    for k in range(len(quot) - 1, -1, -1):
+        c = quot[k] = rem[k + deg]
+        if c:
+            for i, d in enumerate(den):
+                rem[k + i] -= c * d
+    return tuple(quot), tuple(rem[:deg])
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
     """Coefficients (ascending) of the e-th cyclotomic polynomial."""
-    if e == 1:
-        return (-1, 1)
-    num = [-1] + [0] * (e - 1) + [1]
+    num = (-1,) + (0,) * (e - 1) + (1,)
     for d in range(1, e):
         if e % d == 0:
-            num = _int_poly_div(num, list(cyclotomic_polynomial(d)))
-    return tuple(num)
-
-
-def _int_poly_div(num, den):
-    """Exact division of integer polynomials with monic divisor."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        c = num[k + len(den) - 1]
-        out[k] = c
-        if c:
-            for i, d in enumerate(den):
-                num[k + i] -= c * d
-    assert all(v == 0 for v in num)
-    return out
-
-
-def _reduce_mod_cyclotomic(coeffs, e):
-    phi = cyclotomic_polynomial(e)
-    deg = len(phi) - 1
-    # phi is monic: subtracting c * x^(k-deg) * phi clears x^k (dropped below),
-    # so only phi's nonzero lower terms are applied
-    lower = [(i - deg, p) for i, p in enumerate(phi[:deg]) if p]
-    coeffs = list(coeffs)
-    for k in range(len(coeffs) - 1, deg - 1, -1):
-        c = coeffs[k]
-        if c:
-            for i, p in lower:
-                coeffs[k + i] -= c * p
-    del coeffs[deg:]
-    coeffs.extend([0] * (deg - len(coeffs)))
-    return tuple(coeffs)
+            num, rem = _divmod_monic(num, cyclotomic_polynomial(d))
+            assert not any(rem)
+    return num
 
 
 @lru_cache(maxsize=None)
 def _roots_of_unity(e: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The coordinates of zeta_e^k for each k < e, as their nonzero (index, value) pairs."""
+    phi = cyclotomic_polynomial(e)
     return tuple(
-        tuple((i, c) for i, c in enumerate(_reduce_mod_cyclotomic([0] * k + [1], e)) if c)
+        tuple((i, c) for i, c in enumerate(_divmod_monic([0] * k + [1], phi)[1]) if c)
         for k in range(e)
     )
 
@@ -350,7 +336,7 @@ def _pack(coords, width, e, sign=1):
 @lru_cache(maxsize=None)
 def _cofactor(e: int) -> tuple[int, ...]:
     """Coefficients (ascending) of Psi_e = (x^e - 1) / Phi_e, of degree e - deg Phi_e < e."""
-    return tuple(_int_poly_div([-1] + [0] * (e - 1) + [1], cyclotomic_polynomial(e)))
+    return _divmod_monic([-1] + [0] * (e - 1) + [1], cyclotomic_polynomial(e))[0]
 
 
 def _relation(e: int, bound: int):
@@ -366,7 +352,8 @@ def _relation(e: int, bound: int):
     so none exceeds bound * |Psi_e|_inf < 2^(width-1).  The folded value is then
     below half the modulus, so a zero residue means a zero value, and a zero
     value with every slot inside +-2^(width-1) is the zero polynomial.  Nothing
-    is unpacked and nothing is reduced mod Phi_e.
+    is unpacked and nothing is reduced mod Phi_e.  verify_orthogonality passes
+    one closed-form bound for all its relations, |G| s N^2 + |G|.
     """
     psi = _cofactor(e)
     width = (bound * max(map(abs, psi))).bit_length() + 1
@@ -384,49 +371,39 @@ def verify_orthogonality(table: CharacterTable):
 
     Every value is packed into one int with signed slots of `width` bits, its
     conjugate likewise with x^j moved to slot -j mod e, so each relation's
-    total is a sum of int products: a packed element T of Z[x]/(x^e - 1).  The
-    l1 norm of a row total is at most sum_k |C_k| |a_k|_1 |b_k|_1 (the l1 norms
-    of the coordinate vectors), that of a column total at most
-    |C_k| sum_a |a_k|_1 |a_l|_1; with the wanted |G| or 0 added, that bounds
-    |T - want|_1.  The class-size-scaled row values and the column values are
-    multiplied once by the packed cofactor Psi_e = (x^e - 1) / Phi_e, so each
-    total comes out as T * Psi_e, and T = want in Z[zeta] exactly when it is
-    want * Psi_e modulo 2^(width*e) - 1 (_relation, which proves the width
-    from that bound and |Psi_e|_inf).  Row pairs are tried before column
-    pairs, each in ascending order, and the first failing pair is named.
+    total is a sum of int products: a packed element T of Z[x]/(x^e - 1).  With
+    N the largest l1 norm of a value's coordinates and s the number of rows,
+    each product a_k * conj(b_k) has l1 norm at most N^2, so a row total is at
+    most sum_k |C_k| N^2 = |G| N^2 and a column total at most |C_k| s N^2.
+    With the wanted |G| or 0 added, one closed-form bound |G| s N^2 + |G|
+    holds for every |T - want|_1 (its first |G| is taken as sum_k |C_k|, so
+    that it holds for any class sizes).  The class-size-scaled row values and
+    the column values are multiplied once by the packed cofactor
+    Psi_e = (x^e - 1) / Phi_e, so each total comes out as T * Psi_e, and
+    T = want in Z[zeta] exactly when it is want * Psi_e modulo 2^(width*e) - 1
+    (_relation, which proves the width from the bound and |Psi_e|_inf).  Row
+    pairs are tried before column pairs, each in ascending order, and the
+    first failing pair is named.
     """
     sizes = table.conjugacy.sizes
     order = table.group.order
-    r = table.num_classes
     e = table.cyclotomic_order
-    norms = [[sum(map(abs, v)) for v in row] for row in table.rows]
-    cols = list(zip(*norms))
-    bound = max(
-        max(
-            sum(s * x * y for s, x, y in zip(sizes, norms[a], norms[b]))
-            for a in range(r)
-            for b in range(a, r)
-        ),
-        max(
-            sizes[k] * sum(map(mul, cols[k], cols[l]))
-            for k in range(r)
-            for l in range(k, r)
-        ),
-    )
-    width, psi, holds = _relation(e, bound + order)
+    s = len(table.rows)
+    n = max(sum(map(abs, v)) for row in table.rows for v in row)
+    width, psi, holds = _relation(e, sum(sizes) * s * n * n + order)
     packed = [[_pack(v, width, e) for v in row] for row in table.rows]
     conj = [[_pack(v, width, e, -1) for v in row] for row in table.rows]
 
-    scaled = [[s * x * psi for s, x in zip(sizes, row)] for row in packed]
-    for a in range(r):
-        for b in range(a, r):
+    scaled = [[c * x * psi for c, x in zip(sizes, row)] for row in packed]
+    for a in range(s):
+        for b in range(a, s):
             total = sum(map(mul, scaled[a], conj[b]))
             if not holds(total, order if a == b else 0):
                 raise LiftFailure(f"row orthogonality fails for characters {a}, {b}")
     packed_cols = [[x * psi for x in col] for col in zip(*packed)]
     conj_cols = list(zip(*conj))
-    for k in range(r):
-        for l in range(k, r):
+    for k in range(len(sizes)):
+        for l in range(k, len(sizes)):
             total = sizes[k] * sum(map(mul, packed_cols[k], conj_cols[l]))
             if not holds(total, order if k == l else 0):
                 raise LiftFailure(f"column orthogonality fails for classes {k}, {l}")
@@ -440,8 +417,10 @@ class FrobeniusCounts:
     """Character-sum counts for products of g commutators hitting xi.
 
     tuple_prediction = |G|^(2g-1) * sum_chi chi(xi)/chi(1)^(2g-1), the
-    classical Frobenius solution count; point_count = tuple_prediction / |G|,
-    the character-formula value (an exact rational).
+    classical Frobenius solution count, summed in integers as
+    sum_chi (|G|/chi(1))^(2g-1) * chi(xi) (each degree divides |G|);
+    point_count = tuple_prediction / |G|, the character-formula value (an
+    exact rational).
     """
 
     tuple_prediction: int
@@ -449,26 +428,27 @@ class FrobeniusCounts:
 
 
 def frobenius_sums(table: CharacterTable, g: int, xi: int) -> FrobeniusCounts:
-    """Evaluate the counting sums at a central element xi (an element index)."""
+    """Evaluate the counting sums at a central element xi (an element index).
+
+    Each chi(1) divides |G|, so the sum is sum_chi (|G|/chi(1))^(2g-1) * chi(xi)
+    in ints.  A degree that does not divide |G|, an irrational sum and a
+    negative one raise NonIntegralCount.
+    """
     if g < 1:
         raise ValueError("genus must be at least 1")
     data = table.conjugacy
     k = data.class_of[xi]
     if data.sizes[k] != 1:
         raise ValueError("xi must be central (singleton conjugacy class)")
-    big_l = lcm(*table.degrees)
-    denom = big_l ** (2 * g - 1)
+    order = table.group.order
     total = [0] * len(table.rows[0][k])
     for row, d in zip(table.rows, table.degrees):
-        weight = (big_l // d) ** (2 * g - 1)
+        if order % d:
+            raise NonIntegralCount(f"degree {d} does not divide the group order {order}")
+        weight = (order // d) ** (2 * g - 1)
         total = [t + weight * c for t, c in zip(total, row[k])]
     if any(total[1:]):
         raise NonIntegralCount("character sum is not a rational integer")
-    order = table.group.order
-    tuples = Fraction(order ** (2 * g - 1) * total[0], denom)
-    if tuples.denominator != 1 or tuples < 0:
-        raise NonIntegralCount(
-            f"tuple prediction {tuples} is not a non-negative integer"
-        )
-    tuples_int = int(tuples)
-    return FrobeniusCounts(tuples_int, Fraction(tuples_int, order))
+    if total[0] < 0:
+        raise NonIntegralCount(f"tuple prediction {total[0]} is not a non-negative integer")
+    return FrobeniusCounts(total[0], Fraction(total[0], order))

@@ -20,9 +20,13 @@ kept here as an oracle for it:
   ``ConjugacyData.powers``;
 - ``table_document`` is the canonical JSON document of a character table,
   whose digest pins the Dixon splitting byte for byte;
+- ``cyclotomic`` builds Phi_e as the Moebius product of the x^d - 1, and
+  ``reduce_mod_cyclotomic`` reduces modulo it, sharing no code with
+  charvar.characters: the reference for ``cyclotomic_polynomial``;
 - ``zeta_power`` and ``cyc_times_conjugate`` are Z[zeta_e] arithmetic on
   coordinate tuples, one product at a time, the reference for the packed
-  orthogonality check, and ``from_root_multiplicities`` reduces a sum of
+  orthogonality check, whose totals ``folded_times_conjugate`` sums unreduced
+  in Z[x]/(x^e - 1), and ``from_root_multiplicities`` reduces a sum of
   roots of unity once, the reference for the lift from reduced roots;
 - ``tuple_add``, ``tuple_mul``, ``tuple_scale`` and ``tuple_divide_two_term``
   are the sum, product, rational scale and bucketed long division by
@@ -33,10 +37,10 @@ kept here as an oracle for it:
 """
 
 from fractions import Fraction
+from functools import cache
 from heapq import heappop, heappush
 from operator import add, mul
 
-from charvar.characters import _reduce_mod_cyclotomic
 from charvar.polynomials import (
     BinomialFactor,
     FactoredFraction,
@@ -246,22 +250,75 @@ def table_document(table) -> dict:
     }
 
 
+def _moebius_mu(n):
+    mu, p = 1, 2
+    while n > 1:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return mu
+
+
+@cache
+def cyclotomic(e: int) -> tuple[int, ...]:
+    """Coefficients (ascending) of Phi_e = prod_{d | e} (x^d - 1)^mu(e/d).
+
+    The factors with mu = 1 are multiplied out; each with mu = -1 is then
+    divided out from the bottom up, as N = Q * (x^d - 1) gives
+    Q_k = Q_(k-d) - N_k, and N's top d coefficients must be Q's top d.
+    """
+    num, dens = [1], []
+    for d in (d for d in range(1, e + 1) if e % d == 0):
+        mu = _moebius_mu(e // d)
+        if mu == 1:
+            num = [(num[k - d] if k >= d else 0) - (num[k] if k < len(num) else 0)
+                   for k in range(len(num) + d)]
+        elif mu == -1:
+            dens.append(d)
+    for d in dens:
+        padded = [0] * d  # Q_(k-d) at index k
+        for k in range(len(num) - d):
+            padded.append(padded[k] - num[k])
+        assert padded[-d:] == num[-d:]
+        num = padded[d:]
+    return tuple(num)
+
+
+def reduce_mod_cyclotomic(coeffs, e: int) -> tuple[int, ...]:
+    """The deg Phi_e coordinates of sum_k coeffs[k] x^k modulo Phi_e: from the
+    top, each x^k with k >= deg is replaced by x^(k-deg) * (x^deg - Phi_e)."""
+    phi = cyclotomic(e)
+    deg = len(phi) - 1
+    coeffs = list(coeffs) + [0] * deg
+    for k in range(len(coeffs) - 1, deg - 1, -1):
+        top, coeffs[k] = coeffs[k], 0
+        for i in range(deg):
+            coeffs[k - deg + i] -= top * phi[i]
+    return tuple(coeffs[:deg])
+
+
 def zeta_power(e: int, k: int) -> tuple[int, ...]:
     """Coordinates of zeta_e^k."""
-    return _reduce_mod_cyclotomic([0] * (k % e) + [1], e)
+    return reduce_mod_cyclotomic([0] * (k % e) + [1], e)
 
 
-def cyc_times_conjugate(e: int, a, b) -> tuple[int, ...]:
-    """Coordinates of a * conj(b) in Z[zeta_e], one coordinate product at a time.
-
-    zeta^i * conj(zeta^j) = zeta^((i - j) mod e); the sum is then reduced
-    modulo the e-th cyclotomic polynomial.
-    """
+def folded_times_conjugate(e: int, a, b) -> list[int]:
+    """a * conj(b) in Z[x]/(x^e - 1), unreduced: zeta^i * conj(zeta^j) is
+    x^((i - j) mod e), one coordinate product at a time."""
     coeffs = [0] * e
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             coeffs[(i - j) % e] += x * y
-    return _reduce_mod_cyclotomic(coeffs, e)
+    return coeffs
+
+
+def cyc_times_conjugate(e: int, a, b) -> tuple[int, ...]:
+    """Coordinates of a * conj(b) in Z[zeta_e]: the folded product reduced
+    modulo the e-th cyclotomic polynomial."""
+    return reduce_mod_cyclotomic(folded_times_conjugate(e, a, b), e)
 
 
 def from_root_multiplicities(e: int, step: int, mults) -> tuple[int, ...]:
@@ -269,7 +326,7 @@ def from_root_multiplicities(e: int, step: int, mults) -> tuple[int, ...]:
     coeffs = [0] * e
     for j, m in enumerate(mults):
         coeffs[(j * step) % e] += m
-    return _reduce_mod_cyclotomic(coeffs, e)
+    return reduce_mod_cyclotomic(coeffs, e)
 
 
 # -- term dicts keyed by exponent tuples ----------------------------------------------

@@ -30,7 +30,10 @@ from charvar.groups import (
 from charvar.invariants import document_bytes
 from oracles import (
     cyc_times_conjugate,
+    cyclotomic,
+    folded_times_conjugate,
     from_root_multiplicities,
+    reduce_mod_cyclotomic,
     table_document,
     zeta_power,
 )
@@ -44,6 +47,10 @@ class TestCyclotomic:
         assert cyclotomic_polynomial(4) == (1, 0, 1)
         assert cyclotomic_polynomial(6) == (1, -1, 1)
         assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+    def test_matches_the_moebius_product(self):
+        for e in range(1, 61):
+            assert cyclotomic_polynomial(e) == cyclotomic(e), e
 
     def test_fourth_root(self):
         i = zeta_power(4, 1)
@@ -190,6 +197,15 @@ class TestFrobeniusSums:
             frobenius_sums(bad, g, xi)
         assert str(exc.value) == message
 
+    def test_a_degree_that_does_not_divide_the_order_is_raised(self, tables):
+        table = tables["sl25"]
+        degrees = list(table.degrees)
+        degrees[1] = 7
+        bad = dataclasses.replace(table, degrees=tuple(degrees))
+        with pytest.raises(NonIntegralCount) as exc:
+            frobenius_sums(bad, 1, table.group.identity)
+        assert str(exc.value) == "degree 7 does not divide the group order 120"
+
 
 @pytest.mark.parametrize("q", [5, 7])
 def test_abelian_table_through_a_long_refinement(q):
@@ -311,6 +327,68 @@ def test_raised_coordinate_names_the_first_failing_pair(tables):
     with pytest.raises(LiftFailure) as exc:
         verify_orthogonality(dataclasses.replace(table, rows=tuple(map(tuple, rows))))
     assert str(exc.value) == "row orthogonality fails for characters 0, 3"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda rows: rows[1:], "column orthogonality fails for classes 0, 0"),
+        (lambda rows: rows[:-1], "column orthogonality fails for classes 2, 2"),
+        (lambda rows: rows + rows[-1:], "row orthogonality fails for characters 8, 9"),
+    ],
+    ids=["first-dropped", "last-dropped", "last-duplicated"],
+)
+def test_a_missing_or_repeated_row_names_the_failing_pair(tables, edit, message):
+    """The row pairs run over the rows, not the classes: a dropped row leaves
+    the rows orthogonal and fails a column, a repeated row fails its pair."""
+    table = tables["sl25"]
+    with pytest.raises(LiftFailure) as exc:
+        verify_orthogonality(dataclasses.replace(table, rows=edit(table.rows)))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("family,q", [("SL", 3), ("GL", 3), ("SL", 5), ("GL", 5), ("DIAG", 5)])
+def test_every_relation_is_within_the_closed_form_bound(monkeypatch, family, q):
+    """The width is proven from |G| s N^2 + |G|, and every row and column total
+    T, summed unreduced in Z[x]/(x^e - 1) as the packed check sums it, has
+    |T - want|_1 within it, and reduces to want modulo Phi_e."""
+    group = diagonal_group(q) if family == "DIAG" else build_group(family, 2, q)
+    table = character_table(group)
+    bounds = []
+    relation = charvar.characters._relation
+
+    def recorded(e, bound):
+        bounds.append(bound)
+        return relation(e, bound)
+
+    monkeypatch.setattr(charvar.characters, "_relation", recorded)
+    verify_orthogonality(table)
+    e, order, sizes, rows = table.cyclotomic_order, group.order, table.conjugacy.sizes, table.rows
+    n = max(sum(map(abs, v)) for row in rows for v in row)
+    bound = order * len(rows) * n * n + order
+    assert bounds == [bound]
+
+    def within(products, want):
+        total = [sum(c) for c in zip(*products)]
+        total[0] -= want
+        assert sum(map(abs, total)) <= bound
+        assert not any(reduce_mod_cyclotomic(total, e))
+
+    for a, row_a in enumerate(rows):
+        for b in range(a, len(rows)):
+            within(
+                [[s * c for c in folded_times_conjugate(e, x, y)]
+                 for s, x, y in zip(sizes, row_a, rows[b])],
+                order if a == b else 0,
+            )
+    cols = list(zip(*rows))
+    for k, col_k in enumerate(cols):
+        for l in range(k, len(cols)):
+            within(
+                [[sizes[k] * c for c in folded_times_conjugate(e, x, y)]
+                 for x, y in zip(col_k, cols[l])],
+                order if k == l else 0,
+            )
 
 
 def test_changed_class_size_is_rejected(tables):

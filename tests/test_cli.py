@@ -216,6 +216,29 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "--suite", "duality", "--n", "2", "--g", "2")
         assert code == 1 and "FAIL duality: made-up witness" in out
 
+    def test_a_falsified_closed_form_names_its_difference(self, capsys, monkeypatch):
+        """With the printed E2 off by 1, the closedform suite fails
+        closed_form_E2 with the lowest differing term, and the CLI exits 1."""
+        from charvar import invariants
+        from charvar.polynomials import FactoredFraction, SparsePoly
+
+        real = invariants.closed_form
+
+        def off_by_one(which, g, n=None):
+            form = real(which, g, n)
+            if which == "E2":
+                form = FactoredFraction.from_poly(form.as_polynomial() + SparsePoly.one(("q",)))
+            return form
+
+        monkeypatch.setattr(invariants, "closed_form", off_by_one)
+        entry = invariants.run_check("closedform", 2, 2).entries["closed_form_E2"]
+        assert not entry.passed
+        assert entry.witness == "difference has coefficient -1 at 1"
+        code, out, _ = run(capsys, "check", "--suite", "closedform", "--n", "2", "--g", "2")
+        assert code == 1
+        assert "FAIL closed_form_E2: difference has coefficient -1 at 1" in out
+        assert "PASS closed_form_H2" in out
+
 
 class TestCount:
     def test_both_oracles_agree(self, capsys):

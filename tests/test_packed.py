@@ -4,7 +4,8 @@ Products, sums, Adams images and exact divisions by binomials run on one int
 key per monomial (see charvar.polynomials).  Each is checked here against the
 reference kernel on exponent tuples in tests/oracles.py, in one, two and three
 variables with Laurent exponents, including exponents at the edge of the
-narrowest slot width, where a product or an Adams image must widen.  The
+narrowest slot width, where a product or an Adams image must widen, and past
+the second width, where the ladder doubles.  The
 divisors are the one denominator shape 1 +- x^d, and every other shape is
 refused.
 """
@@ -54,13 +55,20 @@ def edge(k):
     return (1 << 30 // k - 1) - 1 if k > 1 else 1 << 40
 
 
+def far(k):
+    """The smallest exponent size that the second width of k > 1 slots does
+    not hold, so that the ladder doubles it."""
+    return 1 << 60 // k - 1
+
+
 _coeffs = st.one_of(st.integers(-5, 5), st.fractions(-3, 3, max_denominator=4)).filter(bool)
 
 
 @st.composite
-def polys(draw, k, at_edge=False, min_terms=0, max_terms=5):
-    """Laurent polynomials in k variables; at_edge draws exponents near +-edge(k)."""
-    h = edge(k)
+def polys(draw, k, at_edge=False, min_terms=0, max_terms=5, level=edge):
+    """Laurent polynomials in k variables; at_edge draws exponents near
+    +-level(k), by default the edge."""
+    h = level(k)
     small = st.integers(-4, 5)
     exps = st.sampled_from([-h, 1 - h, -1, 0, 1, h - 1, h]) if at_edge else small
     terms = draw(st.dictionaries(
@@ -125,10 +133,11 @@ def reference_quotient(num, factor):
 
 
 @st.composite
-def divisors(draw, k, at_edge=False):
+def divisors(draw, k, at_edge=False, level=edge):
     """A divisor 1 + c*x^d in k variables, c = +-1 and d >= 0 nonzero, often
-    with several nonzero coordinates; at_edge draws them up to edge(k)."""
-    exps = st.sampled_from([0, 1, 2, edge(k)]) if at_edge else st.integers(0, 3)
+    with several nonzero coordinates; at_edge draws them up to level(k), by
+    default the edge."""
+    exps = st.sampled_from([0, 1, 2, level(k)]) if at_edge else st.integers(0, 3)
     d = draw(st.tuples(*[exps] * k).filter(any))
     return BinomialFactor(CONTEXTS[k].variables, d, draw(st.sampled_from([1, -1])))
 
@@ -166,6 +175,28 @@ def test_division_matches_the_tuple_long_division(case):
         assert divide_exact(num, factor.as_poly()) == got
     elif num == a * factor.as_poly():
         pytest.fail("a multiple of f was refused")
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_the_ladder_doubles_past_its_second_width(k, data):
+    """Exponents of size far(k) pack at twice 60 // k bits, and the product,
+    sum, exact division and Adams image there match the tuple kernels."""
+    a = data.draw(polys(k, True, min_terms=1, level=far))
+    b = data.draw(polys(k, True, level=far))
+    factor = data.draw(divisors(k, True, level=far))
+    r = data.draw(st.integers(1, 4))
+    top = max(abs(v) for e in a.terms for v in e)
+    assert (polynomials._own(a)[1] > 60 // k) == (top >= far(k))
+    want = tuple_mul(a.terms, b.terms) if b else {}
+    assert (a * b).terms == want
+    assert (a + b).terms == tuple_add(a.terms, b.terms)
+    num = a * factor.as_poly()
+    got = _divide_by_factor(num, factor)
+    assert got is not None and got.terms == reference_quotient(num, factor) == a.terms
+    flavor = CONTEXTS[k]
+    assert adams_poly(a, r, flavor).terms == tuple_adams(a.terms, r, flavor)
 
 
 QT = FLAVOR_QT.variables

@@ -291,6 +291,14 @@ class TestInvariantFromLayer:
         with pytest.raises(NotPolynomial):
             invariant_from_layer(FLAVOR_PURE, 1, 1, layer)
 
+    def test_a_laurent_layer_names_its_lowest_exponents(self):
+        # (1 - q)^2 q^-3 over the rank-one term (1 - q)^2 at g = 2 leaves q^-3
+        layer = FactoredFraction.from_poly(SparsePoly(("q",), {(-3,): 1, (-2,): -2, (-1,): 1}))
+        with pytest.raises(NotPolynomial) as err:
+            invariant_from_layer(FLAVOR_E, 1, 2, layer)
+        assert str(err.value) == "normalized layer is Laurent, lowest exponents (-3,)"
+        assert err.value.factor == (-3,)
+
 
 @pytest.mark.parametrize(
     "kind, n, g, walks, failed", [
