@@ -7,6 +7,12 @@ always reported: if it is not exactly 1 the bridge fails loudly rather than
 silently adopting a different normalization.  The character-formula value
 tuples/|G| is reported alongside; with ratio 1 it equals (q-1)^{2g-1} E_2(q),
 one factor (q-1) below the orbit count.
+
+With no group given, the bridge counts in the process's shared GL(2,q)
+(groups._shared_group), so calls at several genera share one enumeration and
+one commutator distribution; invariants.clear_memo drops it.  A group that is
+not GL(2,q) is refused with a ValueError rather than reported as a failed
+bridge.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groups import MatrixGroup, build_group, tuple_count
+from .groups import MatrixGroup, _shared_group, tuple_count
 from .invariants import InvariantKind, compute_invariant
 
 
@@ -34,9 +40,16 @@ class BridgeReport:
 
 
 def point_count_bridge(q: int, g: int, *, group: MatrixGroup | None = None) -> BridgeReport:
-    """Measure tuple_count(GL(2,q), g, -Id) against |PGL|*(q-1)^{2g}*E_2(q)."""
+    """Measure tuple_count(GL(2,q), g, -Id) against |PGL|*(q-1)^{2g}*E_2(q).
+
+    Without `group`, GL(2,q) is the process's shared one, enumerated on the
+    first call and kept until invariants.clear_memo().  A `group` that is not
+    GL(2,q) raises ValueError naming both.
+    """
     if group is None:
-        group = build_group("GL", 2, q)
+        group = _shared_group("GL", 2, q)
+    elif group.family != "GL" or group.q != q or group.order != q * (q * q - 1) * (q - 1):
+        raise ValueError(f"point_count_bridge(q={q}) needs GL(2,{q}), got {group!r}")
     xi = group.central_of_order(2)
     tuples = tuple_count(group, g, xi)
     e2 = compute_invariant(InvariantKind.E, 2, g).polynomial

@@ -8,7 +8,10 @@ the full space into their one-dimensional common eigenspaces.  Every basis in
 the refinement is the identity at its pivot coordinates (the unit columns at
 first, then kernel vectors that are 1 at their own free column and 0 at the
 others), so the matrix of M_i on a span is read off the images at the pivots
-rather than solved for.  Then normalize each eigenvector v at the identity
+rather than solved for.  The eigenvalues on a span are the roots of that
+matrix's characteristic polynomial, taken in O(s^3) by a Hessenberg reduction
+that divides only by pivots, and found by one scan of F_p that divides out
+each root as it is met.  Then normalize each eigenvector v at the identity
 class so that v_k = |C_k| chi(g_k) / chi(1) (mod p); recover the degrees from
 the orthogonality relation (with p > |G| the degree squares are literal
 integers, no modular square-root ambiguity); and lift every value to an exact
@@ -142,31 +145,92 @@ def _kernel_basis(matrix, p):
 
 
 def _charpoly(matrix, p):
-    """det(xI - M) as ascending coefficients over F_p, monic, by Faddeev-LeVerrier.
+    """det(xI - M) as ascending coefficients over F_p, monic, in O(s^3), for M
+    with entries reduced mod p.
 
-    The recursion divides by 1..s for an s x s matrix, which is valid because
-    p > 2|G| > s.
+    M is first reduced by similarity to upper Hessenberg form H (zero below the
+    subdiagonal), which keeps the characteristic polynomial.  For each column
+    m - 1 a nonzero entry at or below row m is swapped into row m (rows and
+    columns both, a similarity), and each row i > m loses u = H[i][m-1] /
+    H[m][m-1] times row m while column m gains u times column i; a column with
+    nothing to clear is skipped.  Then the leading principal minors of xI - H
+    satisfy, expanding along the last column,
+
+        P_m = (x - h_mm) P_(m-1) - sum_(i<m) h_im (h_(i+1,i) ... h_(m,m-1)) P_(i-1),
+
+    with P_0 = 1 and det(xI - M) = P_s.  The only divisions are by pivots, so
+    the reduction holds over F_p for every prime p.
     """
     s = len(matrix)
-    coeffs = [0] * s + [1]
-    product = [[0] * s for _ in range(s)]  # M A_{k-1}, with A_0 = 0
-    for k in range(1, s + 1):
-        for i in range(s):  # A_k = M A_{k-1} + c_{s-k+1} I
-            product[i][i] += coeffs[s - k + 1]
-        cols = list(zip(*product))
-        product = [[sum(map(mul, row, col)) % p for col in cols] for row in matrix]
-        coeffs[s - k] = -sum(product[i][i] for i in range(s)) * pow(k, p - 2, p) % p
-    return coeffs
+    h = [list(row) for row in matrix]
+    for m in range(1, s - 1):
+        pivot = next((i for i in range(m, s) if h[i][m - 1]), None)
+        if pivot is None:
+            continue
+        if pivot != m:
+            h[m], h[pivot] = h[pivot], h[m]
+            for row in h:
+                row[m], row[pivot] = row[pivot], row[m]
+        row_m = h[m]
+        inv = pow(row_m[m - 1], p - 2, p)
+        for i in range(m + 1, s):
+            u = h[i][m - 1] * inv % p
+            if u:
+                h[i] = [(a - u * b) % p for a, b in zip(h[i], row_m)]
+                for row in h:
+                    row[m] = (row[m] + u * row[i]) % p
+    minors = [[1]]
+    for m in range(s):
+        prev = minors[m]
+        diag = h[m][m]
+        poly = [0] + prev  # x P_(m-1), then the rest of the expansion
+        for k, c in enumerate(prev):
+            poly[k] -= diag * c
+        chain = 1
+        for i in range(m - 1, -1, -1):
+            chain = chain * h[i + 1][i] % p
+            if not chain:
+                break
+            f = chain * h[i][m]
+            for k, c in enumerate(minors[i]):
+                poly[k] -= f * c
+        minors.append([c % p for c in poly])
+    return minors[s]
 
 
 def _poly_roots_mod(coeffs, p):
+    """The distinct roots in F_p of a monic polynomial (ascending coefficients,
+    reduced mod p), ascending.
+
+    The scan tries x = 0, 1, ... in turn; each root found is divided out by
+    synthetic division as often as it divides, so later values are taken on a
+    polynomial of lower degree.  Once one linear factor c_0 + x is left, its
+    root -c_0 is the last one: every smaller x was tried on a multiple of it,
+    so it lies above the scan and is new.  A constant left ends the scan.
+    """
+    poly = coeffs
     roots = []
     for x in range(p):
+        if len(poly) <= 2:
+            break
         acc = 0
-        for c in reversed(coeffs):
+        for c in reversed(poly):
             acc = (acc * x + c) % p
-        if acc == 0:
-            roots.append(x)
+        if acc:
+            continue
+        roots.append(x)
+        while True:  # divide by (y - x); the value at x comes out as the remainder
+            quotient = []
+            acc = 0
+            for c in reversed(poly):
+                acc = (acc * x + c) % p
+                quotient.append(acc)
+            if acc:
+                break
+            quotient.pop()
+            poly = quotient[::-1]
+    if len(poly) == 2:
+        roots.append(-poly[0] % p)
     return roots
 
 

@@ -17,10 +17,13 @@ c(z) = #{(A,B) : A B A^-1 B^-1 = z} followed by class-algebra convolution, so
 genus g counts of products of g commutators cost O(classes^3) per genus step
 instead of |G|^(2g).  The distribution is computed once per group and kept on
 it, like the conjugacy data, so counts at several genera share one |G|^2 loop.
+build_group always enumerates a fresh group; _shared_group keeps one per
+(family, q) for the process, so callers that pass no group share its tables.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from itertools import product
 
@@ -197,6 +200,32 @@ def build_group(family: str, dim: int, q: int) -> MatrixGroup:
     group = MatrixGroup(family, q, elements)
     assert group.order == expected
     return group
+
+
+_shared_lock = threading.Lock()
+_shared_groups: dict = {}
+
+
+def _shared_group(family: str, dim: int, q: int) -> MatrixGroup:
+    """build_group's group, enumerated once per process and kept, with the
+    tables cached on it, until _clear_shared_groups (invariants.clear_memo).
+
+    Two threads that miss together each build one; the first stored is kept
+    and returned to both, as in the invariants memo.
+    """
+    key = (family.upper(), dim, q)
+    with _shared_lock:
+        group = _shared_groups.get(key)
+    if group is None:
+        group = build_group(family, dim, q)
+        with _shared_lock:
+            group = _shared_groups.setdefault(key, group)
+    return group
+
+
+def _clear_shared_groups():
+    with _shared_lock:
+        _shared_groups.clear()
 
 
 def diagonal_group(q: int) -> MatrixGroup:

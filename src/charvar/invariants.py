@@ -38,7 +38,7 @@ from math import prod
 from pathlib import Path
 
 from .errors import CharvarError, KindMismatch, UnsupportedGenus
-from .groups import _prime_factors
+from .groups import _clear_shared_groups, _prime_factors
 from .polynomials import (
     FLAVOR_E,
     FLAVOR_PURE,
@@ -177,10 +177,12 @@ def _layers(flavor, g: int, nmax: int):
 
 
 def clear_memo():
-    """Drop the in-process memo (used by tests that time cold runs)."""
+    """Drop the in-process memo (used by tests that time cold runs): the layers,
+    the results and the shared groups that point_count_bridge enumerates."""
     with _memo_lock:
         _layer_memo.clear()
         _result_memo.clear()
+    _clear_shared_groups()
 
 
 def compute_invariant(kind, n: int, g: int, *, cache=None) -> InvariantResult:

@@ -20,6 +20,10 @@ kept here as an oracle for it:
   ``ConjugacyData.powers``;
 - ``table_document`` is the canonical JSON document of a character table,
   whose digest pins the Dixon splitting byte for byte;
+- ``faddeev_leverrier_charpoly`` is the characteristic polynomial over F_p
+  by the trace recursion, the reference for the Hessenberg reduction, and
+  ``roots_by_full_scan`` evaluates a polynomial at every point of F_p, the
+  reference for the deflating root scan;
 - ``cyclotomic`` builds Phi_e as the Moebius product of the x^d - 1, and
   ``reduce_mod_cyclotomic`` reduces modulo it, sharing no code with
   charvar.characters: the reference for ``cyclotomic_polynomial``;
@@ -248,6 +252,39 @@ def table_document(table) -> dict:
         "rows": [[list(v) for v in row] for row in table.rows],
         "version": 1,
     }
+
+
+def faddeev_leverrier_charpoly(matrix, p):
+    """det(xI - M) as ascending coefficients over F_p, monic, by Faddeev-LeVerrier.
+
+    A_k = M A_(k-1) + c_(s-k+1) I and c_(s-k) = -tr(M A_k) / k, so the
+    recursion divides by 1..s: valid for p > s.  The reference for the
+    Hessenberg reduction in ``_charpoly``.
+    """
+    s = len(matrix)
+    assert p > s
+    coeffs = [0] * s + [1]
+    product = [[0] * s for _ in range(s)]  # M A_(k-1), with A_0 = 0
+    for k in range(1, s + 1):
+        for i in range(s):
+            product[i][i] += coeffs[s - k + 1]
+        cols = list(zip(*product))
+        product = [[sum(map(mul, row, col)) % p for col in cols] for row in matrix]
+        coeffs[s - k] = -sum(product[i][i] for i in range(s)) * pow(k, p - 2, p) % p
+    return coeffs
+
+
+def roots_by_full_scan(coeffs, p):
+    """Every x in F_p at which the polynomial vanishes, each evaluated on the
+    undivided polynomial: the reference for ``_poly_roots_mod``."""
+    roots = []
+    for x in range(p):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * x + c) % p
+        if acc == 0:
+            roots.append(x)
+    return roots
 
 
 def _moebius_mu(n):

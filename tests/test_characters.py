@@ -6,11 +6,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import charvar.characters
 from charvar.characters import (
+    _charpoly,
     _from_root_multiplicities,
     _pack,
+    _poly_roots_mod,
     _relation,
     character_table,
     cyclotomic_polynomial,
@@ -31,9 +35,11 @@ from charvar.invariants import document_bytes
 from oracles import (
     cyc_times_conjugate,
     cyclotomic,
+    faddeev_leverrier_charpoly,
     folded_times_conjugate,
     from_root_multiplicities,
     reduce_mod_cyclotomic,
+    roots_by_full_scan,
     table_document,
     zeta_power,
 )
@@ -424,3 +430,109 @@ def test_a_wrong_root_of_unity_fails_the_lift(monkeypatch, sl23, root, message):
     with pytest.raises(LiftFailure) as exc:
         character_table(sl23)
     assert str(exc.value) == message
+
+
+# -- characteristic polynomials and their roots over F_p ----------------------------
+
+_PRIMES = (61, 97, 241)
+
+
+@st.composite
+def square_matrices(draw):
+    """An s x s matrix over F_p, s = 1..12, dense or sparse.  Its "zero column"
+    and "swap" shapes are already Hessenberg left of a column c, so the
+    reduction reaches c unchanged: there every entry below the diagonal is zero
+    (nothing to clear), or only one below the subdiagonal is not (a row swap)."""
+    p = draw(st.sampled_from(_PRIMES))
+    s = draw(st.integers(1, 12))
+    density = draw(st.sampled_from([1.0, 0.5, 0.2]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    m = [[rng.randrange(p) if rng.random() < density else 0 for _ in range(s)]
+         for _ in range(s)]
+    shape = draw(st.sampled_from(["plain", "zero column", "swap"]))
+    if s >= 3 and shape != "plain":
+        col = rng.randrange(s - 2)
+        for j in range(col + 1):
+            for i in range(j + 1 + (j == col), s):
+                m[i][j] = 0
+        if shape == "swap":
+            m[rng.randrange(col + 2, s)][col] = rng.randrange(1, p)
+    return m, p
+
+
+@given(square_matrices())
+@example(([[0, 0, 0], [0, 0, 0], [1, 0, 0]], 61))  # a swap into row 1
+@example(([[1, 2, 3], [0, 4, 5], [0, 6, 7]], 97))  # nothing to clear in column 0
+@example(([[5]], 241))
+@settings(max_examples=300, deadline=None)
+def test_charpoly_matches_faddeev_leverrier(case):
+    matrix, p = case
+    assert _charpoly(matrix, p) == faddeev_leverrier_charpoly(matrix, p)
+
+
+@pytest.fixture(scope="module")
+def restricted_matrices():
+    """Every restricted class matrix whose characteristic polynomial is taken
+    while the five pinned tables are built."""
+    seen = []
+    real = charvar.characters._charpoly
+
+    def spy(matrix, p):
+        seen.append(([list(row) for row in matrix], p))
+        return real(matrix, p)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(charvar.characters, "_charpoly", spy)
+        for family, q in sorted(TABLE_DIGESTS):
+            character_table(build_group(family, 2, q))
+    return seen
+
+
+def test_charpoly_matches_faddeev_leverrier_on_every_restricted_matrix(restricted_matrices):
+    assert len(restricted_matrices) > 20
+    for matrix, p in restricted_matrices:
+        poly = _charpoly(matrix, p)
+        assert poly == faddeev_leverrier_charpoly(matrix, p)
+        assert _poly_roots_mod(poly, p) == roots_by_full_scan(poly, p)
+
+
+def _times(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+@st.composite
+def polynomials_with_roots(draw):
+    """(coefficients, p, roots): a product of monic linear factors, with
+    repeats, and optionally irreducible quadratics x^2 - a (a a non-residue)."""
+    p = draw(st.sampled_from(_PRIMES))
+    shape = draw(st.sampled_from(["split", "quadratic left", "no root", "linear"]))
+    roots = {
+        "split": st.lists(st.integers(0, p - 1), min_size=1, max_size=10),
+        "quadratic left": st.lists(st.integers(0, p - 1), min_size=1, max_size=8),
+        "no root": st.just([]),
+        "linear": st.lists(st.integers(0, p - 1), min_size=1, max_size=1),
+    }[shape]
+    linear = draw(roots)
+    if shape == "split":  # repeat some roots
+        linear += draw(st.lists(st.sampled_from(linear), max_size=4))
+    quadratics = []
+    if shape in ("quadratic left", "no root"):
+        non_residues = [a for a in range(1, p) if pow(a, (p - 1) // 2, p) == p - 1]
+        quadratics = draw(st.lists(st.sampled_from(non_residues), min_size=1, max_size=3))
+    poly = [1]
+    for r in linear:
+        poly = _times(poly, [-r % p, 1], p)
+    for a in quadratics:
+        poly = _times(poly, [-a % p, 0, 1], p)
+    return poly, p, sorted(set(linear))
+
+
+@given(polynomials_with_roots())
+@settings(max_examples=300, deadline=None)
+def test_deflating_root_scan_matches_the_full_scan(case):
+    poly, p, roots = case
+    assert _poly_roots_mod(poly, p) == roots_by_full_scan(poly, p) == roots

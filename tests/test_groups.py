@@ -5,6 +5,7 @@ import weakref
 import pytest
 
 import charvar.groups
+from charvar.bridge import point_count_bridge
 from charvar.errors import CentralElementUnavailable, GroupTooLarge
 from charvar.groups import (
     MatrixGroup,
@@ -13,6 +14,7 @@ from charvar.groups import (
     diagonal_group,
     tuple_count,
 )
+from charvar.invariants import clear_memo
 from oracles import direct_mul_table, mat_inv, power_walk, reference_class_constants
 
 
@@ -237,3 +239,38 @@ def test_a_counted_group_is_freed_without_the_cycle_collector():
     ref = weakref.ref(group)
     del group
     assert ref() is None  # the kept distribution ties no reference cycle
+
+
+def test_the_bridge_counts_in_one_shared_group_until_clear_memo(monkeypatch):
+    real = charvar.groups._commutator_values
+    runs = []
+
+    def counted(group):
+        runs.append(group)
+        return real(group)
+
+    monkeypatch.setattr(charvar.groups, "_commutator_values", counted)
+    clear_memo()
+    assert all(point_count_bridge(3, g).passed for g in (1, 2, 3))
+    assert len(runs) == 1
+    shared = runs.pop()
+    assert shared is charvar.groups._shared_group("GL", 2, 3)
+    assert shared is not build_group("GL", 2, 3)  # build_group stays fresh
+    ref = weakref.ref(shared)
+    del shared
+    clear_memo()
+    assert ref() is None  # dropped, and freed without the cycle collector
+    assert point_count_bridge(3, 2).passed
+    assert len(runs) == 1  # enumerated and counted again
+
+
+@pytest.mark.parametrize(
+    "q, family, group_q",
+    [(5, "GL", 3), (3, "SL", 3)],
+)
+def test_the_bridge_refuses_a_group_that_is_not_gl2q(q, family, group_q):
+    group = build_group(family, 2, group_q)
+    with pytest.raises(ValueError) as exc:
+        point_count_bridge(q, 2, group=group)
+    message = str(exc.value)
+    assert f"GL(2,{q})" in message and repr(group) in message
