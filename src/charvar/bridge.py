@@ -8,11 +8,12 @@ silently adopting a different normalization.  The character-formula value
 tuples/|G| is reported alongside; with ratio 1 it equals (q-1)^{2g-1} E_2(q),
 one factor (q-1) below the orbit count.
 
-With no group given, the bridge counts in the process's shared GL(2,q)
-(groups._shared_group), so calls at several genera share one enumeration and
-one commutator distribution; invariants.clear_memo drops it.  A group that is
-not GL(2,q) is refused with a ValueError rather than reported as a failed
-bridge.
+With no group given, the bridge counts in build_group's GL(2,q), the one
+enumerated group per (family, q) that the process keeps, tables included,
+until invariants.clear_memo (at most 7 such groups); so calls at several
+genera, and any other caller of build_group("GL", 2, q), share one
+enumeration and one commutator distribution.  A group that is not GL(2,q) is
+refused with a ValueError rather than reported as a failed bridge.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groups import MatrixGroup, _shared_group, tuple_count
+from .groups import MatrixGroup, build_group, tuple_count
 from .invariants import InvariantKind, compute_invariant
 
 
@@ -42,12 +43,12 @@ class BridgeReport:
 def point_count_bridge(q: int, g: int, *, group: MatrixGroup | None = None) -> BridgeReport:
     """Measure tuple_count(GL(2,q), g, -Id) against |PGL|*(q-1)^{2g}*E_2(q).
 
-    Without `group`, GL(2,q) is the process's shared one, enumerated on the
-    first call and kept until invariants.clear_memo().  A `group` that is not
+    Without `group`, GL(2,q) is build_group's, enumerated on the first call
+    and kept until invariants.clear_memo().  A `group` that is not
     GL(2,q) raises ValueError naming both.
     """
     if group is None:
-        group = _shared_group("GL", 2, q)
+        group = build_group("GL", 2, q)
     elif group.family != "GL" or group.q != q or group.order != q * (q * q - 1) * (q - 1):
         raise ValueError(f"point_count_bridge(q={q}) needs GL(2,{q}), got {group!r}")
     xi = group.central_of_order(2)

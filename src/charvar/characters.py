@@ -8,11 +8,13 @@ the full space into their one-dimensional common eigenspaces.  Every basis in
 the refinement is the identity at its pivot coordinates (the unit columns at
 first, then kernel vectors that are 1 at their own free column and 0 at the
 others), so the matrix of M_i on a span is read off the images at the pivots
-rather than solved for.  The eigenvalues on a span are the roots of that
-matrix's characteristic polynomial, taken in O(s^3) by a Hessenberg reduction
-that divides only by pivots, and found by one scan of F_p that divides out
-each root as it is met.  Then normalize each eigenvector v at the identity
-class so that v_k = |C_k| chi(g_k) / chi(1) (mod p); recover the degrees from
+rather than solved for; on the unit columns it is M_i itself, and the first
+split's kernel vectors are its eigenvectors with no change of basis.  The
+eigenvalues on a span are the roots of that matrix's characteristic
+polynomial, taken in O(s^3) by a Hessenberg reduction that divides only by
+pivots, and found by one scan of F_p that divides out each root as it is
+met.  Then normalize each eigenvector v at the identity class so that
+v_k = |C_k| chi(g_k) / chi(1) (mod p); recover the degrees from
 the orthogonality relation (with p > |G| the degree squares are literal
 integers, no modular square-root ambiguity); and lift every value to an exact
 cyclotomic integer through the eigenvalue multiplicities m_j = (1/o) * sum_s
@@ -290,8 +292,11 @@ def character_table(group: MatrixGroup) -> CharacterTable:
 
     # deterministic refinement into common eigenspaces; every basis is the
     # identity at its pivot coordinates, so the matrix of M_i on its span is
-    # the images read at the pivots
-    spaces = [([[int(j == k) for j in range(r)] for k in range(r)], range(r))]
+    # the images read at the pivots.  The first split is of the full space in
+    # the unit basis: its matrix is M_i itself and its kernel vectors are
+    # already the eigenvectors.
+    unit = [[int(j == k) for j in range(r)] for k in range(r)]
+    spaces = [(unit, range(r))]
     for i in range(r):
         if i == ident:
             continue
@@ -302,9 +307,12 @@ def character_table(group: MatrixGroup) -> CharacterTable:
             if len(basis) == 1:
                 new_spaces.append((basis, pivots))
                 continue
-            images = [_apply(data.a_ijk[i], col, p) for col in basis]
-            c_small = [[img[t] for img in images] for t in pivots]
-            basis_rows = list(zip(*basis))
+            if basis is unit:  # every a_ijk <= |G| < p is already reduced
+                c_small = data.a_ijk[i]
+            else:
+                images = [_apply(data.a_ijk[i], col, p) for col in basis]
+                c_small = [[img[t] for img in images] for t in pivots]
+                basis_rows = list(zip(*basis))
             roots = _poly_roots_mod(_charpoly(c_small, p), p)
             total = 0
             for lam in roots:
@@ -312,8 +320,9 @@ def character_table(group: MatrixGroup) -> CharacterTable:
                     [(c_small[u][v] - (lam if u == v else 0)) % p for v in range(len(basis))]
                     for u in range(len(basis))
                 ]
-                free, kernel = _kernel_basis(shifted, p)
-                eigenspace = [_apply(basis_rows, vec, p) for vec in kernel]
+                free, eigenspace = _kernel_basis(shifted, p)
+                if basis is not unit:  # from the span's coordinates to the full space
+                    eigenspace = [_apply(basis_rows, vec, p) for vec in eigenspace]
                 total += len(eigenspace)
                 new_spaces.append((eigenspace, [pivots[f] for f in free]))
             assert total == len(basis), "class algebra failed to split"

@@ -17,8 +17,9 @@ c(z) = #{(A,B) : A B A^-1 B^-1 = z} followed by class-algebra convolution, so
 genus g counts of products of g commutators cost O(classes^3) per genus step
 instead of |G|^(2g).  The distribution is computed once per group and kept on
 it, like the conjugacy data, so counts at several genera share one |G|^2 loop.
-build_group always enumerates a fresh group; _shared_group keeps one per
-(family, q) for the process, so callers that pass no group share its tables.
+build_group keeps one enumerated group per (family, q), tables included,
+until invariants.clear_memo(): at most 7 of them fit DEFAULT_MAX_ORDER, and
+every caller that asks for the same (family, q) shares its tables.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from itertools import product
+from operator import index
 
 from .errors import CentralElementUnavailable, GroupTooLarge
 
@@ -170,13 +172,41 @@ class MatrixGroup:
         return f"MatrixGroup({self.family}, dim=2, q={self.q}, order={self.order})"
 
 
+_groups_lock = threading.Lock()
+_groups: dict = {}  # (family, dim, q) -> MatrixGroup, filled by build_group
+
+
 def build_group(family: str, dim: int, q: int) -> MatrixGroup:
-    """Enumerate GL(2,q) or SL(2,q) for prime q, up to DEFAULT_MAX_ORDER elements.
+    """GL(2,q) or SL(2,q) for prime q, up to DEFAULT_MAX_ORDER elements.
+
+    One enumerated group per (family, q), its tables included, is kept for the
+    process until invariants.clear_memo(); at most 7 fit the bound (GL at
+    q = 2, 3, 5, SL at q = 2, 3, 5, 7).  A request that is refused raises
+    GroupTooLarge or ValueError (TypeError for a q that is no integer) before
+    anything is kept.  Two threads that miss together each enumerate one; the
+    first stored is kept and returned to both, as in the invariants memo.
+    """
+    key = (family.upper(), dim, index(q))  # q = 3.0 must not find GL(2,3)
+    with _groups_lock:
+        group = _groups.get(key)
+    if group is None:
+        group = _enumerate_group(*key)
+        with _groups_lock:
+            group = _groups.setdefault(key, group)
+    return group
+
+
+def _clear_groups():
+    with _groups_lock:
+        _groups.clear()
+
+
+def _enumerate_group(family: str, dim: int, q: int) -> MatrixGroup:
+    """Enumerate GL(2,q) or SL(2,q) afresh, for an upper-case family.
 
     The order bound comes before the primality test, whose trial division
     takes about sqrt(q) steps.
     """
-    family = family.upper()
     if family not in ("GL", "SL"):
         raise ValueError(f"family must be GL or SL, got {family!r}")
     if dim != 2:
@@ -200,32 +230,6 @@ def build_group(family: str, dim: int, q: int) -> MatrixGroup:
     group = MatrixGroup(family, q, elements)
     assert group.order == expected
     return group
-
-
-_shared_lock = threading.Lock()
-_shared_groups: dict = {}
-
-
-def _shared_group(family: str, dim: int, q: int) -> MatrixGroup:
-    """build_group's group, enumerated once per process and kept, with the
-    tables cached on it, until _clear_shared_groups (invariants.clear_memo).
-
-    Two threads that miss together each build one; the first stored is kept
-    and returned to both, as in the invariants memo.
-    """
-    key = (family.upper(), dim, q)
-    with _shared_lock:
-        group = _shared_groups.get(key)
-    if group is None:
-        group = build_group(family, dim, q)
-        with _shared_lock:
-            group = _shared_groups.setdefault(key, group)
-    return group
-
-
-def _clear_shared_groups():
-    with _shared_lock:
-        _shared_groups.clear()
 
 
 def diagonal_group(q: int) -> MatrixGroup:
@@ -326,17 +330,20 @@ def commutator_distribution(group: MatrixGroup) -> ClassFunction:
 
 
 def _commutator_values(group: MatrixGroup) -> tuple[int, ...]:
-    """The |G|^2 loop behind commutator_distribution, asserted constant on classes."""
+    """The |G|^2 loop behind commutator_distribution, asserted constant on classes.
+
+    [a, b] = (a*b*a^-1)*b^-1 composes three table lookups: row a of mul gives
+    a*b, the column of a^-1 gives (a*b)*a^-1, and its row takes b^-1.
+    """
     mul = group.mul
     inv = group.inv
     n = group.order
+    cols = list(zip(*mul))  # cols[j][x] = x*j
     counts = [0] * n
-    for a in range(n):
-        row_a = mul[a]
-        ai = inv[a]
-        for b in range(n):
-            t = mul[row_a[b]][ai]
-            counts[mul[t][inv[b]]] += 1
+    for row_a, ai in zip(mul, inv):
+        col = cols[ai]  # col[x] = x * a^-1
+        for x, ib in zip(row_a, inv):  # x = a*b, ib = b^-1
+            counts[mul[col[x]][ib]] += 1
     data = group.conjugacy()
     values = []
     for cls in data.classes:

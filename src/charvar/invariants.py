@@ -38,7 +38,7 @@ from math import prod
 from pathlib import Path
 
 from .errors import CharvarError, KindMismatch, UnsupportedGenus
-from .groups import _clear_shared_groups, _prime_factors
+from .groups import _clear_groups, _prime_factors
 from .polynomials import (
     FLAVOR_E,
     FLAVOR_PURE,
@@ -178,11 +178,13 @@ def _layers(flavor, g: int, nmax: int):
 
 def clear_memo():
     """Drop the in-process memo (used by tests that time cold runs): the layers,
-    the results and the shared groups that point_count_bridge enumerates."""
+    the results and the enumerated groups that build_group keeps (one per
+    (family, q), tables included, at most 7), so the next build_group
+    enumerates afresh."""
     with _memo_lock:
         _layer_memo.clear()
         _result_memo.clear()
-    _clear_shared_groups()
+    _clear_groups()
 
 
 def compute_invariant(kind, n: int, g: int, *, cache=None) -> InvariantResult:

@@ -113,6 +113,7 @@ class TestMultiplicationTable:
             return real(group, a)
 
         monkeypatch.setattr(MatrixGroup, "_direct_row", counted)
+        clear_memo()  # build_group keeps its groups, tables included, until then
         build_group("GL", 2, 5).mul
         assert 1 <= len(rows) <= 3
 
@@ -218,6 +219,7 @@ def test_commutator_distribution_is_computed_once_per_group(monkeypatch):
         return real(group)
 
     monkeypatch.setattr(charvar.groups, "_commutator_values", counted)
+    clear_memo()
     sl23 = build_group("SL", 2, 3)
     minus_id = sl23.central_of_order(2)
     # pinned from the uncached distribution, which ran the |G|^2 loop per genus
@@ -228,15 +230,18 @@ def test_commutator_distribution_is_computed_once_per_group(monkeypatch):
         168, 53376, 25479168, 13980696576,
     ]
     assert runs == [sl23]
+    clear_memo()
     fresh = build_group("SL", 2, 3)
     assert tuple_count(fresh, 1, minus_id) == 24
     assert runs == [sl23, fresh]
 
 
 def test_a_counted_group_is_freed_without_the_cycle_collector():
+    clear_memo()
     group = build_group("SL", 2, 3)
     tuple_count(group, 2, group.identity)
     ref = weakref.ref(group)
+    clear_memo()
     del group
     assert ref() is None  # the kept distribution ties no reference cycle
 
@@ -254,14 +259,103 @@ def test_the_bridge_counts_in_one_shared_group_until_clear_memo(monkeypatch):
     assert all(point_count_bridge(3, g).passed for g in (1, 2, 3))
     assert len(runs) == 1
     shared = runs.pop()
-    assert shared is charvar.groups._shared_group("GL", 2, 3)
-    assert shared is not build_group("GL", 2, 3)  # build_group stays fresh
+    assert shared is build_group("GL", 2, 3)
     ref = weakref.ref(shared)
     del shared
     clear_memo()
     assert ref() is None  # dropped, and freed without the cycle collector
     assert point_count_bridge(3, 2).passed
     assert len(runs) == 1  # enumerated and counted again
+
+
+def test_build_group_keeps_one_group_per_family_and_q_until_clear_memo(monkeypatch):
+    real = charvar.groups._commutator_values
+    runs = []
+
+    def counted(group):
+        runs.append(group)
+        return real(group)
+
+    monkeypatch.setattr(charvar.groups, "_commutator_values", counted)
+    clear_memo()
+    gl23 = build_group("GL", 2, 3)
+    minus_id = gl23.central_of_order(2)
+    assert tuple_count(gl23, 2, minus_id) == 211200
+    reports = [point_count_bridge(3, g) for g in (1, 2, 3)]
+    assert all(report.passed for report in reports) and reports[1].tuples == 211200
+    assert runs == [gl23]  # one |G|^2 loop for the count and the three bridges
+    assert build_group("gl", 2, 3) is build_group("GL", 2, 3) is gl23
+    with pytest.raises(TypeError):
+        build_group("GL", 2, 3.0)  # as when nothing is kept: range(3.0) refuses it
+    clear_memo()
+    again = build_group("GL", 2, 3)
+    assert again is not gl23
+    assert tuple_count(again, 2, again.central_of_order(2)) == 211200
+    assert runs == [gl23, again]
+
+
+@pytest.mark.parametrize(
+    "family, q, error",
+    [("GL", 7, GroupTooLarge), ("GL", 4, ValueError), ("SP", 3, ValueError)],
+)
+def test_a_refused_group_raises_on_every_call_and_is_not_kept(family, q, error):
+    clear_memo()
+    for _ in range(3):
+        with pytest.raises(error):
+            build_group(family, 2, q)
+    assert charvar.groups._groups == {}
+
+
+def test_threads_share_one_group_and_its_counts(monkeypatch):
+    """Eight threads ask for SL(2,5) and count at genus 2 from a cold memo."""
+    import sys
+    import threading
+    import time
+
+    clear_memo()
+    expected_group = build_group("SL", 2, 5)
+    expected = tuple_count(expected_group, 2, expected_group.central_of_order(2))
+    clear_memo()
+    real = charvar.groups._enumerate_group
+    enumerated = []
+
+    def slow(*key):
+        group = real(*key)
+        enumerated.append(group)
+        time.sleep(0.05)  # every thread misses before the first one stores
+        return group
+
+    monkeypatch.setattr(charvar.groups, "_enumerate_group", slow)
+    groups = [None] * 8
+    counts = [None] * 8
+    errors = []
+    start = threading.Barrier(8)
+
+    def work(i):
+        try:
+            start.wait(timeout=60)
+            groups[i] = group = build_group("SL", 2, 5)
+            counts[i] = tuple_count(group, 2, group.central_of_order(2))
+        except Exception as exc:  # pragma: no cover - diagnostic only
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert len(enumerated) > 1  # the threads did miss together
+    assert groups[0] in enumerated and groups[0] is not expected_group
+    assert all(group is groups[0] for group in groups)
+    assert groups[0] is build_group("SL", 2, 5)
+    assert counts == [expected] * 8
 
 
 @pytest.mark.parametrize(
