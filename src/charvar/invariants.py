@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 import os
 import sys
 import tempfile
@@ -195,6 +196,7 @@ def compute_invariant(kind, n: int, g: int, *, cache=None) -> InvariantResult:
     ordinary errors, and are never swallowed.
     """
     kind = parse_kind(kind)
+    n, g = operator.index(n), operator.index(g)  # before the memo: 2.0 is no key
     if n < 1 or g < 0:
         raise ValueError("need n >= 1 and g >= 0")
     key = (kind, n, g)
@@ -352,11 +354,12 @@ def specialize_invariant(result: InvariantResult, target: str) -> SparsePoly:
 
 # -- printed closed forms --------------------------------------------------------
 #
-# Each printed term is one row (scalar, mono, factors): the scalar times
-# x^(mono*(g-1)) times the binomial_product of (1 + c*x^e)^(a*g + b) over the
-# (c, e, (a, b)) of factors.  A printed denominator q^a*t^b - 1 is written
-# -(1 - q^a*t^b), so each one flips the sign of its row's scalar.  The printed
-# trinomials are ratios of binomials:
+# A closed form is the sum of its rows divided by their common denominator D.
+# Each printed term is one row (scalar, mono, factors): the integer scalar
+# (D times the printed one) times x^(mono*(g-1)) times the binomial_product of
+# (1 + c*x^e)^(a*g + b) over the (c, e, (a, b)) of factors.  A printed
+# denominator q^a*t^b - 1 is written -(1 - q^a*t^b), so each one flips the
+# sign of its row's scalar.  The printed trinomials are ratios of binomials:
 #
 #   q^2t^2 - qt + 1 = (1 + q^3t^3) / (1 + qt)    q^2 + q + 1 = (1 - q^3) / (1 - q)
 #   q^2t^4 + qt^2 + 1 = (1 - q^3t^6) / (1 - qt^2)  t^4 + t^2 + 1 = (1 - t^6) / (1 - t^2)
@@ -367,55 +370,56 @@ def _ratio(num, den):
     return tuple((1, e, (2, 0)) for e in num) + tuple((-1, e, (0, -1)) for e in den)
 
 
-# closed form -> (its variables, its rows)
+# closed form -> (its variables, its common denominator D, its rows)
 _FORM_ROWS = {
-    "E2": (FLAVOR_E.variables, (  # (q^2 - 1)^(2g-2) = (1 - q^2)^(2g-2), and so on
-        (1, (0,), ((-1, (2,), (2, -2)),)),
-        (1, (2,), ((-1, (2,), (2, -2)),)),
-        (Fraction(-1, 2), (2,), ((-1, (1,), (2, -2)),)),
-        (Fraction(-1, 2), (2,), ((1, (1,), (2, -2)),)),
+    "E2": (FLAVOR_E.variables, 2, (  # (q^2 - 1)^(2g-2) = (1 - q^2)^(2g-2), and so on
+        (2, (0,), ((-1, (2,), (2, -2)),)),
+        (2, (2,), ((-1, (2,), (2, -2)),)),
+        (-1, (2,), ((-1, (1,), (2, -2)),)),
+        (-1, (2,), ((1, (1,), (2, -2)),)),
     )),
-    "H2": (FLAVOR_QT.variables, (
-        (1, (0, 0), _ratio([(2, 3)], [(2, 2), (2, 4)])),
-        (1, (2, 4), _ratio([(2, 1)], [(2, 0), (2, 2)])),
-        (Fraction(-1, 2), (2, 4), _ratio([(1, 1)], [(1, 2), (1, 0)])),
-        (Fraction(-1, 2), (2, 4),
+    "H2": (FLAVOR_QT.variables, 2, (
+        (2, (0, 0), _ratio([(2, 3)], [(2, 2), (2, 4)])),
+        (2, (2, 4), _ratio([(2, 1)], [(2, 0), (2, 2)])),
+        (-1, (2, 4), _ratio([(1, 1)], [(1, 2), (1, 0)])),
+        (-1, (2, 4),
          ((-1, (1, 1), (2, 0)), (1, (1, 0), (0, -1)), (1, (1, 2), (0, -1)))),
     )),
-    "H3": (FLAVOR_QT.variables, (
-        (1, (0, 0), _ratio([(3, 5), (2, 3)], [(3, 6), (3, 4), (2, 4), (2, 2)])),
-        (1, (6, 12), _ratio([(3, 1), (2, 1)], [(3, 2), (3, 0), (2, 2), (2, 0)])),
-        (1, (4, 8), _ratio([(3, 3), (1, 1)], [(3, 4), (3, 2), (1, 2), (1, 0)])),
-        (Fraction(1, 3), (6, 12), _ratio([(1, 1), (1, 1)], [(1, 2), (1, 2), (1, 0), (1, 0)])),
+    "H3": (FLAVOR_QT.variables, 3, (
+        (3, (0, 0), _ratio([(3, 5), (2, 3)], [(3, 6), (3, 4), (2, 4), (2, 2)])),
+        (3, (6, 12), _ratio([(3, 1), (2, 1)], [(3, 2), (3, 0), (2, 2), (2, 0)])),
+        (3, (4, 8), _ratio([(3, 3), (1, 1)], [(3, 4), (3, 2), (1, 2), (1, 0)])),
+        (1, (6, 12), _ratio([(1, 1), (1, 1)], [(1, 2), (1, 2), (1, 0), (1, 0)])),
         # (q^2t^2 - qt + 1)^(2g) / ((q^2t^4 + qt^2 + 1)(q^2 + q + 1))
-        (Fraction(-1, 3), (6, 12), _ratio([(3, 3)], [(3, 6), (3, 0)])
+        (-1, (6, 12), _ratio([(3, 3)], [(3, 6), (3, 0)])
          + ((1, (1, 1), (-2, 0)), (-1, (1, 2), (0, 1)), (-1, (1, 0), (0, 1)))),
-        (-1, (4, 8), _ratio([(2, 3), (1, 1)], [(2, 4), (2, 2), (1, 2), (1, 0)])),
-        (-1, (6, 12), _ratio([(2, 1), (1, 1)], [(2, 2), (2, 0), (1, 2), (1, 0)])),
+        (-3, (4, 8), _ratio([(2, 3), (1, 1)], [(2, 4), (2, 2), (1, 2), (1, 0)])),
+        (-3, (6, 12), _ratio([(2, 1), (1, 1)], [(2, 2), (2, 0), (1, 2), (1, 0)])),
     )),
-    "PP3": (FLAVOR_PURE.variables, (
-        (1, (0,), _ratio([], [(6,), (4,)])),
-        (1, (12,), ()),
-        (1, (8,), _ratio([], [(2,)])),
-        (Fraction(1, 3), (12,), _ratio([], [(2,), (2,)])),
-        (Fraction(-1, 3), (12,), ((-1, (6,), (0, -1)), (-1, (2,), (0, 1)))),  # 1/(t^4+t^2+1)
-        (-1, (8,), _ratio([], [(4,), (2,)])),
-        (-1, (12,), _ratio([], [(2,)])),
+    "PP3": (FLAVOR_PURE.variables, 3, (
+        (3, (0,), _ratio([], [(6,), (4,)])),
+        (3, (12,), ()),
+        (3, (8,), _ratio([], [(2,)])),
+        (1, (12,), _ratio([], [(2,), (2,)])),
+        (-1, (12,), ((-1, (6,), (0, -1)), (-1, (2,), (0, 1)))),  # 1/(t^4+t^2+1)
+        (-3, (8,), _ratio([], [(4,), (2,)])),
+        (-3, (12,), _ratio([], [(2,)])),
     )),
 }
 
 
 def _ygenus_rows(n: int, g: int):
-    """The y-genus's rows: one for each squarefree m dividing n, with k = n/m,
+    """The y-genus's rows over D = n: one for each squarefree m dividing n,
+    with k = n/m, the printed mu(m)/m times n,
 
-        mu(m)/m * [ (1 - (-y)^n)/(1 + y) * m*(-y)^(n(n-k)) prod_(0<i<k) (1 - (-y)^(mi))^2 ]^(g-1)
+        mu(m)*k * [ (1 - (-y)^n)/(1 + y) * m*(-y)^(n(n-k)) prod_(0<i<k) (1 - (-y)^(mi))^2 ]^(g-1)
     """
     rows = []
     for m in range(1, n + 1):
         mu = 0 if n % m else moebius(m)
         if mu:
             k = n // m
-            scalar = Fraction(mu, m) * ((-1) ** (n * (n - k)) * m) ** (g - 1)
+            scalar = mu * k * ((-1) ** (n * (n - k)) * m) ** (g - 1)
             factors = [(-((-1) ** n), (n,), (1, -1)), (1, (1,), (-1, 1))]
             factors += [(-((-1) ** (m * i)), (m * i,), (2, -2)) for i in range(1, k)]
             rows.append((scalar, (n * (n - k),), factors))
@@ -423,7 +427,9 @@ def _ygenus_rows(n: int, g: int):
 
 
 def closed_form(which: str, g: int, n: int | None = None) -> FactoredFraction:
-    """A printed closed form, the sum of its rows: E2, H2, H3, PP3, ygenus(n).
+    """A printed closed form, E2, H2, H3, PP3 or ygenus(n): the sum of its
+    integer rows divided once by their common denominator D, exactly
+    (NonIntegerCoefficient otherwise).
 
     ygenus wants g >= 2 (UnsupportedGenus otherwise) and n >= 1 (ValueError),
     the others g >= 1.
@@ -436,16 +442,16 @@ def closed_form(which: str, g: int, n: int | None = None) -> FactoredFraction:
     if which == "ygenus":
         if n is None or n < 1:
             raise ValueError(f"ygenus closed form needs n >= 1, got {n}")
-        variables, rows = ("y",), _ygenus_rows(n, g)
+        variables, denominator, rows = ("y",), n, _ygenus_rows(n, g)
     else:
-        variables, rows = _FORM_ROWS[which]
+        variables, denominator, rows = _FORM_ROWS[which]
     terms = [
         binomial_product(variables, [(c, e, a * g + b) for c, e, (a, b) in factors])
         .shift(tuple(k * (g - 1) for k in mono))
         .scale(scalar)
         for scalar, mono, factors in rows
     ]
-    return frac_sum(terms, variables)
+    return frac_sum(terms, variables).scale(Fraction(1, denominator))
 
 
 # -- cross-invariant checks and the check suites -----------------------------------

@@ -1,7 +1,7 @@
-"""Exact sparse Laurent-polynomial arithmetic over the rationals.
+"""Exact sparse Laurent-polynomial arithmetic over the integers.
 
 A polynomial in k variables maps exponent vectors (one signed integer per
-variable of a fixed variable context) to nonzero rational coefficients.  The
+variable of a fixed variable context) to nonzero integer coefficients.  The
 kernels keep these terms in a dictionary keyed by one int per monomial, its
 Kronecker key with balanced slots of w bits:
 
@@ -25,17 +25,20 @@ doubling, whose half-range holds the boxes of its operands and of its result
 packed at another width is re-packed first.  So no exponent wraps, and no
 input is refused.
 
-``SparsePoly.terms`` is the public view, dict[tuple[int, ...], int |
-Fraction]; it is decoded from the packed form on first use and memoized.  A
-polynomial built from exponent tuples is packed only when a kernel first
-needs it, so reading a cached document, the checks and the documents never
-pack.  Coefficients are exact; integer-valued coefficients are stored as int
-(a fast path: Python's numeric tower makes int and Fraction interoperable),
-anything else as Fraction; only a kernel that a Fraction can enter scans its
-result for them (_ints).  A cold layer pass builds and scans none: its
-denominator factors have coefficients +-1, and its scale by 1/n divides in
-ints.  The zero polynomial has no terms; negative exponents are allowed
-everywhere (Laurent support is required by the hook normalizations).
+``SparsePoly.terms`` is the public view, dict[tuple[int, ...], int]; it is
+decoded from the packed form on first use and memoized.  A polynomial built
+from exponent tuples is packed only when a kernel first needs it, so reading
+a cached document, the checks and the documents never pack.  Coefficients
+are ints, read through operator.index (a Fraction raises TypeError): the
+invariants are integer polynomials, every numerator of the layer pipeline
+has integer coefficients, and a printed closed form sums integer rows over
+one common denominator.  A rational enters in two places only: ``scale`` by
+a rational whose denominator divides every coefficient (the layer's 1/n and
+a closed form's 1/D; an inexact one raises NonIntegerCoefficient), and a
+value of ``specialize``, which may return a rational scalar but refuses a
+polynomial with a non-integer coefficient.  The zero polynomial has no
+terms; negative exponents are allowed everywhere (Laurent support is
+required by the hook normalizations).
 
 On top of the polynomials sits FactoredFraction: a numerator polynomial
 divided by a multiset of binomial factors 1 + c*x^d with c = +-1 and d >= 0
@@ -99,21 +102,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import gcd
-from operator import add, mul, neg, sub
+from operator import add, index, mul, neg, sub
 
 from .errors import (
     ContextError,
     NegativeExponentAtZero,
+    NonIntegerCoefficient,
     NotDivisible,
     NotPolynomial,
 )
-
-
-def _as_coeff(c):
-    """Normalize a rational to int when integral (fast-path invariant)."""
-    if type(c) is Fraction and c.denominator == 1:
-        return c.numerator
-    return c
 
 
 def _gl_key(exps):
@@ -199,12 +196,11 @@ class SparsePoly:
 
     A polynomial built from exponent tuples holds them in ``_terms`` until a
     kernel first needs its packed form; a kernel's result holds only the
-    packed form, ``_packed`` = (keys, width, box, frac): {key: coefficient} at
-    that slot width, the exponent box ((lo, ...), (hi, ...)), None when it has
-    no terms, and whether a coefficient is a Fraction.  ``terms``
-    decodes the keys once.  ``_values`` is a private memo of the pre-test's
-    jets, {point: (value, derivative)}, or None before the first jet (see
-    _jet).
+    packed form, ``_packed`` = (keys, width, box): {key: coefficient} at that
+    slot width and the exponent box ((lo, ...), (hi, ...)), None when it has
+    no terms.  ``terms`` decodes the keys once.  ``_values`` is a private memo
+    of the pre-test's jets, {point: (value, derivative)}, or None before the
+    first jet (see _jet).
     """
 
     __slots__ = ("vars", "_terms", "_packed", "_values")
@@ -216,10 +212,8 @@ class SparsePoly:
             nvars = len(variables)
             for exps, c in terms.items():
                 if len(exps) != nvars:
-                    raise ContextError(
-                        f"exponent tuple {exps} does not match context {variables}"
-                    )
-                c = _as_coeff(c)
+                    raise _context_error(exps, variables)
+                c = index(c)
                 if c:
                     clean[tuple(exps)] = c
         _init(self, variables, clean, None)
@@ -233,9 +227,9 @@ class SparsePoly:
         return _init(object.__new__(cls), variables, terms, None)
 
     @classmethod
-    def _from_keys(cls, variables, keys, width, box, frac):
+    def _from_keys(cls, variables, keys, width, box):
         """Internal constructor for a kernel's result: clean keys at width, in box."""
-        return _init(object.__new__(cls), variables, None, (keys, width, box if keys else None, frac))
+        return _init(object.__new__(cls), variables, None, (keys, width, box if keys else None))
 
     @classmethod
     def zero(cls, variables):
@@ -244,10 +238,7 @@ class SparsePoly:
     @classmethod
     def constant(cls, variables, c):
         variables = tuple(variables)
-        c = _as_coeff(c)
-        if not c:
-            return cls._raw(variables, {})
-        return cls._raw(variables, {(0,) * len(variables): c})
+        return cls(variables, {(0,) * len(variables): c})
 
     @classmethod
     def one(cls, variables):
@@ -262,11 +253,7 @@ class SparsePoly:
 
     @classmethod
     def monomial(cls, variables, exps, c=1):
-        variables = tuple(variables)
-        c = _as_coeff(c)
-        if not c:
-            return cls._raw(variables, {})
-        return cls._raw(variables, {tuple(exps): c})
+        return cls(variables, {tuple(exps): c})
 
     # -- queries ----------------------------------------------------------
 
@@ -275,7 +262,7 @@ class SparsePoly:
         """The terms as {exponent tuple: coefficient}, decoded once from the keys."""
         terms = self._terms
         if terms is None:
-            keys, w, _, _ = self._packed
+            keys, w, _ = self._packed
             terms = _decode(keys, w, len(self.vars))
             object.__setattr__(self, "_terms", terms)
         return terms
@@ -312,7 +299,10 @@ class SparsePoly:
         return max(e[i] for e in self.terms)
 
     def min_exponents(self):
-        """Componentwise minimum exponent vector over the support."""
+        """Componentwise minimum exponent vector over the support (ValueError
+        for the zero polynomial, which has none)."""
+        if self.is_zero():
+            raise ValueError("the zero polynomial has no minimum exponents")
         its = iter(self.terms)
         lo = list(next(its))
         for e in its:
@@ -329,12 +319,12 @@ class SparsePoly:
 
     def __add__(self, other):
         if not isinstance(other, SparsePoly):
-            if not isinstance(other, (int, Fraction)):
+            if not isinstance(other, int):
                 return NotImplemented
             other = SparsePoly.constant(self.vars, other)
         self._check_context(other)
-        _, _, ba, fa = _own(self)
-        _, _, bb, fb = _own(other)
+        _, _, ba = _own(self)
+        _, _, bb = _own(other)
         box = bb if ba is None else ba if bb is None else (
             tuple(map(min, ba[0], bb[0])), tuple(map(max, ba[1], bb[1])))
         w = _width_of(len(self.vars), box)
@@ -349,17 +339,17 @@ class SparsePoly:
                 out[e] = v
             else:
                 del out[e]
-        return SparsePoly._from_keys(self.vars, out, w, box, (fa or fb) and _ints(out))
+        return SparsePoly._from_keys(self.vars, out, w, box)
 
     __radd__ = __add__
 
     def __neg__(self):
-        keys, w, box, frac = _own(self)
-        out = SparsePoly._from_keys(self.vars, {e: -c for e, c in keys.items()}, w, box, frac)
+        keys, w, box = _own(self)
+        out = SparsePoly._from_keys(self.vars, {e: -c for e, c in keys.items()}, w, box)
         return _carry(self, out, lambda pt: (-1, 0))
 
     def __sub__(self, other):
-        if not isinstance(other, (SparsePoly, int, Fraction)):
+        if not isinstance(other, (SparsePoly, int)):
             return NotImplemented
         return self + (-other)
 
@@ -368,10 +358,10 @@ class SparsePoly:
 
     def __mul__(self, other):
         if not isinstance(other, SparsePoly):
-            return self.scale(other) if isinstance(other, (int, Fraction)) else NotImplemented
+            return self.scale(other) if isinstance(other, int) else NotImplemented
         self._check_context(other)
-        _, _, ba, fa = _own(self)
-        _, _, bb, fb = _own(other)
+        _, _, ba = _own(self)
+        _, _, bb = _own(other)
         if ba is None or bb is None:
             return SparsePoly.zero(self.vars)
         box = (tuple(map(add, ba[0], bb[0])), tuple(map(add, ba[1], bb[1])))
@@ -392,39 +382,44 @@ class SparsePoly:
                     out[e] = v
                 else:
                     del out[e]
-        return SparsePoly._from_keys(self.vars, out, w, box, (fa or fb) and _ints(out))
+        return SparsePoly._from_keys(self.vars, out, w, box)
 
     __rmul__ = __mul__
 
     def scale(self, c):
-        """Multiply by a rational, in ints where a Fraction's denominator divides."""
-        c = _as_coeff(c)
+        """Multiply by an int, or by a Fraction whose denominator divides every
+        coefficient; an inexact Fraction raises NonIntegerCoefficient."""
+        if isinstance(c, Fraction):
+            p, q = c.numerator, c.denominator
+            if q != 1:
+                keys, w, box = _own(self)
+                bad = next((v for v in keys.values() if v % q), None)
+                if bad is not None:
+                    raise NonIntegerCoefficient(f"scaling by {c} gives the coefficient {bad * c}")
+                return SparsePoly._from_keys(self.vars, {e: v // q * p for e, v in keys.items()}, w, box)
+            c = p
+        c = index(c)
         if not c:
             return SparsePoly.zero(self.vars)
         if c == 1:
             return self
-        keys, w, box, frac = _own(self)
-        if type(c) is Fraction and not frac:
-            p, q = c.numerator, c.denominator
-            if all(not v % q for v in keys.values()):  # stops at the first remainder
-                keys = {e: v // q * p for e, v in keys.items()}
-                return SparsePoly._from_keys(self.vars, keys, w, box, False)
-        keys = {e: v * c for e, v in keys.items()}
-        frac = (frac or type(c) is Fraction) and _ints(keys)
-        out = SparsePoly._from_keys(self.vars, keys, w, box, frac)
-        return _carry(self, out, lambda pt: (c, 0)) if type(c) is int else out
+        keys, w, box = _own(self)
+        out = SparsePoly._from_keys(self.vars, {e: v * c for e, v in keys.items()}, w, box)
+        return _carry(self, out, lambda pt: (c, 0))
 
     def shift(self, exps):
         """Multiply by the (Laurent) monomial with the given exponents."""
         exps = tuple(exps)
+        if len(exps) != len(self.vars):
+            raise _context_error(exps, self.vars)
         if not any(exps):
             return self
-        _, _, old, frac = _own(self)
+        _, _, old = _own(self)
         box = old and (tuple(map(add, old[0], exps)), tuple(map(add, old[1], exps)))
         w = _width_of(len(exps), old, box)
         s = _key(exps, w)
         out = SparsePoly._from_keys(
-            self.vars, {e + s: c for e, c in _keys_at(self, w).items()}, w, box, frac
+            self.vars, {e + s: c for e, c in _keys_at(self, w).items()}, w, box
         )
         return _carry(self, out, lambda pt: _monomial_jet(exps, pt))
 
@@ -460,8 +455,7 @@ class SparsePoly:
         for k in range(n + 1):
             out[a * (n - k) + b * k] = coef * ca ** (n - k) * cb**k
             coef = coef * (n - k) // (k + 1)
-        frac = Fraction in (type(ca), type(cb)) and _ints(out)
-        return SparsePoly._from_keys(self.vars, out, w, box, frac)
+        return SparsePoly._from_keys(self.vars, out, w, box)
 
     # -- substitution ------------------------------------------------------
 
@@ -472,10 +466,11 @@ class SparsePoly:
         exact rational value or to a variable name (which may be an existing
         variable, a shared new one, or several sources may fuse into one; fused
         exponents add).  Returns a SparsePoly in the remaining context, or a
-        plain rational if no variables remain.  A nonzero int value at a
-        positive exponent is multiplied in as an int; zero values, negative
-        exponents and every other value go through Fraction.  Coefficients come
-        out normalized either way: int when integral, else Fraction.
+        plain rational (int when integral) if no variables remain.  A nonzero
+        int value at a positive exponent is multiplied in as an int; zero
+        values, negative exponents and every other value go through Fraction.
+        A result that keeps a variable must have integer coefficients: one
+        that would not raises NonIntegerCoefficient.
         """
         for v in assignment:
             if v not in self.vars:
@@ -504,16 +499,15 @@ class SparsePoly:
                         coeff = 0
                         break
                     coeff = coeff * t**k
-            if not coeff:
-                continue
-            key = tuple(new_e)
-            v2 = out.get(key, 0) + coeff
-            if v2:
-                out[key] = _as_coeff(v2)
-            elif key in out:
-                del out[key]
+            if coeff:
+                key = tuple(new_e)
+                out[key] = out.get(key, 0) + coeff
+        out = {e: c.numerator if c.denominator == 1 else c for e, c in out.items() if c}
         if not index:
             return out.get((), 0)
+        bad = next((c for c in out.values() if type(c) is not int), None)
+        if bad is not None:
+            raise NonIntegerCoefficient(f"specializing {assignment} gives the coefficient {bad}")
         return SparsePoly._raw(tuple(index), out)
 
     def has_negative_exponents(self):
@@ -522,14 +516,18 @@ class SparsePoly:
         return any(any(k < 0 for k in e) for e in self.terms)
 
     def is_integral(self):
-        packed = self._packed
-        return not packed[3] if packed else all(isinstance(c, int) for c in self.terms.values())
+        """True: every coefficient is an int by construction."""
+        return True
 
     def __repr__(self):
         return f"SparsePoly({'*'.join(self.vars) or '-'}: {poly_text(self)})"
 
 
 # -- packed keys ---------------------------------------------------------------
+
+
+def _context_error(exps, variables):
+    return ContextError(f"exponent tuple {tuple(exps)} does not match context {variables}")
 
 
 def _init(self, variables, terms, packed):
@@ -604,7 +602,7 @@ def _box(p):
 
 def _keys_at(p, w):
     """p's terms keyed at width w: its own keys, or re-packed ones."""
-    keys, own, _, _ = _own(p)
+    keys, own, _ = _own(p)
     if own == w:
         return keys
     terms = p._terms if p._terms is not None else _decode(keys, own, len(p.vars))
@@ -612,10 +610,9 @@ def _keys_at(p, w):
 
 
 def _own(p):
-    """p's packed form (keys, width, box, frac).  A polynomial built from
-    tuples is packed once, at the width of its exact box, with frac read from
-    its coefficients' types, so that threads that pack it at once store equal
-    forms."""
+    """p's packed form (keys, width, box).  A polynomial built from tuples is
+    packed once, at the width of its exact box, so that threads that pack it
+    at once store equal forms."""
     packed = p._packed
     if packed is None:
         terms = p._terms
@@ -624,24 +621,9 @@ def _own(p):
             slots = list(zip(*terms))
             box = (tuple(map(min, slots)), tuple(map(max, slots)))
         w = _width_of(len(p.vars), box)
-        frac = Fraction in map(type, terms.values())
-        packed = ({_key(e, w): c for e, c in terms.items()}, w, box, frac)
+        packed = ({_key(e, w): c for e, c in terms.items()}, w, box)
         object.__setattr__(p, "_packed", packed)
     return packed
-
-
-def _ints(out):
-    """Store the integral Fraction values of a fresh term dict as int, in place;
-    whether a Fraction is left.  Only a kernel whose operand or scale can bring
-    a Fraction in calls it: an int result is not scanned."""
-    frac = False
-    for e, c in out.items():
-        if type(c) is Fraction:
-            if c.denominator == 1:
-                out[e] = c.numerator
-            else:
-                frac = True
-    return frac
 
 
 def poly_text(p: SparsePoly) -> str:
@@ -649,12 +631,16 @@ def poly_text(p: SparsePoly) -> str:
 
     Examples: "1 - 4*q^2 + 6*q^4", "1 + t^4 + t^8", "0".
     """
-    if p.is_zero():
-        return "0"
+    return _terms_text(p.vars, p.sorted_terms())
+
+
+def _terms_text(variables, terms) -> str:
+    """poly_text of (exponents, coefficient) pairs in their order; a rational
+    coefficient prints as 3/2."""
     chunks = []
-    for e, c in p.sorted_terms():
+    for e, c in terms:
         mono = "*".join(
-            v if k == 1 else f"{v}^{k}" for v, k in zip(p.vars, e) if k != 0
+            v if k == 1 else f"{v}^{k}" for v, k in zip(variables, e) if k != 0
         )
         neg = c < 0
         a = -c if neg else c
@@ -668,7 +654,7 @@ def poly_text(p: SparsePoly) -> str:
             chunks.append(f"-{body}" if neg else body)
         else:
             chunks.append(f" - {body}" if neg else f" + {body}")
-    return "".join(chunks)
+    return "".join(chunks) or "0"
 
 
 def adams_poly(p: SparsePoly, r: int, flavor: Flavor) -> SparsePoly:
@@ -697,7 +683,7 @@ def adams_poly(p: SparsePoly, r: int, flavor: Flavor) -> SparsePoly:
         out = {e * r: -c if ((e + offset) & odd).bit_count() & 1 else c for e, c in keys.items()}
     else:
         out = {e * r: c for e, c in keys.items()}
-    return SparsePoly._from_keys(p.vars, out, w, box, _own(p)[3])
+    return SparsePoly._from_keys(p.vars, out, w, box)
 
 
 # -- exact division ---------------------------------------------------------
@@ -728,8 +714,7 @@ def _divide_by_factor(num: SparsePoly, f: BinomialFactor):
     Q*(1 + c*x^d) has value 0 there: the long division makes Q's
     coefficients integer combinations of the numerator's, so Q has a value
     too.  A nonzero value therefore proves the division fails; a zero or
-    unknown value (none carried, a rational numerator, or no test point)
-    proves nothing, and the long division decides every success.
+    unknown value (none carried, or no test point) proves nothing, and the long division decides every success.
 
     The division runs on keys, in the key order, by 1 + c*z^D, D the key of
     d.  f's box is [0, d], so an exact quotient lies in box_Q = [lo, hi - d],
@@ -760,12 +745,11 @@ def _divide_by_factor(num: SparsePoly, f: BinomialFactor):
     out = _divide_two_term(dict(_keys_at(num, w)), _key(d, w), f.c, cap)
     if out is None:
         return None
-    frac = _own(num)[3] and _ints(out)
     box = (lo, tuple(map(sub, hi, d)))
     own = _width_of(len(lo), box)
     if own != w:  # re-keyed at its own box's width, so later kernels need not
         out = {_key(e, own): c for e, c in _decode(out, w, len(lo)).items()}
-    return SparsePoly._from_keys(num.vars, out, own, box, frac)
+    return SparsePoly._from_keys(num.vars, out, own, box)
 
 
 def _divide_two_term(rem, d, c, cap):
@@ -869,11 +853,9 @@ def _jet(poly, pt):
 
 
 def _terms_jet(poly, pt):
-    """poly's jet at pt by a pass over its terms, _UNKNOWN where one is rational."""
+    """poly's jet at pt by a pass over its terms."""
     jet = (0, 0)
     for e, c in poly.terms.items():
-        if type(c) is not int:  # a rational coefficient has no value
-            return _UNKNOWN
         m0, m1 = _monomial_jet(e, pt)
         jet = (jet[0] + c * m0) % _PRIME, (jet[1] + c * m1) % _PRIME
     return jet
@@ -1074,8 +1056,8 @@ class FactoredFraction:
     # -- arithmetic -------------------------------------------------------
 
     def _operand(self, other):
-        """A rational, SparsePoly or fraction in self's context, else NotImplemented."""
-        if isinstance(other, (int, Fraction)):
+        """An int, SparsePoly or fraction in self's context, else NotImplemented."""
+        if isinstance(other, int):
             other = SparsePoly.constant(self.vars, other)
         if isinstance(other, SparsePoly):
             other = FactoredFraction.from_poly(other)
@@ -1103,7 +1085,7 @@ class FactoredFraction:
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self.scale(other)
         other = self._operand(other)
         if other is NotImplemented:
@@ -1180,8 +1162,8 @@ def binomial_product(variables, factors) -> FactoredFraction:
     power k < 0 puts the BinomialFactor (c = +-1, e >= 0) into the
     denominator, a factor 1 (c = 0 or k = 0) is skipped and e = 0 raises
     ValueError.  The numerator gets its pre-test jets at the denominator's
-    points from its binomial powers if every c is an int, each binomial's
-    (1 + c*m0, c*m1) from its monomial's, so no pass reads it.
+    points from its binomial powers, each binomial's (1 + c*m0, c*m1) from its
+    monomial's, so no pass reads it.
     """
     zero = (0,) * len(variables)
     num = SparsePoly.one(variables)
@@ -1199,7 +1181,7 @@ def binomial_product(variables, factors) -> FactoredFraction:
     values = {}
     for f in den:
         pt = f._point
-        if pt is not None and all(type(c) is int for c, _, _ in powers):
+        if pt is not None:
             jet = (1, 0)
             for c, e, k in powers:
                 m0, m1 = _monomial_jet(e, pt)
@@ -1215,10 +1197,10 @@ def _product(a, b, den):
     The Leibniz rule gives the product's jet from its operands' (_jet): a
     carried jet, or a factor's or monomial's closed form.  Where an operand's
     value is unknown, so is the product's, but where the other's is 0
-    (_jet_mul); a rational operand has no value, so its product has none.
+    (_jet_mul).
     """
     out = a * b
-    if out and a.is_integral() and b.is_integral():
+    if out:
         values = {}
         for f in den:
             pt = f._point
@@ -1412,7 +1394,7 @@ def frac_sum(fracs, variables=None) -> FactoredFraction:
     step.  The partition sum calls this pairwise, as a balanced tree, so that
     each node lifts reduced children.  The lifts carry their jets
     (_lift_numerators), and the total's pre-test value at a point is the sum
-    of theirs where every one is known: none where a summand is rational.
+    of theirs where every one is known.
     """
     fracs = list(fracs)
     if not fracs:

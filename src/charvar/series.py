@@ -43,10 +43,10 @@ from .polynomials import (
     FactoredFraction,
     Flavor,
     SparsePoly,
+    _terms_text,
     _unreduced_product,
     adams,
     frac_sum,
-    poly_text,
 )
 
 
@@ -147,8 +147,8 @@ def invariant_from_layer(
     Takes the scaled layer X_n = n*V_n from extract_layers.  Clears the
     layer's normalization factor, reduces the result to an honest polynomial
     (NotPolynomial on failure: a falsified polynomiality statement or a bug),
-    divides it by n, and asserts that this division is exact
-    (NonIntegerCoefficient).
+    and divides it by n, which must be exact (NonIntegerCoefficient names the
+    first rational coefficient of the quotient and its text).
     """
     out = layer
     # Divide by the single-cell term; reversed so the clearing multiplications
@@ -157,18 +157,18 @@ def invariant_from_layer(
         out = out._times_binomial(c, exps(1, 0), -power(g))
     shift = n * (n - 1) * (g - 1)
     out = out.shift(tuple(s // 2 * shift for s in flavor.leg_shift))
-    poly = out.as_polynomial().scale(Fraction(1, n))
+    poly = out.as_polynomial()
     if poly.has_negative_exponents():
         lo = poly.min_exponents()
         raise NotPolynomial(
             f"normalized layer is Laurent, lowest exponents {lo}",
             factor=lo,
         )
-    if not poly.is_integral():
-        bad = next(
-            (e, c) for e, c in poly.sorted_terms() if not isinstance(c, int)
-        )
+    try:
+        return poly.scale(Fraction(1, n))
+    except NonIntegerCoefficient:
+        terms = [(e, Fraction(c, n)) for e, c in poly.sorted_terms()]
+        e, c = next((e, c) for e, c in terms if c.denominator != 1)
         raise NonIntegerCoefficient(
-            f"coefficient {bad[1]} of exponent {bad[0]} in {poly_text(poly)[:80]}"
-        )
-    return poly
+            f"coefficient {c} of exponent {e} in {_terms_text(poly.vars, terms)[:80]}"
+        ) from None

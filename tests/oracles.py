@@ -33,7 +33,7 @@ kept here as an oracle for it:
   in Z[x]/(x^e - 1), and ``from_root_multiplicities`` reduces a sum of
   roots of unity once, the reference for the lift from reduced roots;
 - ``tuple_add``, ``tuple_mul``, ``tuple_scale`` and ``tuple_divide_two_term``
-  are the sum, product, rational scale and bucketed long division by
+  are the sum, product, exact rational scale and bucketed long division by
   1 +- x^d on exponent-tuple term dicts, the reference for the kernels on
   packed keys;
 - ``jet_by_pass`` evaluates a polynomial's pre-test jet term by term, the
@@ -49,7 +49,6 @@ from charvar.polynomials import (
     BinomialFactor,
     FactoredFraction,
     SparsePoly,
-    _as_coeff,
     _PRIME,
     adams,
     frac_sum,
@@ -106,7 +105,8 @@ def specialize_fraction(fr: FactoredFraction, assignment) -> FactoredFraction:
     """Specialize variables to +-1 or to variable names.
 
     Each denominator factor 1 + c*x^d then becomes 1 +- x^d', or the constant
-    2 where d' = 0, or 0, which raises ZeroDivisionError.
+    2 where d' = 0 (NonIntegerCoefficient where the numerator's coefficients
+    are not divisible by it), or 0, which raises ZeroDivisionError.
     """
     num = fr.num.specialize(assignment)
     if not isinstance(num, SparsePoly):
@@ -375,15 +375,18 @@ def tuple_add(a, b):
     for e, c in b.items():
         v = out.get(e, 0) + c
         if v:
-            out[e] = _as_coeff(v)
+            out[e] = v
         elif e in out:
             del out[e]
     return out
 
 
 def tuple_scale(a, c):
-    """The terms of a term dict times a nonzero rational, each product in Fraction."""
-    return {e: _as_coeff(Fraction(v) * c) for e, v in a.items()}
+    """The terms of a term dict times a nonzero rational, each product in
+    Fraction, or None where one is not an integer."""
+    out = {e: Fraction(v) * c for e, v in a.items()}
+    if all(v.denominator == 1 for v in out.values()):
+        return {e: v.numerator for e, v in out.items()}
 
 
 def tuple_mul(a, b):
@@ -404,7 +407,7 @@ def tuple_mul(a, b):
                 out[e] = v
             elif e in out:
                 del out[e]
-    return {e: _as_coeff(c) for e, c in out.items()}
+    return out
 
 
 def tuple_divide_two_term(nterms, d, c):
@@ -433,7 +436,7 @@ def tuple_divide_two_term(nterms, d, c):
         for p in buckets[level]:
             v = rem[p]
             if v:
-                out[p] = v = _as_coeff(v)
+                out[p] = v
                 t = tuple(map(add, p, d))
                 if t not in rem:
                     if level + dj not in buckets:
@@ -468,13 +471,11 @@ def jet_by_pass(poly, pt):
 
     pt = (w, s, j) stands for x_i = 2^(w_i) modulo _PRIME, with x_s negated
     when s is not None, and D = x_j*d/dx_j; the jet of a term c*x^e is
-    (c*x^e, e_j*c*x^e) there.  (None, None) when a coefficient is rational.
+    (c*x^e, e_j*c*x^e) there.
     """
     weights, s, j = pt
     value = deriv = 0
     for e, c in poly.terms.items():
-        if type(c) is not int:
-            return None, None
         m = pow(2, sum(map(mul, weights, e)), _PRIME)
         if s is not None and e[s] % 2:
             m = -m

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import charvar.invariants as invariants
 from charvar import cli
 from charvar.errors import ContextError, NotPolynomial
 from charvar.invariants import (
@@ -151,6 +152,15 @@ class TestCompute:
         code, out, err = run(capsys, "compute", "--kind", "E", "--n", "2", "--g", "2")
         assert (code, out) == (3, "")
         assert err == "error[ContextError]: operands in different contexts\n"
+
+    def test_a_closed_form_over_a_wrong_denominator_exits_3_with_one_line(
+        self, capsys, monkeypatch
+    ):
+        variables, denominator, rows = invariants._FORM_ROWS["E2"]
+        monkeypatch.setitem(invariants._FORM_ROWS, "E2", (variables, denominator + 1, rows))
+        code, out, err = run(capsys, "check", "--suite", "closedform", "--n", "2", "--g", "2")
+        assert (code, out) == (3, "")
+        assert err == "error[NonIntegerCoefficient]: scaling by 1/3 gives the coefficient 2/3\n"
 
     @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE here")
     def test_a_closed_stdout_ends_the_process_quietly(self):

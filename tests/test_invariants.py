@@ -5,12 +5,14 @@ import json
 import pytest
 
 from conftest import e2_g3_poly, h2_g3_poly, poincare2_g3_poly, pp2_g3_poly
-from charvar.errors import KindMismatch, UnsupportedGenus
+import charvar.invariants as invariants
+from charvar.errors import KindMismatch, NonIntegerCoefficient, UnsupportedGenus
 from charvar.invariants import (
     _TARGETS,
     InvariantCache,
     InvariantKind,
     attached_checks,
+    clear_memo,
     closed_form,
     compute_invariant,
     curious_duality_entry,
@@ -64,6 +66,17 @@ class TestComputeInvariant:
         b = compute_invariant("E", 2, 3)
         assert a is b
 
+    @pytest.mark.parametrize("n, g", [(2, 2.0), (2.0, 2)])
+    def test_a_float_rank_or_genus_is_a_type_error_cold_and_warm(self, n, g):
+        """n and g are read through operator.index before the memo, so a float
+        never finds the result that its int value memoized."""
+        clear_memo()
+        with pytest.raises(TypeError):
+            compute_invariant("E", n, g)
+        compute_invariant("E", 2, 2)
+        with pytest.raises(TypeError):
+            compute_invariant("E", n, g)
+
 
 class TestClosedForms:
     @pytest.mark.parametrize("g", [1, 2, 3])
@@ -102,6 +115,15 @@ class TestClosedForms:
     def test_unknown_form(self):
         with pytest.raises(KindMismatch):
             closed_form("H4", 2)
+
+    @pytest.mark.parametrize("which", ["E2", "H2", "H3", "PP3"])
+    def test_rows_over_a_wrong_denominator_are_refused(self, which, monkeypatch):
+        """The rows' sum is divided by D exactly: over D + 1 it is not."""
+        variables, denominator, rows = invariants._FORM_ROWS[which]
+        monkeypatch.setitem(invariants._FORM_ROWS, which, (variables, denominator + 1, rows))
+        for g in (1, 2):
+            with pytest.raises(NonIntegerCoefficient):
+                closed_form(which, g)
 
     @pytest.mark.parametrize("n", [None, 0, -2])
     def test_ygenus_wants_a_positive_n(self, n):

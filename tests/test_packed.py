@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import charvar.invariants as invariants
 import charvar.polynomials as polynomials
-from charvar.errors import NotDivisible
+from charvar.errors import NonIntegerCoefficient, NotDivisible
 from charvar.invariants import InvariantCache, attached_checks, compute_invariant
 from charvar.polynomials import (
     FLAVOR_E,
@@ -61,7 +61,7 @@ def far(k):
     return 1 << 60 // k - 1
 
 
-_coeffs = st.one_of(st.integers(-5, 5), st.fractions(-3, 3, max_denominator=4)).filter(bool)
+_coeffs = st.integers(-5, 5).filter(bool)
 
 
 @st.composite
@@ -89,11 +89,6 @@ def coefficient_types(terms):
     return {e: type(c) for e, c in terms.items()}
 
 
-def flag_is_exact(p):
-    """The packed form's frac is set exactly when a coefficient is a Fraction."""
-    return polynomials._own(p)[3] == (Fraction in coefficient_types(p.terms).values())
-
-
 @given(st.one_of(pairs(), pairs(at_edge=True)))
 @example((SparsePoly(("q", "t"), {(edge(2), -edge(2)): 1}),
           SparsePoly(("q", "t"), {(edge(2), 0): 1, (0, 0): 2})))
@@ -106,7 +101,6 @@ def test_product_and_sum_match_the_tuple_kernels(pair):
     want = tuple_add(a.terms, b.terms)
     got = (a + b).terms
     assert got == want and coefficient_types(got) == coefficient_types(want)
-    assert all(map(flag_is_exact, (a, b, a * b, a + b, -a, a.shift((1,) * len(a.vars)))))
 
 
 def tuple_adams(terms, r, flavor):
@@ -125,7 +119,6 @@ def test_adams_image_widens_and_matches_the_tuple_substitution(p, r):
     # twice, from a kernel-built operand at its own width
     q = p * SparsePoly.one(p.vars)
     assert adams_poly(q, r, flavor).terms == tuple_adams(p.terms, r, flavor)
-    assert flag_is_exact(adams_poly(q, r, flavor))
 
 
 def reference_quotient(num, factor):
@@ -171,7 +164,6 @@ def test_division_matches_the_tuple_long_division(case):
     assert (got is None) == (want is None)
     if got is not None:
         assert got.terms == want and coefficient_types(got.terms) == coefficient_types(want)
-        assert flag_is_exact(got)
         assert divide_exact(num, factor.as_poly()) == got
     elif num == a * factor.as_poly():
         pytest.fail("a multiple of f was refused")
@@ -204,7 +196,7 @@ QT = FLAVOR_QT.variables
 
 def test_a_leftover_at_the_top_key_fails():
     """A perturbed top term is left over: no quotient term reaches it."""
-    a = SparsePoly(QT, {(0, 0): 1, (2, 1): Fraction(1, 2), (1, 3): -3})
+    a = SparsePoly(QT, {(0, 0): 1, (2, 1): 5, (1, 3): -3})
     factor = BinomialFactor(QT, (2, 2), 1)  # 1 + q^2*t^2: no test point
     assert factor._point is None
     num = a * factor.as_poly()
@@ -261,10 +253,10 @@ def test_the_division_widens_past_a_run_that_would_wrap_a_slot():
     h = (1 << w - 1) - 1
     keys = {-h: 1, 1 - h: -1, h - 1: 1, h: -1, 0: 1, h + 2: -1}
     assert _divide_two_term(dict(keys), 1, -1, 2 * h) is not None
-    half = Fraction(1, 2)  # a rational numerator skips the pre-test
-    num = SparsePoly(QT, {(-h, 0): half, (1 - h, 0): -half, (h - 1, 0): half,
-                          (h, 0): -half, (0, 0): half, (-h, 1): -half})
-    assert {polynomials._key(e, w): 2 * c for e, c in num.terms.items()} == keys
+    # built from tuples, N carries no value for the pre-test: the walk decides
+    num = SparsePoly(QT, {(-h, 0): 1, (1 - h, 0): -1, (h - 1, 0): 1,
+                          (h, 0): -1, (0, 0): 1, (-h, 1): -1})
+    assert {polynomials._key(e, w): c for e, c in num.terms.items()} == keys
     with pytest.raises(NotDivisible):
         divide_exact(num, SparsePoly(QT, {(0, 0): 1, (1, 0): -1}))
 
@@ -273,7 +265,7 @@ def test_the_division_widens_past_a_run_that_would_wrap_a_slot():
 
 
 def test_tuple_built_and_kernel_built_polynomials_are_equal_across_widths():
-    terms = {(0, 0): 3, (2, -1): Fraction(1, 2), (-4, 5): -7}
+    terms = {(0, 0): 3, (2, -1): 2, (-4, 5): -7}
     built = SparsePoly(QT, terms)
     far = edge(2) + 10  # past the narrowest width's half-range
     wide = built.shift((far, 0)).shift((-far, 0))
@@ -307,7 +299,7 @@ def test_threads_that_pack_one_polynomial_at_once_store_consistent_keys():
             for t in threads:
                 t.join(timeout=10)
             assert not any(t.is_alive() for t in threads)
-            keys, width, _, _ = p._packed
+            keys, width, _ = p._packed
             assert polynomials._decode(keys, width, 2) == p.terms
     finally:
         sys.setswitchinterval(interval)
@@ -400,37 +392,7 @@ def test_a_computed_result_decodes_its_terms_once(decodes):
     assert sum(keys is poly._packed[0] for keys in decodes) == 1
 
 
-# -- integral results of Fraction inputs ------------------------------------------
-
-
-def test_integral_results_of_fraction_inputs_are_stored_as_int():
-    """A kernel that a Fraction enters scans its result and stores integral values as int."""
-    q = SparsePoly.variable(("q",), "q")
-    half = q.scale(Fraction(1, 2))
-    two_thirds = SparsePoly(QT, {(1, 0): Fraction(2, 3), (0, 1): 4})
-    cases = [
-        half + half,
-        half * q.scale(2),
-        two_thirds.scale(Fraction(3, 2)),
-        SparsePoly(QT, {(0, 0): 1, (1, 1): Fraction(1, 2)}) ** 2 * 4,
-    ]
-    for p in cases:
-        assert p and set(coefficient_types(p.terms).values()) == {int}, p
-        assert polynomials._own(p)[3] is False
-    assert (half + q).terms == {(1,): Fraction(3, 2)} and flag_is_exact(half + q)
-
-
-def test_a_cold_compute_scans_no_dict(monkeypatch):
-    """Every numerator of the layer pipeline has int coefficients, and the
-    final scale by 1/2 divides them exactly in ints, so a cold Hqt n=2 g=3
-    scans no dict for Fractions."""
-    scanned = []
-    real = polynomials._ints
-    monkeypatch.setattr(polynomials, "_ints", lambda out: scanned.append(out) or real(out))
-    invariants.clear_memo()
-    poly = compute_invariant("Hqt", 2, 3).polynomial
-    invariants.clear_memo()
-    assert scanned == [] and poly.is_integral() and poly._packed[3] is False
+# -- the one Fraction of a cold compute -------------------------------------------
 
 
 def test_a_cold_compute_normalizes_no_factor_and_builds_one_fraction(monkeypatch):
@@ -465,15 +427,19 @@ def test_a_cold_compute_normalizes_no_factor_and_builds_one_fraction(monkeypatch
 @example(SparsePoly(QT, {(0, 0): 4, (1, 2): -6}), 3, 2, False)
 @settings(max_examples=200, deadline=None)
 def test_a_fraction_scale_matches_the_fraction_path(p, num, den, multiple):
-    """An int polynomial divides by the denominator exactly in ints while it
-    can; the terms, their types and the Fraction flag match the Fraction path."""
-    if multiple and p.is_integral():  # the exact path in ints then succeeds
+    """A polynomial divides by the denominator exactly in ints where it can,
+    with the terms of the Fraction path, and raises NonIntegerCoefficient
+    where a coefficient of that path is not an integer."""
+    if multiple:  # the exact division then succeeds
         p = p.scale(den)
     c = Fraction(num, den)
-    got = p.scale(c)
     want = tuple_scale(p.terms, c)
+    if want is None:
+        with pytest.raises(NonIntegerCoefficient):
+            p.scale(c)
+        return
+    got = p.scale(c)
     assert got.terms == want and coefficient_types(got.terms) == coefficient_types(want)
-    assert flag_is_exact(got) and got.is_integral() == (Fraction not in map(type, want.values()))
 
 
 def test_a_hull_with_a_negative_corner_is_scanned():
@@ -511,14 +477,19 @@ def test_direct_factors_equal_the_normalized_ones(flavor):
 @pytest.mark.parametrize("c, e", [(1, (-1, 2)), (-3, (0, -2)), (Fraction(1, 2), (1, 0)), (2, (3, 1))])
 def test_other_binomials_are_refused(c, e):
     """A negative exponent, or a coefficient other than +-1, is no
-    BinomialFactor, and no divisor: 1 + c*x^e is refused either way."""
-    div = SparsePoly(QT, {(0, 0): 1, e: c})
+    BinomialFactor, and no divisor: 1 + c*x^e is refused either way.  With
+    a Fraction c it is no polynomial either."""
     with pytest.raises(ValueError, match="no binomial factor"):
         BinomialFactor(QT, e, c)
-    with pytest.raises(ValueError, match=re.escape(f"divisor {polynomials.poly_text(div)} ")):
-        divide_exact(div, div)
     with pytest.raises(ValueError, match="no binomial factor"):
         binomial_product(QT, [(c, e, -1)])
+    if type(c) is not int:
+        with pytest.raises(TypeError):
+            SparsePoly(QT, {(0, 0): 1, e: c})
+        return
+    div = SparsePoly(QT, {(0, 0): 1, e: c})
+    with pytest.raises(ValueError, match=re.escape(f"divisor {polynomials.poly_text(div)} ")):
+        divide_exact(div, div)
 
 
 @pytest.mark.parametrize("variables, e, c", [

@@ -1,7 +1,5 @@
 """Series log/exp, layer extraction, and invariant normalization tests."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -102,12 +100,6 @@ class TestSeriesLog:
         log = series_log(TruncatedSeries(FLAVOR_E, tuple(powers)))
         assert log.coeffs[1:] == tuple(powers[1:])
 
-    def test_log_of_exp_prefix(self):
-        s = const_series(FLAVOR_E, [1, 1, Fraction(1, 2), Fraction(1, 6)])
-        log = series_log(s)
-        assert log.coeffs[1] == 1
-        assert log.coeffs[2].is_zero() and log.coeffs[3].is_zero()
-
     def test_constant_term_must_be_one(self):
         with pytest.raises(ConstantTermNotOne):
             series_log(const_series(FLAVOR_E, [2, 0]))
@@ -125,13 +117,7 @@ class TestSeriesLog:
             hash(s)
 
 
-@given(
-    st.lists(
-        st.fractions(min_value=-3, max_value=3, max_denominator=4),
-        min_size=1,
-        max_size=5,
-    )
-)
+@given(st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=5))
 @settings(max_examples=40, deadline=None)
 def test_exp_log_round_trip_on_random_series(tail):
     s = const_series(FLAVOR_E, [1] + tail)
@@ -257,7 +243,7 @@ def test_layer_pipeline_numerators_are_integer(flavor):
         s = hook_sum_series(flavor, g, nmax)
         layers = extract_layers(flavor, g, nmax)
         fracs = (*s.coeffs, *series_log(s).coeffs, *layers)
-        assert all(fr.num.is_integral() for fr in fracs)
+        assert all(type(c) is int for fr in fracs for c in fr.num.terms.values())
 
 
 class TestInvariantFromLayer:
@@ -273,12 +259,10 @@ class TestInvariantFromLayer:
         assert invariant_from_layer(FLAVOR_QT, 2, 3, layers[1]) == h2_g3_poly()
 
     def test_non_integer_coefficient_is_detected(self):
-        layer = FactoredFraction.from_poly(
-            SparsePoly.constant(("t",), Fraction(1, 2))
-        )
+        layer = FactoredFraction.from_poly(SparsePoly.constant(("t",), 3))
         with pytest.raises(NonIntegerCoefficient) as err:
-            invariant_from_layer(FLAVOR_PURE, 1, 1, layer)
-        assert str(err.value) == "coefficient 1/2 of exponent (0,) in 1/2 - 1/2*t^2"
+            invariant_from_layer(FLAVOR_PURE, 2, 1, layer)
+        assert str(err.value) == "coefficient 3/2 of exponent (0,) in 3/2 - 3/2*t^2"
 
     def test_division_by_rank_must_be_exact(self):
         layer = FactoredFraction.one(("t",))
