@@ -106,35 +106,28 @@ def _from_root_multiplicities(e: int, step: int, mults) -> tuple[int, ...]:
 # -- dense linear algebra mod p -------------------------------------------------
 
 
-def _rref(rows, p):
-    """Row-reduce in place over F_p; returns the pivot column list."""
+def _kernel_basis(matrix, p):
+    """Free columns and kernel basis of a square matrix over F_p, each vector 1
+    at its own free column and 0 at the others, from its reduced row echelon
+    form."""
+    s = len(matrix)
+    rows = [list(row) for row in matrix]
     pivots = []
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+    for col in range(s):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, s) if rows[r][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         inv = pow(rows[rank][col], p - 2, p)
         rows[rank] = [(v * inv) % p for v in rows[rank]]
-        for r in range(len(rows)):
+        for r in range(s):
             if r != rank and rows[r][col]:
                 f = rows[r][col]
                 rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
         pivots.append(col)
-        rank += 1
-        if rank == len(rows):
+        if len(pivots) == s:
             break
-    return pivots
-
-
-def _kernel_basis(matrix, p):
-    """Free columns and kernel basis of a square matrix over F_p, each vector 1
-    at its own free column and 0 at the others."""
-    s = len(matrix)
-    rows = [list(row) for row in matrix]
-    pivots = _rref(rows, p)
     free = [c for c in range(s) if c not in pivots]
     basis = []
     for fc in free:

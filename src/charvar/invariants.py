@@ -327,28 +327,28 @@ def attached_checks(kind: InvariantKind, n: int, g: int, poly: SparsePoly) -> Ch
 # -- specializations ------------------------------------------------------------
 
 
-# target -> (kind it applies to, assignment, variables of the result); the
-# assignment None is pure_extract, which keeps the monomials q^i t^{2i} as t^{2i}
+# target -> (kind it applies to, assignment); the assignment None is
+# pure_extract, which keeps the monomials q^i t^{2i} as t^{2i}
 _TARGETS = {
-    "poincare": (InvariantKind.HQT, {"q": 1}, ("t",)),
-    "to_E": (InvariantKind.HQT, {"t": -1}, ("q",)),
-    "pure_extract": (InvariantKind.HQT, None, ("t",)),
-    "xy_to_qt": (InvariantKind.HXY, {"x": "t", "y": "t"}, ("q", "t")),
-    "ygenus": (InvariantKind.HXY, {"q": 1, "x": -1}, ("y",)),
+    "poincare": (InvariantKind.HQT, {"q": 1}),
+    "to_E": (InvariantKind.HQT, {"t": -1}),
+    "pure_extract": (InvariantKind.HQT, None),
+    "xy_to_qt": (InvariantKind.HXY, {"x": "t", "y": "t"}),
+    "ygenus": (InvariantKind.HXY, {"q": 1, "x": -1}),
 }
 
 
 def specialize_invariant(result: InvariantResult, target: str) -> SparsePoly:
     """The specialization of result named by a target of _TARGETS."""
     try:
-        kind, assignment, variables = _TARGETS[target]
+        kind, assignment = _TARGETS[target]
     except KeyError:
         raise KindMismatch(f"unknown specialization target {target!r}") from None
     if result.kind is not kind:
         raise KindMismatch(f"{target} wants kind {kind.value}, got {result.kind.value}")
     poly = result.polynomial
     if assignment is None:
-        return SparsePoly(variables, {(b,): c for (a, b), c in poly.terms.items() if b == 2 * a})
+        return SparsePoly(("t",), {(b,): c for (a, b), c in poly.terms.items() if b == 2 * a})
     return poly.specialize(assignment)  # every target keeps a variable: never a scalar
 
 

@@ -23,7 +23,10 @@ works in the narrowest width of the ladder floor(30/k), floor(60/k), then
 doubling, whose half-range holds the boxes of its operands and of its result
 (for a division, a box widened as _divide_by_factor proves), and an operand
 packed at another width is re-packed first.  So no exponent wraps, and no
-input is refused.
+input is refused.  Every case measured stays on the first width (|e_i| <= 812
+of 16,383 at Hqt n=10 g=2, <= 374 of 511 at Hxy n=6 g=3); the wider ones are
+for larger inputs.  ``binomial_product`` expands a binomial's power term by
+term, and ``SparsePoly.__pow__`` is square-and-multiply.
 
 ``SparsePoly.terms`` is the public view, dict[tuple[int, ...], int]; it is
 decoded from the packed form on first use and memoized.  A polynomial built
@@ -101,7 +104,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from math import gcd
+from math import comb, gcd
 from operator import add, index, mul, neg, sub
 
 from .errors import (
@@ -212,7 +215,7 @@ class SparsePoly:
             nvars = len(variables)
             for exps, c in terms.items():
                 if len(exps) != nvars:
-                    raise _context_error(exps, variables)
+                    _exponents(exps, variables)  # raises
                 c = index(c)
                 if c:
                     clean[tuple(exps)] = c
@@ -285,7 +288,7 @@ class SparsePoly:
         return hash((self.vars, frozenset(self.terms.items())))
 
     def coefficient(self, exps):
-        return self.terms.get(tuple(exps), 0)
+        return self.terms.get(_exponents(exps, self.vars), 0)
 
     def sorted_terms(self):
         """Terms in ascending graded-lexicographic order."""
@@ -344,9 +347,7 @@ class SparsePoly:
     __radd__ = __add__
 
     def __neg__(self):
-        keys, w, box = _own(self)
-        out = SparsePoly._from_keys(self.vars, {e: -c for e, c in keys.items()}, w, box)
-        return _carry(self, out, lambda pt: (-1, 0))
+        return self.scale(-1)
 
     def __sub__(self, other):
         if not isinstance(other, (SparsePoly, int)):
@@ -409,9 +410,7 @@ class SparsePoly:
 
     def shift(self, exps):
         """Multiply by the (Laurent) monomial with the given exponents."""
-        exps = tuple(exps)
-        if len(exps) != len(self.vars):
-            raise _context_error(exps, self.vars)
+        exps = _exponents(exps, self.vars)
         if not any(exps):
             return self
         _, _, old = _own(self)
@@ -424,16 +423,9 @@ class SparsePoly:
         return _carry(self, out, lambda pt: _monomial_jet(exps, pt))
 
     def __pow__(self, n):
+        """Square-and-multiply (binomial_product expands a binomial's power itself)."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial power wants a non-negative integer")
-        if n == 0:
-            return SparsePoly.one(self.vars)
-        size = len(self)
-        if size == 1:
-            ((e, c),) = self.terms.items()
-            return SparsePoly.monomial(self.vars, tuple(v * n for v in e), c**n)
-        if size == 2:
-            return self._binomial_power(n)
         result = SparsePoly.one(self.vars)
         base = self
         while n:
@@ -444,37 +436,26 @@ class SparsePoly:
                 base = base * base
         return result
 
-    def _binomial_power(self, n):
-        (ea, ca), (eb, cb) = self.terms.items()
-        box = (tuple(min(x, y) * n for x, y in zip(ea, eb)),
-               tuple(max(x, y) * n for x, y in zip(ea, eb)))
-        w = _width_of(len(ea), box)
-        a, b = _key(ea, w), _key(eb, w)
-        out = {}
-        coef = 1
-        for k in range(n + 1):
-            out[a * (n - k) + b * k] = coef * ca ** (n - k) * cb**k
-            coef = coef * (n - k) // (k + 1)
-        return SparsePoly._from_keys(self.vars, out, w, box)
-
     # -- substitution ------------------------------------------------------
 
     def specialize(self, assignment):
         """Substitute some variables by rational values or other variables.
 
-        ``assignment`` maps a subset of the context's variables either to an
-        exact rational value or to a variable name (which may be an existing
-        variable, a shared new one, or several sources may fuse into one; fused
-        exponents add).  Returns a SparsePoly in the remaining context, or a
-        plain rational (int when integral) if no variables remain.  A nonzero
-        int value at a positive exponent is multiplied in as an int; zero
-        values, negative exponents and every other value go through Fraction.
+        ``assignment`` maps a subset of the context's variables to an int or a
+        Fraction (another value, a float too, raises TypeError) or to a variable
+        name (an existing variable, a shared new one, or several sources fused
+        into one; fused exponents add).  Returns a SparsePoly in the remaining
+        context, or a plain rational (int when integral) if no variables
+        remain.  A nonzero int value at a positive exponent is multiplied in as
+        an int; zero values, negative exponents and Fractions go through Fraction.
         A result that keeps a variable must have integer coefficients: one
         that would not raises NonIntegerCoefficient.
         """
-        for v in assignment:
+        for v, t in assignment.items():
             if v not in self.vars:
                 raise ContextError(f"cannot specialize unknown variable {v!r}")
+            if not isinstance(t, (int, Fraction, str)):
+                raise TypeError(f"cannot specialize {v} to {t!r}: not an int, a Fraction or a name")
         targets = [assignment.get(v, v) for v in self.vars]
         # the kept variables, then the new names in order of first use
         names = [v for v in self.vars if v not in assignment]
@@ -526,8 +507,12 @@ class SparsePoly:
 # -- packed keys ---------------------------------------------------------------
 
 
-def _context_error(exps, variables):
-    return ContextError(f"exponent tuple {tuple(exps)} does not match context {variables}")
+def _exponents(exps, variables):
+    """exps as a tuple, ContextError unless it has one entry per variable."""
+    exps = tuple(exps)
+    if len(exps) != len(variables):
+        raise ContextError(f"exponent tuple {exps} does not match context {variables}")
+    return exps
 
 
 def _init(self, variables, terms, packed):
@@ -1007,9 +992,7 @@ class FactoredFraction:
     __slots__ = ("num", "den")
 
     def __init__(self, num: SparsePoly, den=None):
-        if den is None:
-            den = {}
-        if num.is_zero():
+        if den is None or num.is_zero():
             den = {}
         elif den:
             num, den = _cancel(num, den)
@@ -1103,15 +1086,8 @@ class FactoredFraction:
     def shift(self, exps):
         return FactoredFraction._reduced(self.num.shift(exps), self.den)
 
-    def _times_binomial(self, c, exps, power: int):
-        """Multiply by (1 + c*x^exps)^power; a negative power divides."""
-        return self * binomial_product(self.vars, [(c, exps, power)])
-
-    def equals(self, other) -> bool:
-        """Value equality (cross-multiplied over a common denominator)."""
-        return self == other
-
     def __eq__(self, other):
+        """Value equality (cross-multiplied over a common denominator)."""
         other = self._operand(other)
         if other is NotImplemented:
             return other
@@ -1148,32 +1124,38 @@ class FactoredFraction:
         return f"FactoredFraction({poly_text(self.num)})"
 
 
-def _is_binomial(c, e, k):
-    """Whether (1 + c*x^e)^k is other than 1 (c, k != 0); ValueError for e = 0."""
-    if c and k and not any(e):
-        raise ValueError(f"factor 1 + {c}*x^{tuple(e)} is the constant {1 + c}, not a binomial")
-    return bool(c and k)
+def _binomial_power(variables, e, c, k):
+    """(1 + c*x^e)^k for k >= 1, term by term: C(k, j)*c^j at the key j*D, D
+    the key of e.  Its box is (min(e_i, 0)*k, max(e_i, 0)*k), so a negative
+    exponent gets a wide enough slot too."""
+    e, c = _exponents(e, variables), index(c)
+    box = (tuple(min(v, 0) * k for v in e), tuple(max(v, 0) * k for v in e))
+    w = _width_of(len(e), box)
+    d = _key(e, w)
+    return SparsePoly._from_keys(variables, {j * d: comb(k, j) * c**j for j in range(k + 1)}, w, box)
 
 
 def binomial_product(variables, factors) -> FactoredFraction:
     """The product of (1 + c*x^e)^k over the (c, e, k) triples of factors.
 
-    Built once, so cancelled once: a power k > 0 multiplies the numerator, a
-    power k < 0 puts the BinomialFactor (c = +-1, e >= 0) into the
-    denominator, a factor 1 (c = 0 or k = 0) is skipped and e = 0 raises
-    ValueError.  The numerator gets its pre-test jets at the denominator's
-    points from its binomial powers, each binomial's (1 + c*m0, c*m1) from its
-    monomial's, so no pass reads it.
+    Built once, so cancelled once: a power k > 0 multiplies the numerator by
+    the binomial's power expanded term by term (_binomial_power), a power
+    k < 0 puts the BinomialFactor (c = +-1, e >= 0) into the denominator, a
+    factor 1 (c = 0 or k = 0) is skipped and e = 0 raises ValueError.  The
+    numerator gets its pre-test jets at the denominator's points from its
+    binomial powers, each binomial's (1 + c*m0, c*m1) from its monomial's, so
+    no pass reads it.
     """
-    zero = (0,) * len(variables)
     num = SparsePoly.one(variables)
     den = {}
     powers = []
     for c, e, k in factors:
-        if not _is_binomial(c, e, k):
+        if not (c and k):
             continue
+        if not any(e):
+            raise ValueError(f"factor 1 + {c}*x^{tuple(e)} is the constant {1 + c}, not a binomial")
         if k > 0:
-            num = num * SparsePoly(variables, {zero: 1, e: c})**k
+            num = num * _binomial_power(variables, e, c, k)
             powers.append((c, e, k))
         else:
             f = BinomialFactor(variables, e, c)
@@ -1247,8 +1229,6 @@ def _cancel(num, den):
             m -= 1
         if m:
             out[f] = m
-    if num.is_zero():
-        return num, {}
     return num, out
 
 

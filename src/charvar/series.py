@@ -46,6 +46,7 @@ from .polynomials import (
     _terms_text,
     _unreduced_product,
     adams,
+    binomial_product,
     frac_sum,
 )
 
@@ -89,7 +90,7 @@ def series_log(s: TruncatedSeries, start=None) -> TruncatedSeries:
     sum's one cancel decides, so every W_m is reduced.  Continues ``start``,
     the log of a truncation of s.
     """
-    if not s.coeffs[0].equals(1):
+    if s.coeffs[0] != 1:
         raise ConstantTermNotOne("series_log wants constant coefficient exactly 1")
     variables = s.flavor.variables
     w = list(start.coeffs if start else [FactoredFraction.zero(variables)])
@@ -154,7 +155,7 @@ def invariant_from_layer(
     # Divide by the single-cell term; reversed so the clearing multiplications
     # (its denominators) run before the divisions.
     for c, exps, power in reversed(flavor.cell_factors):
-        out = out._times_binomial(c, exps(1, 0), -power(g))
+        out = out * binomial_product(out.vars, [(c, exps(1, 0), -power(g))])
     shift = n * (n - 1) * (g - 1)
     out = out.shift(tuple(s // 2 * shift for s in flavor.leg_shift))
     poly = out.as_polynomial()

@@ -10,11 +10,14 @@ divisors are the one denominator shape 1 +- x^d, and every other shape is
 refused.
 """
 
+import hashlib
+import json
 import re
 import sys
 import threading
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,7 +25,7 @@ from hypothesis import strategies as st
 
 import charvar.invariants as invariants
 import charvar.polynomials as polynomials
-from charvar.errors import NonIntegerCoefficient, NotDivisible
+from charvar.errors import ContextError, NonIntegerCoefficient, NotDivisible
 from charvar.invariants import InvariantCache, attached_checks, compute_invariant
 from charvar.polynomials import (
     FLAVOR_E,
@@ -41,6 +44,7 @@ from charvar.polynomials import (
 )
 from oracles import (
     binomial_factor,
+    jet_by_pass,
     tuple_add,
     tuple_divide_two_term,
     tuple_mul,
@@ -513,3 +517,117 @@ def test_divide_exact_refuses_every_other_divisor_by_name(div):
     num = SparsePoly(QT, {(0, 0): 1, (2, 0): -1})
     with pytest.raises(ValueError, match=re.escape(f"divisor {polynomials.poly_text(div)} ")):
         divide_exact(num, div)
+
+
+# -- binomial powers, expanded term by term -------------------------------------
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_a_binomial_power_is_the_square_and_multiply_power(k, data):
+    """binomial_product writes (1 + c*x^e)^m term by term, in its exact box:
+    the same polynomial as SparsePoly.__pow__ by square-and-multiply, for any
+    c != 0, negative entries of e, and m*e past the narrowest width.  Over a
+    binomial factor, a short power's numerator carries the jets of a pass over
+    its terms."""
+    variables = CONTEXTS[k].variables
+    zero = (0,) * k
+    size = data.draw(st.sampled_from([3, edge(k)]))
+    e = data.draw(st.tuples(*[st.integers(-size, size)] * k).filter(any))
+    c = data.draw(st.integers(-5, 5).filter(bool))
+    m = data.draw(st.integers(1, 12))
+    want = SparsePoly(variables, {zero: 1, e: c}) ** m
+    num = binomial_product(variables, [(c, e, m)]).num
+    assert num.terms == want.terms
+    _, width, box = polynomials._own(num)
+    slots = list(zip(*want.terms))
+    assert box == (tuple(map(min, slots)), tuple(map(max, slots)))
+    assert width == polynomials._width_of(k, box)
+    if size > 3:  # a quotient by 1 - x^d could have as many terms as m*e is long
+        return
+    d = data.draw(st.tuples(*[st.integers(0, 3)] * k).filter(any))
+    factor = BinomialFactor(variables, d, data.draw(st.sampled_from([1, -1])))
+    out = binomial_product(variables, [(c, e, m), (factor.c, d, -1)])
+    reduced = FactoredFraction(want, {factor: 1})
+    assert (out.num, out.den) == (reduced.num, reduced.den)
+    pt = factor._point
+    if out.den and pt is not None:  # nothing cancelled: the numerator is the power
+        assert out.num._values[pt] == jet_by_pass(want, pt)
+
+
+def test_a_binomial_power_refuses_a_wrong_vector_or_coefficient():
+    with pytest.raises(ContextError, match="does not match context"):
+        binomial_product(QT, [(2, (1,), 3)])
+    with pytest.raises(TypeError):
+        binomial_product(QT, [(Fraction(1, 2), (1, 0), 2)])
+
+
+# -- the whole pipeline at every width of a short ladder -------------------------
+
+_GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text())
+
+
+def _short_ladder(k, m):
+    """A ladder of 3 bits, then doubling: far narrower than the real one, so
+    the pipeline crosses widths at every rank."""
+    if k < 2:
+        return 0
+    w = 3
+    while m >> (w - 1):
+        w *= 2
+    return w
+
+
+def test_the_pipeline_gives_its_golden_documents_on_a_short_width_ladder(monkeypatch):
+    """Every measured input stays on the real ladder's first width, so its
+    operand re-packs and quotient re-keys never run there.  On a ladder that
+    starts at 3 bits they run, and the benchmark's golden documents (read from
+    perfbench/golden.json) and the long divisions' pinned counts still hold."""
+    repacks, rekeys, walks, walk_widths = [], [], [], []
+    real_keys_at, real_divide = polynomials._keys_at, polynomials._divide_by_factor
+    real_walk = polynomials._divide_two_term
+
+    def keys_at(p, w):
+        if polynomials._own(p)[1] != w:
+            repacks.append(w)
+        walk_widths.append(w)
+        return real_keys_at(p, w)
+
+    def divide(num, f):
+        del walk_widths[:]
+        q = real_divide(num, f)
+        if q and walk_widths and q._packed[1] != walk_widths[-1]:
+            rekeys.append(q._packed[1])
+        return q
+
+    def walk(rem, *args):
+        size = len(rem)
+        out = real_walk(rem, *args)
+        walks.append((out is not None, size))
+        return out
+
+    monkeypatch.setattr(polynomials, "_width", _short_ladder)
+    monkeypatch.setattr(polynomials, "_keys_at", keys_at)
+    monkeypatch.setattr(polynomials, "_divide_by_factor", divide)
+    monkeypatch.setattr(polynomials, "_divide_two_term", walk)
+    # each cold; the walks of Hqt n=3 g=3 and Hxy n=3 g=2 are pinned in
+    # tests/test_series.py: (successes, failures, their numerator terms)
+    for kind, n, g, pinned in [("Hqt", 1, 3, None), ("Hqt", 2, 3, None),
+                               ("Hqt", 3, 3, (18, 9, 7954, 3043)),
+                               ("Hxy", 3, 2, (16, 9, 10812, 3874)),
+                               ("E", 4, 3, None), ("PP", 4, 3, None)]:
+        del walks[:]
+        invariants.clear_memo()
+        try:
+            result = compute_invariant(kind, n, g)
+        finally:
+            invariants.clear_memo()
+        raw = invariants.document_bytes(invariants.polynomial_document(result))
+        assert hashlib.sha256(raw).hexdigest() == _GOLDEN[f"{kind}_n{n}_g{g}"]["sha256"]
+        assert result.checks.all_passed
+        if pinned:
+            found = [size for ok, size in walks if ok]
+            failed = [size for ok, size in walks if not ok]
+            assert (len(found), len(failed), sum(found), sum(failed)) == pinned
+    assert repacks and rekeys

@@ -10,6 +10,7 @@ from charvar.polynomials import (
     FLAVOR_XY,
     FactoredFraction,
     SparsePoly,
+    binomial_product,
 )
 from oracles import divided_by, specialize_fraction
 
@@ -136,7 +137,7 @@ def chained_hook_term(flavor, partition, g):
         if flavor.armless_only and cell.arm:
             continue
         for c, exps, power in flavor.cell_factors:
-            out = out._times_binomial(c, exps(cell.hook, cell.leg), power(g))
+            out = out * binomial_product(out.vars, [(c, exps(cell.hook, cell.leg), power(g))])
     return out.shift(tuple(s * (1 - g) * stats.leg_sum for s in flavor.leg_shift))
 
 

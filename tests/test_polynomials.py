@@ -108,6 +108,15 @@ class TestPolyArithmetic:
         with pytest.raises(ContextError, match="does not match context"):
             fr.shift((0, 0, 0))
 
+    def test_a_wrong_length_coefficient_read_is_a_context_error(self):
+        """coefficient, like shift, names a vector that does not fit the
+        context instead of answering 0 for it."""
+        f = p(QT, {(1, 0): 1, (0, 1): 10})
+        assert (f.coefficient((0, 1)), f.coefficient([1, 0]), f.coefficient((1, 5))) == (10, 1, 0)
+        for exps in ((1, 0, 5), (1,), ()):
+            with pytest.raises(ContextError, match=re.escape(f"{exps} does not match context ('q', 't')")):
+                f.coefficient(exps)
+
     def test_min_exponents_of_zero_is_a_value_error(self):
         assert p(QT, {(1, -2): 1, (-1, 3): 1}).min_exponents() == (-1, -2)
         with pytest.raises(ValueError, match="zero polynomial"):
@@ -335,6 +344,20 @@ class TestSpecialize:
     def test_unknown_variable(self):
         with pytest.raises(ContextError):
             one().specialize({"t": 1})
+
+    @pytest.mark.parametrize("value", [0.1, 0.5, 1.0, 2.5, complex(1, 0), None, b"q"])
+    def test_a_value_that_is_no_int_fraction_or_name_is_a_type_error(self, value):
+        """A float would be read as a binary fraction (0.1 as
+        3602879701896397/2^55): every value is refused up front, whether or
+        not its variable occurs, and the exact values still specialize."""
+        f = p(QT, {(1, 0): 1, (0, 1): 10})
+        for assignment in ({"q": value, "t": 1}, {"q": value}, {"t": 1, "q": value}):
+            with pytest.raises(TypeError, match="not an int, a Fraction or a name"):
+                f.specialize(assignment)
+        with pytest.raises(TypeError):
+            p(QT, {(0, 1): 1}).specialize({"q": value})
+        assert f.specialize({"q": Fraction(1, 10), "t": 1}) == Fraction(101, 10)
+        assert f.specialize({"q": 2, "t": True}) == 12
 
 
 class TestRendering:
@@ -952,21 +975,22 @@ def test_binomial_product_skips_a_zero_power():
 
 @pytest.mark.parametrize("c, k, value", [(2, 1, 3), (-1, 2, 0), (2, -1, 3)])
 def test_a_constant_factor_is_refused_by_name(c, k, value):
-    """1 + c*x^0 is the constant 1 + c, no binomial: both builders say so."""
+    """1 + c*x^0 is the constant 1 + c, no binomial: binomial_product says so,
+    alone or as a fraction's factor."""
     message = re.escape(f"factor 1 + {c}*x^(0,) is the constant {value}, not a binomial")
     with pytest.raises(ValueError, match=message):
         binomial_product(Q, [(c, (0,), k)])
     with pytest.raises(ValueError, match=message):
-        FactoredFraction.one(Q)._times_binomial(c, (0,), k)
+        FactoredFraction.one(Q) * binomial_product(Q, [(c, (0,), k)])
 
 
 @pytest.mark.parametrize("k", [-1, 1])
 def test_a_zero_coefficient_is_the_factor_one(k):
     f = binomial_product(Q, [(-1, (1,), -2)])
     with_zero = binomial_product(Q, [(0, (1,), k), (-1, (1,), -2)])
-    for out in (with_zero, f._times_binomial(0, (1,), k)):
+    for out in (with_zero, f * binomial_product(Q, [(0, (1,), k)])):
         assert (out.num, out.den) == (f.num, f.den)
-    assert binomial_product(Q, [(0, (1,), k)]).equals(1)
+    assert binomial_product(Q, [(0, (1,), k)]) == 1
 
 
 def test_binomial_product_of_negative_powers_is_the_division_chain():

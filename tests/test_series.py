@@ -78,7 +78,7 @@ class TestHookSumSeries:
         s = hook_sum_series(flavor, g, 5)
         for m in range(6):
             flat = frac_sum([hook_term(flavor, p, g) for p in partitions_of(m)])
-            assert s.coeffs[m].equals(flat), m
+            assert s.coeffs[m] == flat, m
 
 
 class TestSeriesLog:
