@@ -496,10 +496,6 @@ class SparsePoly:
             return False  # the box holds the support (a sum's is a hull)
         return any(any(k < 0 for k in e) for e in self.terms)
 
-    def is_integral(self):
-        """True: every coefficient is an int by construction."""
-        return True
-
     def __repr__(self):
         return f"SparsePoly({'*'.join(self.vars) or '-'}: {poly_text(self)})"
 

@@ -20,6 +20,8 @@ kept here as an oracle for it:
   ``ConjugacyData.powers``;
 - ``table_document`` is the canonical JSON document of a character table,
   whose digest pins the Dixon splitting byte for byte;
+- ``reference_document`` builds an invariant's document as a dict, one dict
+  per term, the reference for the direct renderer ``canonical_bytes``;
 - ``faddeev_leverrier_charpoly`` is the characteristic polynomial over F_p
   by the trace recursion, the reference for the Hessenberg reduction, and
   ``roots_by_full_scan`` evaluates a polynomial at every point of F_p, the
@@ -250,6 +252,19 @@ def table_document(table) -> dict:
         "classes": reps,
         "degrees": list(table.degrees),
         "rows": [[list(v) for v in row] for row in table.rows],
+        "version": 1,
+    }
+
+
+def reference_document(result) -> dict:
+    """The canonical JSON document of an invariant (document version 1) as a dict."""
+    return {
+        "kind": result.kind.value,
+        "n": result.n,
+        "g": result.g,
+        "vars": list(result.polynomial.vars),
+        "terms": [{"e": list(e), "c": str(c)} for e, c in result.polynomial.sorted_terms()],
+        "meta": {"dim2N": result.dimension, "checks": result.checks.to_json()},
         "version": 1,
     }
 

@@ -118,7 +118,7 @@ def test_criterion_06_comb_properties():
             poly = result.polynomial
             two_n = (n * n - 1) * (2 * g - 2)
             assert not poly.is_zero()
-            assert poly.is_integral(), (n, g)
+            assert all(type(c) is int for c in poly.terms.values()), (n, g)
             assert all(c >= 0 for c in poly.terms.values()), (n, g)
             assert poly.degree_in("q") == poly.degree_in("t") == two_n, (n, g)
             assert poly.coefficient((two_n, two_n)) == 1, (n, g)

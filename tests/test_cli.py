@@ -64,6 +64,16 @@ def _dim_float(doc):
     doc["meta"]["dim2N"] = float(doc["meta"]["dim2N"])
 
 
+def _swap_first_terms(doc):
+    doc["terms"][0], doc["terms"][1] = doc["terms"][1], doc["terms"][0]
+
+
+def _e_before_c(document):
+    first = '{"c":"1","e":[0,0]}'
+    assert first in document
+    return document.replace(first, '{"e":[0,0],"c":"1"}', 1).encode()
+
+
 def _pretty(document):
     return json.dumps(json.loads(document), indent=1, sort_keys=True).encode()
 
@@ -446,11 +456,23 @@ class TestCache:
             ("compute", "hqt", "Hqt_n2_g2.json",
              lambda cold: _edited(cold, lambda doc: doc.update(extra=None))),
             ("compute", "hqt", "Hqt_n2_g2.json", _pretty),
+            ("compute", "hqt", "Hqt_n2_g2.json", lambda cold: _edited(cold, _swap_first_terms)),
+            ("compute", "hqt", "Hqt_n2_g2.json",
+             lambda cold: _edited(cold, _first_term(lambda t: t.update(c="01")))),
+            ("compute", "hqt", "Hqt_n2_g2.json",
+             lambda cold: _edited(cold, _first_term(lambda t: t.update(c="+1")))),
+            ("compute", "hqt", "Hqt_n2_g2.json", lambda cold: _edited(
+                cold, lambda doc: doc["terms"].insert(1, {"e": [1, 0], "c": "0"}))),
+            ("compute", "hqt", "Hqt_n2_g2.json", lambda cold: _edited(
+                cold, lambda doc: doc["terms"].insert(1, doc["terms"][0]))),
+            ("compute", "hqt", "Hqt_n2_g2.json", _e_before_c),
         ],
         ids=["invalid-json", "not-utf-8", "json-list", "missing-keys", "wrong-key",
              "stray-name", "constant-edited", "check-flipped", "dim-off-by-one",
              "dim2N-float", "exponent-float", "exponent-bool", "coefficient-unquoted",
-             "extra-key", "pretty-printed"],
+             "extra-key", "pretty-printed", "terms-swapped", "coefficient-leading-zero",
+             "coefficient-plus-sign", "zero-term-added", "exponent-duplicated",
+             "e-before-c"],
     )
     def test_bad_cache_file_is_skipped(
         self, capsys, isolated_cache, command, kind, file_name, content

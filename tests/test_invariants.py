@@ -3,14 +3,19 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import e2_g3_poly, h2_g3_poly, poincare2_g3_poly, pp2_g3_poly
+from oracles import reference_document
 import charvar.invariants as invariants
 from charvar.errors import KindMismatch, NonIntegerCoefficient, UnsupportedGenus
 from charvar.invariants import (
     _TARGETS,
+    CheckEntry,
     InvariantCache,
     InvariantKind,
+    InvariantResult,
     attached_checks,
     clear_memo,
     closed_form,
@@ -391,6 +396,46 @@ class TestCacheAndDocuments:
         inv.clear_memo()
         again = compute_invariant("E", 3, 2, cache=cache)
         assert again.polynomial == result.polynomial
+
+
+@st.composite
+def _result_inputs(draw):
+    """(kind, n, g, terms): integer terms in the kind's 1-3 variables."""
+    kind = draw(st.sampled_from(list(InvariantKind)))
+    exps = st.tuples(*[st.integers(-3, 12)] * len(kind.flavor.variables))
+    terms = draw(st.dictionaries(exps, st.integers(-2**80, 2**80), max_size=12))
+    return kind, draw(st.integers(1, 4)), draw(st.integers(0, 4)), terms
+
+
+RECORDED = 'a "quoted" \\ na\u00efve \u2211 \U0001f600'
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=_result_inputs(), witness=st.none() | st.just(RECORDED) | st.text(min_size=1))
+@example(inputs=(InvariantKind.HQT, 2, 2, {}), witness=None)
+@example(inputs=(InvariantKind.E, 2, 2, {(0,): 2**70, (2,): -(2**65)}), witness=RECORDED)
+def test_the_direct_renderer_writes_the_reference_document(inputs, witness):
+    """canonical_bytes is the dict-per-term document byte for byte, and the
+    document dict is its parse; a recorded failing check's witness keeps its
+    quotes, backslashes and non-ASCII characters through both."""
+    kind, n, g, terms = inputs
+    with pytest.MonkeyPatch.context() as patch:
+        if witness is not None:
+            real = invariants.attached_checks
+
+            def failing(kind, n, g, poly):
+                report = real(kind, n, g, poly)
+                report.add("duality", CheckEntry(False, witness=witness))
+                return report
+
+            patch.setattr(invariants, "attached_checks", failing)
+        result = InvariantResult(kind, n, g, SparsePoly(kind.flavor.variables, terms))
+    raw = result.canonical_bytes
+    assert raw == document_bytes(reference_document(result))
+    assert document_bytes(polynomial_document(result)) == raw
+    assert (b'"terms":[]' in raw) == result.polynomial.is_zero()
+    if witness is not None:
+        assert polynomial_document(result)["meta"]["checks"]["duality"]["witness"] == witness
 
 
 def test_concurrent_computation_is_safe():
