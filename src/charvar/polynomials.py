@@ -19,14 +19,14 @@ operands' boxes for a product, moved with a shift and scaled by r with an
 Adams image.  For an exact quotient N / f it is box(N) - box(f): the Newton
 polytope of a product is the Minkowski sum of its factors' (Ostrowski).  For
 a sum it is the hull.  Slot widths follow from boxes alone: an operation
-works in the narrowest width of the ladder floor(30/k), floor(60/k), then
-doubling, whose half-range holds the boxes of its operands and of its result
-(for a division, a box widened as _divide_by_factor proves), and an operand
-packed at another width is re-packed first.  So no exponent wraps, and no
-input is refused.  Every case measured stays on the first width (|e_i| <= 812
-of 16,383 at Hqt n=10 g=2, <= 374 of 511 at Hxy n=6 g=3); the wider ones are
-for larger inputs.  ``binomial_product`` expands a binomial's power term by
-term, and ``SparsePoly.__pow__`` is square-and-multiply.
+works in the narrowest width of the ladder floor(30/k) bits (at least 2),
+then doubling, whose half-range holds the boxes of its operands and of its
+result (for a division, a box widened as _divide_by_factor proves), and an
+operand packed at another width is re-packed first.  So no exponent wraps,
+and no input is refused.  Every case measured stays on the first width
+(|e_i| <= 812 of 16,383 at Hqt n=10 g=2, <= 374 of 511 at Hxy n=6 g=3); the
+wider ones are for larger inputs.  ``binomial_product`` expands a binomial's
+power term by term, and ``SparsePoly.__pow__`` is square-and-multiply.
 
 ``SparsePoly.terms`` is the public view, dict[tuple[int, ...], int]; it is
 decoded from the packed form on first use and memoized.  A polynomial built
@@ -522,18 +522,17 @@ def _init(self, variables, terms, packed):
 def _width(k, m):
     """The narrowest slot width of the ladder whose half-range holds |e_i| <= m.
 
-    The ladder is floor(30/k), floor(60/k) bits, then doubling; widths under
-    2 bits are skipped, so that a slot's bit 0 is its exponent's parity.  One
-    variable needs no slot: its key is the exponent (width 0), and so does the
-    empty context, whose one monomial has key 0.
+    The ladder is max(floor(30/k), 2) bits, then doubling: floor(30/k),
+    floor(60/k), ... for the 2 and 3 variables of every flavor.  A slot has at
+    least 2 bits, so that its bit 0 is its exponent's parity.  One variable
+    needs no slot: its key is the exponent (width 0), and so does the empty
+    context, whose one monomial has key 0.
     """
     if k < 2:
         return 0
-    w = 30 // k
-    if w < 2 or m >> (w - 1):
-        w = max(60 // k, 2)
-        while m >> (w - 1):
-            w *= 2
+    w = max(30 // k, 2)
+    while m >> (w - 1):
+        w *= 2
     return w
 
 

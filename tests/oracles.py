@@ -20,6 +20,9 @@ kept here as an oracle for it:
   ``ConjugacyData.powers``;
 - ``table_document`` is the canonical JSON document of a character table,
   whose digest pins the Dixon splitting byte for byte;
+- ``reference_verify_orthogonality`` checks both orthogonality relations,
+  rows and then columns, the reference for ``verify_orthogonality``, which
+  checks the rows and the table's shape;
 - ``reference_document`` builds an invariant's document as a dict, one dict
   per term, the reference for the direct renderer ``canonical_bytes``;
 - ``faddeev_leverrier_charpoly`` is the characteristic polynomial over F_p
@@ -47,6 +50,8 @@ from functools import cache
 from heapq import heappop, heappush
 from operator import add, mul
 
+from charvar.characters import _pack, _relation
+from charvar.errors import LiftFailure
 from charvar.polynomials import (
     BinomialFactor,
     FactoredFraction,
@@ -254,6 +259,36 @@ def table_document(table) -> dict:
         "rows": [[list(v) for v in row] for row in table.rows],
         "version": 1,
     }
+
+
+def reference_verify_orthogonality(table):
+    """Both orthogonality relations, packed as verify_orthogonality packs them:
+    the row pairs, then the column pairs, each in ascending order, under one
+    bound |G| s N^2 + |G| for s rows.  It reads the columns by position, so a
+    short row whose missing value is 0 passes the rows and then raises
+    IndexError."""
+    sizes = table.conjugacy.sizes
+    order = table.group.order
+    e = table.cyclotomic_order
+    s = len(table.rows)
+    n = max(sum(map(abs, v)) for row in table.rows for v in row)
+    width, psi, holds = _relation(e, sum(sizes) * s * n * n + order)
+    packed = [[_pack(v, width, e) for v in row] for row in table.rows]
+    conj = [[_pack(v, width, e, -1) for v in row] for row in table.rows]
+
+    scaled = [[c * x * psi for c, x in zip(sizes, row)] for row in packed]
+    for a in range(s):
+        for b in range(a, s):
+            total = sum(map(mul, scaled[a], conj[b]))
+            if not holds(total, order if a == b else 0):
+                raise LiftFailure(f"row orthogonality fails for characters {a}, {b}")
+    packed_cols = [[x * psi for x in col] for col in zip(*packed)]
+    conj_cols = list(zip(*conj))
+    for k in range(len(sizes)):
+        for l in range(k, len(sizes)):
+            total = sizes[k] * sum(map(mul, packed_cols[k], conj_cols[l]))
+            if not holds(total, order if k == l else 0):
+                raise LiftFailure(f"column orthogonality fails for classes {k}, {l}")
 
 
 def reference_document(result) -> dict:

@@ -1,12 +1,13 @@
 """Cyclotomic arithmetic, Dixon character tables, and Frobenius sums."""
 
 import dataclasses
+import functools
 import hashlib
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import charvar.characters
@@ -31,7 +32,7 @@ from charvar.groups import (
     diagonal_group,
     tuple_count,
 )
-from charvar.invariants import document_bytes
+from charvar.invariants import InvariantKind, compute_invariant, document_bytes
 from oracles import (
     cyc_times_conjugate,
     cyclotomic,
@@ -39,6 +40,7 @@ from oracles import (
     folded_times_conjugate,
     from_root_multiplicities,
     reduce_mod_cyclotomic,
+    reference_verify_orthogonality,
     roots_by_full_scan,
     table_document,
     zeta_power,
@@ -213,6 +215,36 @@ class TestFrobeniusSums:
         assert str(exc.value) == "degree 7 does not divide the group order 120"
 
 
+def _sl2_point_count(q, g, e2, sign=1, q_power=0, twos=-1):
+    """E_2(q) + (2^(2g) - 1) (eps/2) q^(2g-2) ((q-1)^(2g-2) - (q+1)^(2g-2)),
+    eps = (-1)^((q-1)/2); sign, q_power and twos move one factor each, for the
+    controls."""
+    eps = sign * (-1) ** ((q - 1) // 2)
+    return e2 + (2 ** (2 * g) + twos) * Fraction(eps, 2) * q ** (2 * g - 2 + q_power) * (
+        (q - 1) ** (2 * g - 2) - (q + 1) ** (2 * g - 2)
+    )
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_sl2_point_count_is_e2_plus_a_closed_form(q, g):
+    """The character-formula count of SL(2,q) at -I is E_2(q) plus a closed
+    form that vanishes at g = 1, and the brute count agrees; at g >= 2 a
+    flipped sign, q^(2g-1) for q^(2g-2) and 2^(2g) for 2^(2g) - 1 each fail."""
+    group = build_group("SL", 2, q)
+    xi = group.central_of_order(2)
+    e2 = compute_invariant(InvariantKind.E, 2, g).polynomial.specialize({"q": q})
+    count = frobenius_sums(character_table(group), g, xi).point_count
+    assert count == _sl2_point_count(q, g, e2)
+    assert tuple_count(group, g, xi) == count * group.order
+    controls = [
+        _sl2_point_count(q, g, e2, sign=-1),
+        _sl2_point_count(q, g, e2, q_power=1),
+        _sl2_point_count(q, g, e2, twos=0),
+    ]
+    assert all(c != count for c in controls) == (g >= 2)
+
+
 @pytest.mark.parametrize("q", [5, 7])
 def test_abelian_table_through_a_long_refinement(q):
     # abelian, so r = |G|: the refinement runs over many class matrices
@@ -338,15 +370,16 @@ def test_raised_coordinate_names_the_first_failing_pair(tables):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda rows: rows[1:], "column orthogonality fails for classes 0, 0"),
-        (lambda rows: rows[:-1], "column orthogonality fails for classes 2, 2"),
+        (lambda rows: rows[1:], "table shape fails: 9 classes, 8 rows, row lengths [9]"),
+        (lambda rows: rows[:-1], "table shape fails: 9 classes, 8 rows, row lengths [9]"),
         (lambda rows: rows + rows[-1:], "row orthogonality fails for characters 8, 9"),
     ],
     ids=["first-dropped", "last-dropped", "last-duplicated"],
 )
 def test_a_missing_or_repeated_row_names_the_failing_pair(tables, edit, message):
     """The row pairs run over the rows, not the classes: a dropped row leaves
-    the rows orthogonal and fails a column, a repeated row fails its pair."""
+    the rows orthogonal and fails the shape check after them, a repeated row
+    fails its pair first."""
     table = tables["sl25"]
     with pytest.raises(LiftFailure) as exc:
         verify_orthogonality(dataclasses.replace(table, rows=edit(table.rows)))
@@ -355,8 +388,8 @@ def test_a_missing_or_repeated_row_names_the_failing_pair(tables, edit, message)
 
 @pytest.mark.parametrize("family,q", [("SL", 3), ("GL", 3), ("SL", 5), ("GL", 5), ("DIAG", 5)])
 def test_every_relation_is_within_the_closed_form_bound(monkeypatch, family, q):
-    """The width is proven from |G| s N^2 + |G|, and every row and column total
-    T, summed unreduced in Z[x]/(x^e - 1) as the packed check sums it, has
+    """The width is proven from sum_k |C_k| N^2 + |G|, and every row total T,
+    summed unreduced in Z[x]/(x^e - 1) as the packed check sums it, has
     |T - want|_1 within it, and reduces to want modulo Phi_e."""
     group = diagonal_group(q) if family == "DIAG" else build_group(family, 2, q)
     table = character_table(group)
@@ -371,7 +404,7 @@ def test_every_relation_is_within_the_closed_form_bound(monkeypatch, family, q):
     verify_orthogonality(table)
     e, order, sizes, rows = table.cyclotomic_order, group.order, table.conjugacy.sizes, table.rows
     n = max(sum(map(abs, v)) for row in rows for v in row)
-    bound = order * len(rows) * n * n + order
+    bound = sum(sizes) * n * n + order
     assert bounds == [bound]
 
     def within(products, want):
@@ -386,14 +419,6 @@ def test_every_relation_is_within_the_closed_form_bound(monkeypatch, family, q):
                 [[s * c for c in folded_times_conjugate(e, x, y)]
                  for s, x, y in zip(sizes, row_a, rows[b])],
                 order if a == b else 0,
-            )
-    cols = list(zip(*rows))
-    for k, col_k in enumerate(cols):
-        for l in range(k, len(cols)):
-            within(
-                [[sizes[k] * c for c in folded_times_conjugate(e, x, y)]
-                 for x, y in zip(col_k, cols[l])],
-                order if k == l else 0,
             )
 
 
@@ -414,6 +439,107 @@ def test_changed_class_size_is_rejected(tables):
 def test_true_tables_pass(family, q):
     group = diagonal_group(q) if family == "DIAG" else build_group(family, 2, q)
     verify_orthogonality(character_table(group))  # raises on failure
+
+
+# -- the row relations and the shape against the two-relation reference ------------
+
+_VERIFIED = [("GL", 2), ("GL", 3), ("GL", 5), ("SL", 2), ("SL", 3), ("SL", 5), ("SL", 7),
+             ("DIAG", 2), ("DIAG", 3), ("DIAG", 5)]
+
+
+@functools.cache
+def _verified_table(family, q):
+    return character_table(diagonal_group(q) if family == "DIAG" else build_group(family, 2, q))
+
+
+def _with(table, rows, sizes):
+    data = dataclasses.replace(table.conjugacy, sizes=tuple(sizes))
+    return dataclasses.replace(table, conjugacy=data, rows=tuple(map(tuple, rows)))
+
+
+def _one_value_short(table, a, k):
+    """The table with class k moved last, sizes included, and row a's last
+    value, its value at class k, dropped."""
+    order = [c for c in range(table.num_classes) if c != k] + [k]
+    rows = [[row[c] for c in order] for row in table.rows]
+    del rows[a][-1]
+    return _with(table, rows, [table.conjugacy.sizes[c] for c in order])
+
+
+_EDITS = ["coordinate", "size", "drop-row", "repeat-row", "negate-row", "root-row",
+          "swap-rows", "swap-classes", "swap-classes-and-sizes", "short-row"]
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_one_edit_fails_exactly_when_the_reference_fails(data):
+    """A table of every group build_group admits, and of diagonal_group(2, 3,
+    5), with one edit: verify_orthogonality raises LiftFailure exactly when
+    the row-and-column reference raises, LiftFailure or IndexError, and a
+    failing row pair is named alike.  A square table whose rows pass has the
+    column relations too, so the shape check is all that replaces them."""
+    table = _verified_table(*data.draw(st.sampled_from(_VERIFIED)))
+    rows = [list(row) for row in table.rows]
+    sizes = list(table.conjugacy.sizes)
+    r, e = len(rows), table.cyclotomic_order
+    a, b, k, l = (data.draw(st.integers(0, r - 1)) for _ in range(4))
+    edit = data.draw(st.sampled_from(_EDITS))
+    if edit == "coordinate":
+        value = list(rows[a][k])
+        value[data.draw(st.integers(0, len(value) - 1))] += data.draw(st.sampled_from([1, -1]))
+        rows[a][k] = tuple(value)
+    elif edit == "size":
+        sizes[k] += data.draw(st.sampled_from([1, -1]))
+    elif edit == "drop-row":
+        del rows[a]
+    elif edit == "repeat-row":
+        rows.insert(b, rows[a])
+    elif edit == "negate-row":
+        rows[a] = [tuple(-c for c in v) for v in rows[a]]
+    elif edit == "root-row":  # times zeta^j, as v * conj(zeta^-j)
+        root = zeta_power(e, -data.draw(st.integers(1, e)))
+        rows[a] = [cyc_times_conjugate(e, v, root) for v in rows[a]]
+    elif edit == "swap-rows":
+        rows[a], rows[b] = rows[b], rows[a]
+    elif edit.startswith("swap-classes"):
+        for row in rows:
+            row[k], row[l] = row[l], row[k]
+        if edit == "swap-classes-and-sizes":
+            sizes[k], sizes[l] = sizes[l], sizes[k]
+    bad = _one_value_short(table, a, k) if edit == "short-row" else _with(table, rows, sizes)
+    assume(any(bad.rows))  # the reference's max() over no values raises ValueError
+    try:
+        reference_verify_orthogonality(bad)
+    except (LiftFailure, IndexError) as exc:
+        with pytest.raises(LiftFailure) as got:
+            verify_orthogonality(bad)
+        if str(exc).startswith("row orthogonality"):
+            assert str(got.value) == str(exc)
+    else:
+        verify_orthogonality(bad)
+
+
+@pytest.mark.parametrize("family,q", [("SL", 3), ("GL", 3), ("SL", 5), ("SL", 7), ("GL", 5)])
+def test_a_row_one_value_short_fails_the_shape_check(family, q):
+    """The classes reordered, sizes included, so that a row ends in a 0, and
+    that 0 dropped: every row relation still holds, and the reference, which
+    reads the columns by position, runs off the short row."""
+    table = _verified_table(family, q)
+    r = table.num_classes
+    a, k = next((a, k) for a, row in enumerate(table.rows) for k, v in enumerate(row) if not any(v))
+    bad = _one_value_short(table, a, k)
+    with pytest.raises(IndexError):
+        reference_verify_orthogonality(bad)
+    with pytest.raises(LiftFailure) as exc:
+        verify_orthogonality(bad)
+    assert str(exc.value) == f"table shape fails: {r} classes, {r} rows, row lengths [{r - 1}, {r}]"
+
+
+def test_a_table_with_no_rows_fails_the_shape_check(tables):
+    table = tables["sl23"]
+    with pytest.raises(LiftFailure) as exc:
+        verify_orthogonality(dataclasses.replace(table, rows=()))
+    assert str(exc.value) == "table shape fails: 7 classes, 0 rows, row lengths []"
 
 
 @pytest.mark.parametrize(

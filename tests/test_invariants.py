@@ -313,6 +313,35 @@ class TestCrossInvariantIdentities:
                 assert result.checks.all_passed, (kind, n, g, result.checks.to_json())
 
 
+def _lefschetz_violations(terms, big_n, step):
+    """The exponents e with e_0 <= big_n at which c(e) - c(e - step) < 0."""
+    keys = set(terms) | {tuple(x + d for x, d in zip(e, step)) for e in terms}
+    return [
+        e for e in keys
+        if e[0] <= big_n and terms.get(e, 0) < terms.get(tuple(x - d for x, d in zip(e, step)), 0)
+    ]
+
+
+_LEFSCHETZ_STEPS = {"hqt": ((2, 2), (1, 2)), "hxy": ((2, 1, 1), (1, 1, 1))}  # step, control
+
+
+@pytest.mark.parametrize(
+    "kind, n, g",
+    [("hqt", n, g) for n, g in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2)]]
+    + [("hxy", n, g) for n, g in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]],
+)
+def test_primitive_parts_below_the_middle_are_nonnegative(kind, n, g):
+    """The coefficient shadow of curious hard Lefschetz: below the middle
+    q-degree N = (n^2 - 1)(g - 1), multiplying by the class of degree (2, 2)
+    in (q, t), (2, 1, 1) in (q, x, y), is injective, so each primitive part
+    c(a, b) - c(a - 2, b - 2) is >= 0 for a <= N.  The control step fails."""
+    step, control = _LEFSCHETZ_STEPS[kind]
+    terms = compute_invariant(kind, n, g).polynomial.terms
+    big_n = (n * n - 1) * (g - 1)
+    assert _lefschetz_violations(terms, big_n, step) == []
+    assert _lefschetz_violations(terms, big_n, control)
+
+
 def test_moebius_values():
     expected = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1, 8: 0, 9: 0, 12: 0, 30: -1, 36: 0}
     for n, mu in expected.items():
